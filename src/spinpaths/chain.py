@@ -13,13 +13,14 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, pi, sin
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .partitions import StrictPartition, mu_to_lambda
+from .partitions import StrictPartition, descending_subsets, mu_to_lambda
 from .schur import schur_determinant
 
 DEFAULT_SECTOR_CAP = 50_000
@@ -173,14 +174,45 @@ class BetheMomenta:
         }
 
 
-def enumerate_bethe_sets(geom: ChainGeometry,
-                         cap: int = DEFAULT_SECTOR_CAP) -> Iterator[BetheMomenta]:
-    """All C(M+1, N) distinct momentum subsets, fixed order."""
+def _check_subset_cap(geom: ChainGeometry, cap: int) -> None:
     if geom.sector_dim > cap:
         raise SectorCapError(
             f"momentum-subset count {geom.sector_dim} exceeds {cap}")
-    for c in combinations(range(geom.m, -1, -1), geom.n):
+
+
+def enumerate_bethe_sets(geom: ChainGeometry,
+                         cap: int = DEFAULT_SECTOR_CAP) -> Iterator[BetheMomenta]:
+    """All C(M+1, N) distinct momentum subsets, fixed order."""
+    _check_subset_cap(geom, cap)
+    for c in descending_subsets(geom.m, geom.n):
         yield BetheMomenta(geom, c)
+
+
+@dataclass(frozen=True)
+class MomentumTable:
+    """Every momentum subset of a geometry, one row each in the order of
+    `enumerate_bethe_sets`: (S, N) grid indices, thetas and phases, and (S,)
+    energies.  Read-only, because one cached table is shared."""
+
+    indices: np.ndarray
+    thetas: np.ndarray
+    phases: np.ndarray
+    energies: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def momentum_table(geom: ChainGeometry) -> MomentumTable:
+    """The subset table of `geom`, cached and shared; the cap is checked first."""
+    _check_subset_cap(geom, DEFAULT_SECTOR_CAP)
+    count, n = geom.sector_dim, geom.n
+    indices = np.fromiter((i for c in descending_subsets(geom.m, n) for i in c),
+                          dtype=np.int64, count=count * n).reshape(count, n)
+    thetas = 2.0 * pi / geom.sites * (indices - (n - 1) / 2.0)
+    table = MomentumTable(indices, thetas, np.exp(1j * thetas),
+                          n - np.sum(np.cos(thetas), axis=1))
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
 
 
 def bethe_ground_state(geom: ChainGeometry) -> BetheMomenta:

@@ -3,10 +3,11 @@
 Verbs: schur, paths, chain-spectrum, correlator, verify, sweep.
 Results go to stdout as JSON (CSV for sweep); errors go to stderr as a
 JSON object.  Exit codes: 0 success, 1 verification failure, 2 bad
-input, 3 resource cap exceeded.  Big integers are emitted as decimal
-strings and complex values as {"re": .., "im": ..} objects, so output
-round-trips losslessly.  Identical invocations produce byte-identical
-output.
+input, 3 resource cap exceeded; a result failing its own check (routes
+disagree, no integer, no convergence) also exits 1.  Big integers are
+emitted as decimal strings and complex values as {"re": .., "im": ..}
+objects, so output round-trips losslessly.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 
-class VerificationFailure(RuntimeError):
-    pass
+# failed library checks, by the error name written to stderr
+CHECK_ERRORS = {
+    correlators.RouteMismatchError: "route-mismatch",
+    correlators.IntegerRoundingError: "integer-rounding",
+    correlators.SeriesConvergenceError: "series-not-converged",
+}
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -442,13 +447,14 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except (ValueError, KeyError, json.JSONDecodeError,
             CoincidentArgumentsError) as exc:
-        sys.stderr.write(json.dumps({"error": "bad-input", "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return EXIT_BAD_INPUT
+        error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)
     except (EnumerationCapError, SectorCapError) as exc:
-        sys.stderr.write(json.dumps({"error": "cap-exceeded", "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return EXIT_CAP
+        error, code, detail = "cap-exceeded", EXIT_CAP, str(exc)
+    except tuple(CHECK_ERRORS) as exc:
+        error, code, detail = CHECK_ERRORS[type(exc)], EXIT_VERIFY_FAILED, str(exc)
+    sys.stderr.write(json.dumps({"error": error, "detail": detail},
+                                sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

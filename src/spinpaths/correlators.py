@@ -11,22 +11,21 @@ detailed variants report the cross-route residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .chain import (
-    BetheMomenta,
     ChainGeometry,
     bethe_ground_state,
     bethe_vector,
     build_sector_hamiltonian,
     build_sector_hopping,
-    enumerate_bethe_sets,
     hopping_matrix,
-    norm_squared,
+    momentum_table,
     sector_basis,
 )
-from .kernels import det_product_sum
+from .kernels import det_product_sum, stacked_dets
 from .partitions import (
     StrictPartition,
     lambda_to_mu,
@@ -35,8 +34,11 @@ from .partitions import (
 )
 from .paths import random_turns_counts_from
 from .schur import (
+    CoincidentArgumentsError,
     cauchy_binet,
     cauchy_binet_enum,
+    cauchy_binet_matrix,
+    check_distinct,
     schur_count_at_one,
     schur_evaluate,
     vandermonde,
@@ -55,6 +57,10 @@ class RouteMismatchError(RuntimeError):
 
 class IntegerRoundingError(RuntimeError):
     """A trigonometric sum failed to land on an integer within tolerance."""
+
+
+class SeriesConvergenceError(RuntimeError):
+    """A power series did not reach its tail tolerance within its term cap."""
 
 
 @dataclass
@@ -80,13 +86,10 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     determinant reproduce the sector matrix element exactly.
     """
     size = geom.sites
-    # bulk bonds plus the signed wrap-around bond; on the 2-site ring the
-    # two coincide and the signed term adds to the doubled entry
-    delta = np.zeros((size, size))
-    for a in range(size):
-        for b in range(size):
-            d = abs(a - b)
-            delta[a, b] = float(d == 1) + boundary_sign * float(d == geom.m)
+    # sign the wrap-around bond; on the 2-site ring it is the second copy
+    # of the doubled bond
+    delta = hopping_matrix(geom.m).astype(float)
+    delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 1.0 + boundary_sign
     power = np.identity(size)
     out = np.identity(size, dtype=complex)
     coef = 1.0 + 0.0j
@@ -98,6 +101,10 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
         coef *= t / 2.0 / k
         out += coef * power
         bound *= 2.0 * abs(t) / k
+    if bound >= SERIES_TAIL_TOL:
+        raise SeriesConvergenceError(
+            f"series in t={t} has tail bound {bound:.3e} after {k} terms; "
+            f"need {SERIES_TAIL_TOL:.0e}")
     return out
 
 
@@ -120,14 +127,17 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     return complex(sol[j])
 
 
-def _momentum_grid(geom: ChainGeometry) -> list[BetheMomenta]:
-    return list(enumerate_bethe_sets(geom))
+def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
+    """weight(sum_a cos theta_{s,a}) / (M+1)^N per momentum subset s."""
+    cos_sums = np.sum(np.cos(momentum_table(geom).thetas), axis=1)
+    return weight(cos_sums) / geom.sites ** geom.n
 
 
-def _subset_phis(sets: list[BetheMomenta]) -> np.ndarray:
-    if not sets:
-        return np.zeros((0, 0))
-    return np.stack([s.thetas for s in sets])
+def _det_product_spectral(m: int, j, l, weight) -> complex:
+    """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
+    geom = ChainGeometry(m, len(j))
+    return det_product_sum(momentum_table(geom).thetas, np.array(j),
+                           np.array(l), _subset_weights(geom, weight))
 
 
 def _check_endpoints(geom: ChainGeometry, j, l) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -157,13 +167,10 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
     gmat = one_particle_matrix(geom, t, boundary_sign=(-1.0) ** (nvar - 1))
     det_route = complex(np.linalg.det(gmat[np.ix_(j, l)])) if nvar else 1.0 + 0.0j
 
-    sets = _momentum_grid(ChainGeometry(geom.m, nvar))
-    phis = _subset_phis(sets)
-    weights = np.exp(t * np.sum(np.cos(phis), axis=1)) / geom.sites ** nvar
-    spectral = det_product_sum(phis, np.array(j), np.array(l), weights)
+    spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
 
     resid = abs(det_route - spectral) / max(1.0, abs(det_route))
-    if resid > ROUTE_TOL_DET_SPECTRAL:
+    if not resid <= ROUTE_TOL_DET_SPECTRAL:
         raise RouteMismatchError(
             f"determinant {det_route} vs spectral {spectral} (residual {resid:.3e})"
         )
@@ -179,12 +186,7 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     j, l = _check_endpoints(geom, j, l)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    nvar = len(j)
-    sets = _momentum_grid(ChainGeometry(geom.m, nvar))
-    phis = _subset_phis(sets)
-    weights = (2.0 * np.sum(np.cos(phis), axis=1)) ** steps / geom.sites ** nvar
-    val = det_product_sum(phis, np.array(j), np.array(l),
-                          weights.astype(complex))
+    val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
     rounded = round(val.real)
     resid = abs(val - rounded) / max(1.0, abs(rounded))
     if resid > INTEGER_ROUNDING_TOL:
@@ -225,22 +227,44 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
                 else 1.0 + 0.0j
             direct += sl * sr * g
 
-    spectral = 0.0 + 0.0j
-    for mset in _momentum_grid(geom):
-        phases = mset.phases()
-        vand2 = abs(vandermonde(phases)) ** 2
-        p_left = cauchy_binet(v_inv_sq, phases, geom.k_cap, n)
-        p_right = cauchy_binet(np.conj(phases), u_sq, geom.k_cap, n)
-        spectral += np.exp(t * np.sum(np.cos(mset.thetas))) * vand2 * \
-            p_left * p_right
-    spectral /= geom.sites ** nvar
+    spectral = _transition_spectral(geom, u_sq, v_inv_sq, n, t)
 
     resid = abs(direct - spectral) / max(1.0, abs(direct))
-    if resid > ROUTE_TOL_AMPLITUDE:
+    if not resid <= ROUTE_TOL_AMPLITUDE:
         raise RouteMismatchError(
             f"boxed sum {direct} vs spectral {spectral} (residual {resid:.3e})"
         )
     return CorrelatorResult(direct, {"boxed_vs_spectral": resid})
+
+
+def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
+                         t: complex) -> complex:
+    """Momentum-subset sum of exp(t sum cos) |V|^2 CB(v, p) CB(conj p, u).
+
+    |V(phases)|^2 cancels against the closed forms' 1/V(phases) factors,
+    leaving prod (u v)^n det T(v, p) det T(conj p, u) / (V(v) V(u)).
+    Coincident parameters have no closed form: each subset's term then
+    comes from `cauchy_binet`, which enumerates the boxed shapes.
+    """
+    table = momentum_table(geom)
+    weights = _subset_weights(geom, lambda c: np.exp(t * c))
+    try:
+        check_distinct(u_sq)
+        check_distinct(v_inv_sq)
+    except CoincidentArgumentsError:
+        return complex(weights @ np.array([
+            abs(vandermonde(p)) ** 2 * cauchy_binet(v_inv_sq, p, geom.k_cap, n)
+            * cauchy_binet(np.conj(p), u_sq, geom.k_cap, n)
+            for p in table.phases]))
+    power = geom.k_cap - n + geom.n
+    phases, conj = table.phases, np.conj(table.phases)
+    left = stacked_dets(len(phases), lambda rows: cauchy_binet_matrix(
+        v_inv_sq, phases[rows], power))
+    right = stacked_dets(len(phases), lambda rows: cauchy_binet_matrix(
+        conj[rows], u_sq, power))
+    pref = np.prod(np.multiply(u_sq, v_inv_sq) ** n) / \
+        (vandermonde(u_sq) * vandermonde(v_inv_sq))
+    return complex(pref * (weights @ (left * right)))
 
 
 def transition_amplitude(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -273,13 +297,9 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
     ones = (1.0,) * nvar
 
-    lhs = 0.0
-    for mset in _momentum_grid(geom):
-        phases = mset.phases()
-        p = cauchy_binet_enum(ones, phases, geom.k_cap, n)
-        lhs += (2.0 * np.sum(np.cos(mset.thetas))) ** steps * \
-            abs(vandermonde(phases) * p) ** 2
-    lhs /= geom.sites ** nvar
+    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.array([
+        abs(vandermonde(p) * cauchy_binet_enum(ones, p, geom.k_cap, n)) ** 2
+        for p in momentum_table(geom).phases])
 
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
@@ -306,17 +326,31 @@ def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
         raise ValueError("need 1 <= N <= M")
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+    gaps, weights = _persistence_terms(geom, n)
+    return complex(np.exp(-t * gaps) @ weights)
+
+
+@lru_cache(maxsize=32)
+def _persistence_terms(geom: ChainGeometry,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t-independent factors of the persistence sum, per subset s.
+
+    Returns (E_s - E_ground, |det T_s|^2 / (M+1)^{2N}), with T_s the
+    Cauchy-Binet matrix of conj(phases_s) against the ground phases.  The
+    subset Vandermonde cancels against the closed form's 1/V(x), and the
+    ground norm (M+1)^N / |V(ground)|^2 against its 1/V(y).
+    """
+    table = momentum_table(geom)
     ground = bethe_ground_state(geom)
     gphases = ground.phases()
-    e_ground = ground.energy
-    nsq = norm_squared(ground)
-    total = 0.0 + 0.0j
-    for mset in _momentum_grid(geom):
-        phases = mset.phases()
-        p = cauchy_binet(np.conj(phases), gphases, geom.k_cap, n)
-        total += np.exp(-t * (mset.energy - e_ground)) * \
-            abs(vandermonde(phases) * p) ** 2
-    return complex(total / (nsq * geom.sites ** geom.n))
+    power = geom.k_cap - n + geom.n
+    conj = np.conj(table.phases)
+    dets = stacked_dets(len(conj), lambda rows: cauchy_binet_matrix(
+        conj[rows], gphases, power))
+    gaps = table.energies - ground.energy
+    weights = np.abs(dets) ** 2 / float(geom.sites) ** (2 * geom.n)
+    gaps.flags.writeable = weights.flags.writeable = False
+    return gaps, weights
 
 
 def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
@@ -338,7 +372,7 @@ def persistence_detailed(geom: ChainGeometry, n: int, t: complex) -> CorrelatorR
     spectral = persistence_spectral(geom, n, t)
     exact = persistence_exact(geom, n, t)
     resid = abs(spectral - exact) / max(1.0, abs(exact))
-    if resid > ROUTE_TOL_AMPLITUDE:
+    if not resid <= ROUTE_TOL_AMPLITUDE:
         raise RouteMismatchError(
             f"spectral {spectral} vs dense {exact} (residual {resid:.3e})"
         )

@@ -1,74 +1,34 @@
 """Hot numeric kernel for the momentum-subset spectral sums.
 
-Every spectral correlator reduces to sums of the form
-
-    sum_s  w_s * det(exp(+i phi_{s,a} muL_b)) * det(exp(-i phi_{s,a} muR_b))
-
-over enumerated momentum subsets.  The determinant pair absorbs both the
-squared Vandermonde modulus and the two Schur factors.  A numba build of
-the loop is used when available; setting SPINPATHS_NO_NUMBA=1 (or having
-no numba installed) selects the pure-numpy fallback.  Both paths
-accumulate in the same subset order.
+Every spectral correlator reduces to a weighted sum of determinants over
+the C(M+1, N) momentum subsets of a geometry.  They are taken by batched
+`np.linalg.det` calls on (B, N, N) stacks of at most SUBSET_BLOCK subsets,
+so peak memory does not grow with the subset count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SPINPATHS_NO_NUMBA", "") not in ("", "0")
+SUBSET_BLOCK = 128
 
 
-def _det_product_sum_numpy(phis: np.ndarray, mu_left: np.ndarray,
-                           mu_right: np.ndarray, weights: np.ndarray) -> complex:
-    nsets, nvar = phis.shape
-    acc = 0.0 + 0.0j
-    for s in range(nsets):
-        a = np.exp(1j * np.outer(phis[s], mu_left))
-        b = np.exp(-1j * np.outer(phis[s], mu_right))
-        acc += weights[s] * np.linalg.det(a) * np.linalg.det(b)
-    return acc
-
-
-_impl = _det_product_sum_numpy
-_backend = "numpy"
-
-if not _FORCE_NUMPY:
-    try:
-        import numba
-
-        @numba.njit(cache=True)
-        def _det_product_sum_numba(phis, mu_left, mu_right, weights):  # pragma: no cover
-            nsets, nvar = phis.shape
-            acc = 0.0 + 0.0j
-            a = np.empty((nvar, nvar), dtype=np.complex128)
-            b = np.empty((nvar, nvar), dtype=np.complex128)
-            for s in range(nsets):
-                for j in range(nvar):
-                    for k in range(nvar):
-                        a[j, k] = np.exp(1j * phis[s, j] * mu_left[k])
-                        b[j, k] = np.exp(-1j * phis[s, j] * mu_right[k])
-                acc += weights[s] * np.linalg.det(a) * np.linalg.det(b)
-            return acc
-
-        # trigger compilation once so failures fall back immediately
-        _det_product_sum_numba(
-            np.zeros((1, 1)), np.zeros(1, dtype=np.int64),
-            np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
-        )
-        _impl = _det_product_sum_numba
-        _backend = "numba"
-    except Exception:  # numba missing or unable to compile on this platform
-        pass
-
-
-def backend_name() -> str:
-    return _backend
+def stacked_dets(count: int, build) -> np.ndarray:
+    """Determinants of `count` matrices; `build(rows)` returns the (B, N, N)
+    stack for the subsets in the slice `rows`."""
+    out = np.empty(count, dtype=complex)
+    for start in range(0, count, SUBSET_BLOCK):
+        rows = slice(start, min(start + SUBSET_BLOCK, count))
+        out[rows] = np.linalg.det(build(rows))
+    return out
 
 
 def det_product_sum(phis: np.ndarray, mu_left, mu_right, weights) -> complex:
-    """Weighted sum of alternant-determinant products over momentum subsets."""
+    """sum_s w_s det(exp(+i phi_{s,a} muL_b)) det(exp(-i phi_{s,a} muR_b)).
+
+    The determinant pair absorbs both the squared Vandermonde modulus and
+    the two Schur factors of a spectral sum.
+    """
     phis = np.ascontiguousarray(phis, dtype=np.float64)
     mu_left = np.ascontiguousarray(mu_left, dtype=np.int64)
     mu_right = np.ascontiguousarray(mu_right, dtype=np.int64)
@@ -77,4 +37,9 @@ def det_product_sum(phis: np.ndarray, mu_left, mu_right, weights) -> complex:
         raise ValueError("inconsistent kernel input shapes")
     if phis.shape[1] == 0:
         return complex(np.sum(weights))
-    return complex(_impl(phis, mu_left, mu_right, weights))
+
+    def alternants(mu):
+        return stacked_dets(len(phis), lambda rows:
+                            np.exp(1j * phis[rows, :, None] * mu))
+
+    return complex(weights @ (alternants(mu_left) * alternants(-mu_right)))

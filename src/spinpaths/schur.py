@@ -45,7 +45,7 @@ def vandermonde(x: Sequence[complex]) -> complex:
     return out
 
 
-def _check_distinct(x: Sequence[complex]) -> None:
+def check_distinct(x: Sequence[complex]) -> None:
     for i in range(len(x)):
         for j in range(i):
             scale = max(1.0, abs(x[i]), abs(x[j]))
@@ -61,7 +61,7 @@ def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
     n = len(x)
     if len(lam) > n:
         raise ValueError(f"shape {lam} needs at least {len(lam)} variables")
-    _check_distinct(x)
+    check_distinct(x)
     if n == 0:
         return 1.0 + 0.0j
     mu = lambda_to_mu(lam, n)
@@ -173,6 +173,16 @@ def schur_q_polynomial(lam: Partition, exponents: Sequence[int],
     return QPolynomial(out)
 
 
+def cauchy_binet_matrix(x, y, power: int) -> np.ndarray:
+    """T_kj = (1 - (x_k y_j)^power) / (1 - x_k y_j), equal to `power` at the
+    removable singularity x_k y_j = 1; (..., N) stacks broadcast."""
+    p = np.asarray(x, dtype=complex)[..., :, None] * \
+        np.asarray(y, dtype=complex)[..., None, :]
+    near = np.abs(p - 1.0) < 1e-12
+    return np.where(near, power,
+                    (1.0 - p ** power) / np.where(near, 1.0, 1.0 - p))
+
+
 def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
                         length: int, n: int) -> complex:
     """Closed form of the boxed sum of Schur products:
@@ -185,18 +195,9 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    _check_distinct(x)
-    _check_distinct(y)
-    nvar = len(x)
-    power = length - n + nvar
-    t = np.empty((nvar, nvar), dtype=complex)
-    for k in range(nvar):
-        for j in range(nvar):
-            p = x[k] * y[j]
-            if abs(p - 1.0) < 1e-12:
-                t[k, j] = power
-            else:
-                t[k, j] = (1.0 - p ** power) / (1.0 - p)
+    check_distinct(x)
+    check_distinct(y)
+    t = cauchy_binet_matrix(x, y, length - n + len(x))
     pref = 1.0 + 0.0j
     for xl, yl in zip(x, y):
         pref *= (xl * yl) ** n

@@ -125,6 +125,17 @@ def test_exit_code_cap_sector():
     assert json.loads(out.stderr.strip())["error"] == "cap-exceeded"
 
 
+def test_exit_code_failed_check():
+    # at |t| = 300 the one-walker series cannot converge within its term cap
+    out = run_cli(["correlator", "--kind", "multi-particle", "--m", "9",
+                   "--n", "3", "--j", "5,3,1", "--l", "6,3,0", "--t", "300"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    doc = json.loads(out.stderr.strip())
+    assert doc["error"] == "series-not-converged"
+    assert doc["detail"]
+
+
 def test_config_file_equivalent(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({

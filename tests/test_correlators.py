@@ -8,8 +8,11 @@ from spinpaths.chain import (
     build_sector_hopping,
     sector_basis,
 )
+from spinpaths import correlators
 from spinpaths.correlators import (
     IntegerRoundingError,
+    RouteMismatchError,
+    SeriesConvergenceError,
     equality_of_sums_report,
     laplace_generating_f,
     multi_particle_g,
@@ -62,6 +65,13 @@ def test_one_particle_time_derivative():
     assert np.allclose(deriv, 0.5 * hopping_matrix(geom.m) @ mid, atol=1e-8)
 
 
+@pytest.mark.parametrize("t", [400.0, 300j])
+def test_one_particle_series_raises_when_not_converged(t):
+    """The Taylor series never stops short of its tail tolerance silently."""
+    with pytest.raises(SeriesConvergenceError):
+        one_particle_matrix(ChainGeometry(4, 1), t)
+
+
 def test_one_particle_g_entry_and_validation():
     geom = ChainGeometry(3, 1)
     assert one_particle_g(geom, 2, 2, 0.0) == pytest.approx(1.0)
@@ -111,6 +121,19 @@ def test_multi_particle_matches_dense_evolution():
             assert got == pytest.approx(evo[a, b], abs=1e-10)
 
 
+def test_multi_particle_large_t_stops_at_series_check():
+    with pytest.raises(SeriesConvergenceError):
+        multi_particle_g_detailed(ChainGeometry(9, 3), (5, 3, 1), (6, 3, 0),
+                                  300)
+
+
+def test_multi_particle_nan_route_raises(monkeypatch):
+    monkeypatch.setattr(correlators, "_det_product_spectral",
+                        lambda *args: complex("nan"))
+    with pytest.raises(RouteMismatchError):
+        multi_particle_g_detailed(ChainGeometry(4, 2), (3, 1), (2, 0), 0.5)
+
+
 def test_multi_particle_coincident_endpoints_vanish():
     geom = ChainGeometry(4, 2)
     assert multi_particle_g(geom, (2, 2), (3, 1), 0.5) == 0
@@ -158,6 +181,14 @@ def test_transition_amplitude_routes_and_dense_oracle(m, n, shift):
     assert abs(res.value - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
+def test_transition_amplitude_nan_route_raises(monkeypatch):
+    monkeypatch.setattr(correlators, "_transition_spectral",
+                        lambda *args: complex("nan"))
+    with pytest.raises(RouteMismatchError):
+        transition_amplitude_detailed(ChainGeometry(4, 2), random_params(2),
+                                      random_params(2), 1, 0.5)
+
+
 def test_transition_amplitude_validation():
     geom = ChainGeometry(4, 2)
     with pytest.raises(ValueError):
@@ -192,6 +223,13 @@ def test_persistence_spectral_vs_dense(m, n):
         for t in (0.0, 0.5, 1.0):
             res = persistence_detailed(geom, shift, t)
             assert res.route_residuals["spectral_vs_dense"] <= 1e-8
+
+
+def test_persistence_nan_route_raises(monkeypatch):
+    monkeypatch.setattr(correlators, "persistence_exact",
+                        lambda *args: complex("nan"))
+    with pytest.raises(RouteMismatchError):
+        persistence_detailed(ChainGeometry(4, 2), 1, 0.5)
 
 
 def test_persistence_no_exclusion_is_one():

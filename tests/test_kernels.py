@@ -1,11 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from spinpaths.kernels import _det_product_sum_numpy, backend_name, det_product_sum
+from spinpaths.kernels import SUBSET_BLOCK, det_product_sum
 
 RNG = np.random.default_rng(7)
 
@@ -35,13 +31,12 @@ def test_kernel_matches_brute_force(nsets, nvar):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_active_backend_matches_numpy_reference():
-    phis, mu_l, mu_r, weights = random_inputs(8, 3)
-    fast = det_product_sum(phis, mu_l, mu_r, weights)
-    slow = _det_product_sum_numpy(phis, mu_l.astype(np.int64),
-                                  mu_r.astype(np.int64),
-                                  weights.astype(np.complex128))
-    assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+def test_multi_block_stack_matches_brute_force():
+    """A stack spanning several blocks, the last one partial."""
+    phis, mu_l, mu_r, weights = random_inputs(2 * SUBSET_BLOCK + 5, 3)
+    got = det_product_sum(phis, mu_l, mu_r, weights)
+    want = brute(phis, mu_l, mu_r, weights)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_empty_variable_case():
@@ -53,38 +48,3 @@ def test_empty_variable_case():
 def test_shape_validation():
     with pytest.raises(ValueError):
         det_product_sum(np.zeros((2, 2)), [1], [2, 1], np.ones(2))
-
-
-def test_backend_name_is_known():
-    assert backend_name() in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SPINPATHS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from spinpaths.kernels import backend_name; print(backend_name())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backends_agree_across_processes():
-    """The value computed with the env flag set matches the in-process value."""
-    phis, mu_l, mu_r, weights = random_inputs(5, 2)
-    here = det_product_sum(phis, mu_l, mu_r, weights)
-    code = (
-        "import sys, numpy as np\n"
-        "from spinpaths.kernels import det_product_sum\n"
-        "data = np.load(sys.argv[1])\n"
-        "v = det_product_sum(data['phis'], data['mu_l'], data['mu_r'], data['w'])\n"
-        "print(repr(v))\n"
-    )
-    import tempfile
-
-    with tempfile.NamedTemporaryFile(suffix=".npz") as fh:
-        np.savez(fh.name, phis=phis, mu_l=mu_l, mu_r=mu_r, w=weights)
-        env = dict(os.environ, SPINPATHS_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code, fh.name],
-                             env=env, capture_output=True, text=True, check=True)
-    other = complex(out.stdout.strip().strip("()"))
-    assert abs(here - other) <= 1e-12 * max(1.0, abs(here))
