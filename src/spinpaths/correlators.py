@@ -34,11 +34,7 @@ from .partitions import (
 )
 from .paths import random_turns_counts_from
 from .schur import (
-    CoincidentArgumentsError,
-    cauchy_binet,
-    cauchy_binet_enum,
-    cauchy_binet_matrix,
-    check_distinct,
+    jacobi_trudi_rows,
     schur_count_at_one,
     schur_evaluate,
     vandermonde,
@@ -67,6 +63,11 @@ class SeriesConvergenceError(RuntimeError):
 class CorrelatorResult:
     value: complex
     route_residuals: dict[str, float] = field(default_factory=dict)
+
+
+def relative_residual(value, reference) -> float:
+    """|value - reference| / max(1, |reference|): the residual of every route check."""
+    return abs(value - reference) / max(1.0, abs(reference))
 
 
 def _validate_sites(geom: ChainGeometry, *indices: int) -> None:
@@ -169,7 +170,7 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
 
     spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
 
-    resid = abs(det_route - spectral) / max(1.0, abs(det_route))
+    resid = relative_residual(spectral, det_route)
     if not resid <= ROUTE_TOL_DET_SPECTRAL:
         raise RouteMismatchError(
             f"determinant {det_route} vs spectral {spectral} (residual {resid:.3e})"
@@ -187,14 +188,14 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
-    rounded = round(val.real)
-    resid = abs(val - rounded) / max(1.0, abs(rounded))
-    if resid > INTEGER_ROUNDING_TOL:
+    nearest = np.round(val.real)
+    resid = relative_residual(val, nearest)
+    if not resid <= INTEGER_ROUNDING_TOL:
         raise IntegerRoundingError(
             f"trig sum {val} is {resid:.3e} away from an integer; "
             "reduce the step count or chain size"
         )
-    return rounded
+    return int(nearest)
 
 
 def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -229,7 +230,7 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
 
     spectral = _transition_spectral(geom, u_sq, v_inv_sq, n, t)
 
-    resid = abs(direct - spectral) / max(1.0, abs(direct))
+    resid = relative_residual(spectral, direct)
     if not resid <= ROUTE_TOL_AMPLITUDE:
         raise RouteMismatchError(
             f"boxed sum {direct} vs spectral {spectral} (residual {resid:.3e})"
@@ -241,30 +242,25 @@ def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
                          t: complex) -> complex:
     """Momentum-subset sum of exp(t sum cos) |V|^2 CB(v, p) CB(conj p, u).
 
-    |V(phases)|^2 cancels against the closed forms' 1/V(phases) factors,
-    leaving prod (u v)^n det T(v, p) det T(conj p, u) / (V(v) V(u)).
-    Coincident parameters have no closed form: each subset's term then
-    comes from `cauchy_binet`, which enumerates the boxed shapes.
+    V(p) CB(v, p) is the boxed sum of s_lam(v) det(p^mu): one Jacobi-Trudi
+    determinant per subset, at coincident parameters too.
     """
-    table = momentum_table(geom)
+    phases = momentum_table(geom).phases
     weights = _subset_weights(geom, lambda c: np.exp(t * c))
-    try:
-        check_distinct(u_sq)
-        check_distinct(v_inv_sq)
-    except CoincidentArgumentsError:
-        return complex(weights @ np.array([
-            abs(vandermonde(p)) ** 2 * cauchy_binet(v_inv_sq, p, geom.k_cap, n)
-            * cauchy_binet(np.conj(p), u_sq, geom.k_cap, n)
-            for p in table.phases]))
-    power = geom.k_cap - n + geom.n
-    phases, conj = table.phases, np.conj(table.phases)
-    left = stacked_dets(len(phases), lambda rows: cauchy_binet_matrix(
-        v_inv_sq, phases[rows], power))
-    right = stacked_dets(len(phases), lambda rows: cauchy_binet_matrix(
-        conj[rows], u_sq, power))
-    pref = np.prod(np.multiply(u_sq, v_inv_sq) ** n) / \
-        (vandermonde(u_sq) * vandermonde(v_inv_sq))
-    return complex(pref * (weights @ (left * right)))
+    return complex(weights @ (_boxed_dets(geom, v_inv_sq, phases, n) *
+                              _boxed_dets(geom, u_sq, np.conj(phases), n)))
+
+
+def _boxed_dets(geom: ChainGeometry, x, phases: np.ndarray, n: int) -> np.ndarray:
+    """sum_lam s_lam(x) det(p_s^mu) over the boxed shapes, per row p_s: by
+    Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
+    for m < K-n+N.  Rows over m = n..K+N-1 instead would lose digits.
+    """
+    width = geom.k_cap - n + geom.n
+    rows_jt = jacobi_trudi_rows(x, width)
+    dets = stacked_dets(len(phases), lambda rows:
+                        rows_jt @ phases[rows, None, :] ** np.arange(width)[:, None])
+    return (np.prod(x) * np.prod(phases, axis=1)) ** n * dets
 
 
 def transition_amplitude(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -295,11 +291,8 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     nvar = geom.n
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
-    ones = (1.0,) * nvar
-
-    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.array([
-        abs(vandermonde(p) * cauchy_binet_enum(ones, p, geom.k_cap, n)) ** 2
-        for p in momentum_table(geom).phases])
+    boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).phases, n)
+    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
 
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
@@ -335,20 +328,16 @@ def _persistence_terms(geom: ChainGeometry,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """The t-independent factors of the persistence sum, per subset s.
 
-    Returns (E_s - E_ground, |det T_s|^2 / (M+1)^{2N}), with T_s the
-    Cauchy-Binet matrix of conj(phases_s) against the ground phases.  The
-    subset Vandermonde cancels against the closed form's 1/V(x), and the
-    ground norm (M+1)^N / |V(ground)|^2 against its 1/V(y).
+    Returns (E_s - E_ground, |B_s V(g)|^2 / (M+1)^{2N}), B_s the boxed sum of
+    s_lam(g) det(conj(phases_s)^mu) at the ground phases g: it absorbs the
+    subset Vandermonde, and the ground norm (M+1)^N / |V(g)|^2 leaves V(g).
     """
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
     gphases = ground.phases()
-    power = geom.k_cap - n + geom.n
-    conj = np.conj(table.phases)
-    dets = stacked_dets(len(conj), lambda rows: cauchy_binet_matrix(
-        conj[rows], gphases, power))
+    boxed = _boxed_dets(geom, gphases, np.conj(table.phases), n)
     gaps = table.energies - ground.energy
-    weights = np.abs(dets) ** 2 / float(geom.sites) ** (2 * geom.n)
+    weights = np.abs(boxed * vandermonde(gphases)) ** 2 / float(geom.sites) ** (2 * geom.n)
     gaps.flags.writeable = weights.flags.writeable = False
     return gaps, weights
 
@@ -371,7 +360,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
 def persistence_detailed(geom: ChainGeometry, n: int, t: complex) -> CorrelatorResult:
     spectral = persistence_spectral(geom, n, t)
     exact = persistence_exact(geom, n, t)
-    resid = abs(spectral - exact) / max(1.0, abs(exact))
+    resid = relative_residual(spectral, exact)
     if not resid <= ROUTE_TOL_AMPLITUDE:
         raise RouteMismatchError(
             f"spectral {spectral} vs dense {exact} (residual {resid:.3e})"

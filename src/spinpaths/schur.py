@@ -1,8 +1,10 @@
-"""Schur polynomials two ways, plus the boxed Cauchy-Binet kernel.
+"""Schur polynomials two ways, plus the boxed Cauchy-Binet kernels.
 
 The determinant (ratio-of-alternants) route needs pairwise distinct
 arguments; the tableau route is exact everywhere but enumerative.  Both
 are kept and cross-checked; `schur_evaluate` picks whichever is valid.
+The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
+spectral routes take each boxed sum as one determinant (Cauchy-Binet).
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from .partitions import (
     Partition,
     check_partition,
     lambda_to_mu,
-    pad,
     shifted_boxed_partitions,
-    weight,
 )
 from .qpoly import QPolynomial
 
@@ -45,7 +45,7 @@ def vandermonde(x: Sequence[complex]) -> complex:
     return out
 
 
-def check_distinct(x: Sequence[complex]) -> None:
+def _check_distinct(x: Sequence[complex]) -> None:
     for i in range(len(x)):
         for j in range(i):
             scale = max(1.0, abs(x[i]), abs(x[j]))
@@ -61,7 +61,7 @@ def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
     n = len(x)
     if len(lam) > n:
         raise ValueError(f"shape {lam} needs at least {len(lam)} variables")
-    check_distinct(x)
+    _check_distinct(x)
     if n == 0:
         return 1.0 + 0.0j
     mu = lambda_to_mu(lam, n)
@@ -162,6 +162,23 @@ def schur_evaluate(lam: Partition, x: Sequence[complex],
     return schur_from_monomials(schur_monomials(lam, len(x), cap=cap), x)
 
 
+def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
+    """Flagged Jacobi-Trudi rows: entry (a, m) is h_{m-N+1+a}(x_1..x_{N-a}).
+
+    Unit-triangular row operations take the plain rows h_{m-N+1+a}(x) to
+    these, so the minor on the columns mu = lam + staircase, in that order,
+    is s_lam(x) at any x.  They cancel far less: at x = 1^N, C(m, N-1-a).
+    """
+    out = np.zeros((len(x), width), dtype=complex)
+    h = np.eye(1, width, dtype=complex)[0]
+    for j, xj in enumerate(x):
+        # h_k(x_1..x_j) = h_k(x_1..x_{j-1}) + x_j h_{k-1}(x_1..x_j)
+        for k in range(1, width):
+            h[k] += xj * h[k - 1]
+        out[-1 - j, j:] = h[:max(width - j, 0)]
+    return out
+
+
 def schur_q_polynomial(lam: Partition, exponents: Sequence[int],
                        cap: int = DEFAULT_ENUM_CAP) -> QPolynomial:
     """Exact Schur value at x_j = q^{exponents[j]} as a polynomial in q."""
@@ -171,16 +188,6 @@ def schur_q_polynomial(lam: Partition, exponents: Sequence[int],
         e = sum(a * b for a, b in zip(expo, exponents))
         out[e] = out.get(e, 0) + mult
     return QPolynomial(out)
-
-
-def cauchy_binet_matrix(x, y, power: int) -> np.ndarray:
-    """T_kj = (1 - (x_k y_j)^power) / (1 - x_k y_j), equal to `power` at the
-    removable singularity x_k y_j = 1; (..., N) stacks broadcast."""
-    p = np.asarray(x, dtype=complex)[..., :, None] * \
-        np.asarray(y, dtype=complex)[..., None, :]
-    near = np.abs(p - 1.0) < 1e-12
-    return np.where(near, power,
-                    (1.0 - p ** power) / np.where(near, 1.0, 1.0 - p))
 
 
 def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
@@ -195,9 +202,12 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    check_distinct(x)
-    check_distinct(y)
-    t = cauchy_binet_matrix(x, y, length - n + len(x))
+    _check_distinct(x)
+    _check_distinct(y)
+    power = length - n + len(x)
+    p = np.outer(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    near = np.abs(p - 1.0) < 1e-12
+    t = np.where(near, power, (1.0 - p ** power) / np.where(near, 1.0, 1.0 - p))
     pref = 1.0 + 0.0j
     for xl, yl in zip(x, y):
         pref *= (xl * yl) ** n

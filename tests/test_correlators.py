@@ -156,6 +156,12 @@ def test_trig_count_equals_walker_count(m, n):
             count_random_turns_paths(j, l, k, m)
 
 
+def test_trig_count_non_finite_sum_raises():
+    # (2 sum cos)^1200 overflows and the subset sum becomes NaN
+    with pytest.raises(IntegerRoundingError):
+        trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200)
+
+
 def test_trig_count_rejects_negative_steps():
     with pytest.raises(ValueError):
         trig_path_count(ChainGeometry(3, 1), (0,), (0,), -1)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from spinpaths.partitions import boxed_partitions, shifted_boxed_partitions
+from spinpaths.partitions import (
+    boxed_partitions,
+    lambda_to_mu,
+    shifted_boxed_partitions,
+)
 from spinpaths.qpoly import QPolynomial, macmahon_z
 from spinpaths.schur import (
     CoincidentArgumentsError,
     EnumerationCapError,
     cauchy_binet_closed,
     cauchy_binet_enum,
+    jacobi_trudi_rows,
     projection_average_q,
     schur_count_at_one,
     schur_determinant,
@@ -101,6 +106,23 @@ def test_enumeration_cap():
 
 def test_schur_evaluate_at_ones():
     assert schur_evaluate((2, 1), [1.0, 1.0, 1.0]) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("x,box", [
+    ((0.9 + 0.3j, -0.4 + 1.1j, 1.2 - 0.5j), 3),     # distinct
+    ((0.7 - 0.2j, 1.3 + 0.4j, 0.7 - 0.2j), 3),      # partly coincident
+    ((1.0,) * 4, 3),                                # all ones
+    ((0.6 - 0.8j,), 5),                             # N = 1
+    ((0.9 + 0.3j, -0.4 + 1.1j, 1.2 - 0.5j), 0),     # width-0 box
+])
+def test_jacobi_trudi_minors_match_tableaux(x, box):
+    nvar = len(x)
+    rows = jacobi_trudi_rows(x, nvar + box)
+    assert rows.shape == (nvar, nvar + box)
+    for lam in boxed_partitions(nvar, box):
+        want = schur_from_monomials(schur_monomials(lam, nvar), x)
+        got = np.linalg.det(rows[:, list(lambda_to_mu(lam, nvar))])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_cauchy_binet_single_variable():

@@ -3,8 +3,8 @@
 The reference loops below walk `enumerate_bethe_sets` one subset at a
 time with scalar determinants, as the spectral routes did before they
 were batched over the cached momentum table.  Their Cauchy-Binet sums
-enumerate boxed shapes, so they share no code with the closed-form
-matrices the batched routes build.
+enumerate boxed shapes, so they share no code with the Jacobi-Trudi
+kernel the batched routes use.
 """
 
 import numpy as np
@@ -152,14 +152,13 @@ def test_transition_spectral_matches_loop(m, n):
 
 @pytest.mark.parametrize("m,n,shift", [(4, 2, 0), (5, 3, 1), (4, 4, 1)])
 def test_transition_spectral_coincident_parameters(m, n, shift):
-    """Equal parameters have no closed form: the boxed-shape sum runs."""
+    """Equal parameters have no Cauchy closed form; one side or both."""
     geom = ChainGeometry(m, n)
     u, v = (1.0,) * n, random_params(n)
     for t in TIMES:
-        got = correlators._transition_spectral(geom, u, v, shift, t)
-        assert close(got, ref_transition(geom, u, v, shift, t))
-        got = correlators._transition_spectral(geom, v, u, shift, t)
-        assert close(got, ref_transition(geom, v, u, shift, t))
+        for left, right in ((u, v), (v, u), (u, u)):
+            got = correlators._transition_spectral(geom, left, right, shift, t)
+            assert close(got, ref_transition(geom, left, right, shift, t))
 
 
 @pytest.mark.parametrize("m,n", GEOMETRIES)
