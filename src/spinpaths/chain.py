@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, pi, sin
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .partitions import StrictPartition, descending_subsets, mu_to_lambda
-from .schur import schur_determinant
+from .kernels import stacked_dets
+from .partitions import StrictPartition, descending_subsets
+from .schur import vandermonde
 
 DEFAULT_SECTOR_CAP = 50_000
 
@@ -87,6 +88,24 @@ def hopping_power(m: int, k: int) -> np.ndarray:
     return out
 
 
+def _hop_targets(config: StrictPartition, ring: int) -> Iterator[StrictPartition]:
+    """Configurations one walker hop away from `config`.  On the 2-site
+    ring both moves reach the same site, so the doubled bond yields its
+    target twice."""
+    occupied = set(config)
+    for w, pos in enumerate(config):
+        for move in (1, -1):
+            target = (pos + move) % ring
+            if target not in occupied:
+                yield tuple(sorted(config[:w] + (target,) + config[w + 1:],
+                                   reverse=True))
+
+
+def _check_sector_cap(geom: ChainGeometry, cap: int) -> None:
+    if geom.sector_dim > cap:
+        raise SectorCapError(f"sector dimension {geom.sector_dim} exceeds {cap}")
+
+
 def build_sector_hamiltonian(geom: ChainGeometry,
                              cap: int = DEFAULT_SECTOR_CAP) -> np.ndarray:
     """Dense real-symmetric XX Hamiltonian in the fixed down-spin sector.
@@ -95,24 +114,15 @@ def build_sector_hamiltonian(geom: ChainGeometry,
     contributes -1/2 per directed bond (so -1 across the doubled bond of
     the 2-site ring).
     """
-    if geom.sector_dim > cap:
-        raise SectorCapError(f"sector dimension {geom.sector_dim} exceeds {cap}")
+    _check_sector_cap(geom, cap)
     basis = sector_basis(geom)
     index = {b: i for i, b in enumerate(basis)}
     dim = len(basis)
     ham = np.zeros((dim, dim))
     np.fill_diagonal(ham, float(geom.n))
-    ring = geom.sites
     for i, config in enumerate(basis):
-        occupied = set(config)
-        for w, pos in enumerate(config):
-            for move in (1, -1):
-                target = (pos + move) % ring
-                if target in occupied:
-                    continue
-                new = tuple(sorted(config[:w] + (target,) + config[w + 1:],
-                                   reverse=True))
-                ham[index[new], i] -= 0.5
+        for new in _hop_targets(config, geom.sites):
+            ham[index[new], i] -= 0.5
     assert np.array_equal(ham, ham.T)
     return ham
 
@@ -122,6 +132,80 @@ def build_sector_hopping(geom: ChainGeometry,
     """The hopping part alone: twice (H_sector - N * identity)."""
     ham = build_sector_hamiltonian(geom, cap=cap)
     return 2.0 * (ham - geom.n * np.identity(ham.shape[0]))
+
+
+@dataclass(frozen=True)
+class SectorOrbits:
+    """The sector basis split into orbits of the one-site translation T.
+
+    `orbit[r, j]` is the basis index of T^j(rep_r) for j = 0..M, and
+    `period[r]` is the orbit length p_r.  Basis state i is
+    T^shift[i](rep_{rep[i]}).  `hops` lists the walker hops out of each
+    representative as (orbit row, basis index of the target) pairs.
+    """
+
+    orbit: np.ndarray
+    period: np.ndarray
+    rep: np.ndarray
+    shift: np.ndarray
+    hops: np.ndarray
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Bloch coordinates of sector vectors x (..., d) as (..., R, M+1):
+        entry [r, k] is <r, k|x>, with the orthonormal Bloch states
+        |r, k> = sqrt(p_r)/(M+1) sum_j w^{jk} T^j|rep_r>, w = exp(2 pi i/(M+1)).
+        Entries with k p_r != 0 mod M+1 are zero and belong to no block."""
+        ring = self.orbit.shape[1]
+        return np.fft.fft(x[..., self.orbit], axis=-1) * \
+            (np.sqrt(self.period)[:, None] / ring)
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(k, rows, A_k) per momentum k = 0..(M+1)//2: the sector adjacency
+        (the hop count between states) on the Bloch states |r, k> of the
+        orbit rows `rows`, those with k p_r = 0 mod M+1.  A hop rep_r -> s
+        adds w^{-k shift(s)} sqrt(p_r/p_rep(s)) at [rep(s), r].  The block
+        of momentum -k has the same rows and is the complex conjugate."""
+        ring = self.orbit.shape[1]
+        src, dst = self.hops.T
+        to = self.rep[dst]
+        amp = np.sqrt(self.period[src] / self.period[to])
+        pos = np.empty(len(self.period), dtype=np.int64)
+        for k in range(ring // 2 + 1):
+            allowed = k * self.period % ring == 0
+            rows = np.flatnonzero(allowed)
+            pos[rows] = np.arange(len(rows))
+            keep = allowed[src] & allowed[to]
+            block = np.zeros((len(rows), len(rows)), dtype=complex)
+            np.add.at(block, (pos[to[keep]], pos[src[keep]]),
+                      amp[keep] * np.exp(-2j * pi * k * self.shift[dst[keep]] / ring))
+            yield k, rows, block
+
+
+def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
+    """Translation orbits of `sector_basis(geom)`; each representative is
+    the lowest basis index of its orbit.  The sector cap is checked first."""
+    _check_sector_cap(geom, DEFAULT_SECTOR_CAP)
+    basis = sector_basis(geom)
+    index = {b: i for i, b in enumerate(basis)}
+    ring, dim = geom.sites, len(basis)
+    step = np.array([index[tuple(sorted(((p + 1) % ring for p in b), reverse=True))]
+                     for b in basis], dtype=np.int64)
+    powers = np.empty((ring, dim), dtype=np.int64)  # powers[j, i]: T^j(state i)
+    powers[0] = np.arange(dim)
+    for j in range(1, ring):
+        powers[j] = step[powers[j - 1]]
+    lowest = powers.min(axis=0)
+    reps = np.flatnonzero(lowest == powers[0])
+    row = np.empty(dim, dtype=np.int64)
+    row[reps] = np.arange(len(reps))
+    orbit = np.ascontiguousarray(powers[:, reps].T)
+    # T^j(i) = rep  <=>  i = T^(ring - j)(rep)
+    shift = (ring - powers.argmin(axis=0)) % ring
+    period = ring // np.count_nonzero(orbit == reps[:, None], axis=1)
+    hops = np.array([(r, index[s]) for r, i in enumerate(reps)
+                     for s in _hop_targets(basis[i], ring)],
+                    dtype=np.int64).reshape(-1, 2)
+    return SectorOrbits(orbit, period, row[lowest], shift, hops)
 
 
 @dataclass(frozen=True)
@@ -227,13 +311,16 @@ def ground_state_energy_closed_form(geom: ChainGeometry) -> float:
 
 
 def bethe_vector(momenta: BetheMomenta) -> np.ndarray:
-    """Sector amplitudes: Schur value of the shape of each basis state."""
+    """Sector amplitudes: Schur value of the shape of each basis state, as
+    det(x_j^{mu_k}) / (sign V(x)) with mu the basis tuple itself."""
     geom = momenta.geometry
     phases = momenta.phases()
-    out = np.empty(geom.sector_dim, dtype=complex)
-    for i, mu in enumerate(sector_basis(geom)):
-        out[i] = schur_determinant(mu_to_lambda(mu) if mu else (), phases)
-    return out
+    mus = np.array(sector_basis(geom), dtype=float).reshape(geom.sector_dim, geom.n)
+    dets = stacked_dets(len(mus), lambda rows:
+                        phases[None, :, None] ** mus[rows, None, :])
+    # the staircase alternant det(x_j^{N-k}) carries the sign (-1)^{N(N-1)/2}
+    sign = -1.0 if (geom.n * (geom.n - 1) // 2) % 2 else 1.0
+    return dets / (sign * vandermonde(phases))
 
 
 def norm_squared(momenta: BetheMomenta) -> float:

@@ -4,8 +4,11 @@ Time convention, pinned once: the hopping generating functions are series
 in t/2 (they weight a K-step walk by (t/2)^K / K!), and the persistence
 ratio uses Euclidean evolution exp(-t * H) with the full sector
 Hamiltonian.  Every spectral formula here has an independent second
-route (determinant, walker count, or dense diagonalization) and the
-detailed variants report the cross-route residuals.
+route (determinant, walker count, or exact diagonalization in the
+spin-configuration basis) and the detailed variants report the
+cross-route residuals.  The diagonalization oracles never form the
+sector matrix: they split it into translation-momentum blocks and take
+one `eigh` per block.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import numpy as np
 
 from .chain import (
     ChainGeometry,
+    SectorOrbits,
     bethe_ground_state,
     bethe_vector,
-    build_sector_hamiltonian,
-    build_sector_hopping,
     hopping_matrix,
     momentum_table,
     sector_basis,
+    sector_orbits,
 )
 from .kernels import det_product_sum, stacked_dets
 from .partitions import (
@@ -187,7 +190,9 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     j, l = _check_endpoints(geom, j, l)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
+    # an overflowing sum is caught by the residual check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
     nearest = np.round(val.real)
     resid = relative_residual(val, nearest)
     if not resid <= INTEGER_ROUNDING_TOL:
@@ -218,15 +223,18 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     gmat = one_particle_matrix(geom, t, boundary_sign=(-1.0) ** (nvar - 1))
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
-    mus = [lambda_to_mu(lam, nvar) for lam in shapes]
-    s_left = [schur_evaluate(lam, v_inv_sq) for lam in shapes]
-    s_right = [schur_evaluate(lam, u_sq) for lam in shapes]
-    direct = 0.0 + 0.0j
-    for mu_l, sl in zip(mus, s_left):
-        for mu_r, sr in zip(mus, s_right):
-            g = complex(np.linalg.det(gmat[np.ix_(mu_l, mu_r)])) if nvar \
-                else 1.0 + 0.0j
-            direct += sl * sr * g
+    count = len(shapes)
+    mus = np.array([lambda_to_mu(lam, nvar) for lam in shapes],
+                   dtype=np.int64).reshape(count, nvar)
+    s_left = np.array([schur_evaluate(lam, v_inv_sq) for lam in shapes])
+    s_right = np.array([schur_evaluate(lam, u_sq) for lam in shapes])
+
+    def pair_minors(rows):
+        left, right = divmod(np.arange(rows.start, rows.stop), count)
+        return gmat[mus[left, :, None], mus[right, None, :]]
+
+    dets = stacked_dets(count * count, pair_minors).reshape(count, count)
+    direct = complex(s_left @ dets @ s_right)
 
     spectral = _transition_spectral(geom, u_sq, v_inv_sq, n, t)
 
@@ -270,17 +278,40 @@ def transition_amplitude(geom: ChainGeometry, u_sq, v_inv_sq,
 
 def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
                                n: int, t: complex) -> complex:
-    """Dense-sector oracle: bilinear form around exp(-(t/2) * hopping part)."""
+    """Exact-diagonalization oracle: the bilinear form of the projected
+    Schur vectors around exp(-(t/2) * hopping part) = exp((t/2) A), A the
+    sector adjacency, taken one translation-momentum block at a time."""
+    orbits = sector_orbits(geom)
     basis = sector_basis(geom)
-    hop = build_sector_hopping(geom)
-    w, vecs = np.linalg.eigh(hop)
-    evo = (vecs * np.exp(-t / 2.0 * w)) @ vecs.T
     proj = np.array([1.0 if (not b or min(b) >= n) else 0.0 for b in basis])
     left = np.array([schur_evaluate(mu_to_lambda(b) if b else (), v_inv_sq)
                      for b in basis])
     right = np.array([schur_evaluate(mu_to_lambda(b) if b else (), u_sq)
                       for b in basis])
-    return complex((left * proj) @ evo @ (right * proj))
+    w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([np.conj(left * proj),
+                                                          right * proj]))
+    return complex((np.conj(lhs) * np.exp(t / 2.0 * w)) @ rhs)
+
+
+def _adjacency_spectrum(orbits: SectorOrbits,
+                        vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w of the sector adjacency A and the coordinates of each
+    row of `vectors` in its eigenbasis, so that conj(a) @ exp(c A) @ b is
+    sum(conj(a_w) exp(c w) b_w).  A commutes with the ring translation, so
+    each momentum block is diagonalized on its own and then dropped: no
+    sector-sized matrix is formed.  Blocks k and -k share one `eigh`.
+    """
+    bloch = orbits.coordinates(vectors)
+    spectrum, coords = [], []
+    ring = orbits.orbit.shape[1]
+    for k, rows, block in orbits.blocks():
+        w, vecs = np.linalg.eigh(block)
+        # block -k is conj(block k): same eigenvalues, conjugate eigenvectors;
+        # the coordinates are V^H x = x @ conj(V)
+        for q, conj_vecs in {k: vecs.conj(), -k % ring: vecs}.items():
+            spectrum.append(w)
+            coords.append(bloch[:, rows, q] @ conj_vecs)
+    return np.concatenate(spectrum), np.concatenate(coords, axis=1)
 
 
 def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
@@ -343,17 +374,21 @@ def _persistence_terms(geom: ChainGeometry,
 
 
 def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
-    """Dense-diagonalization oracle for the persistence ratio."""
+    """Exact-diagonalization oracle for the persistence ratio.
+
+    exp(-tH) = exp(-tN) exp((t/2) A), A the sector adjacency; the factor
+    exp(-tN) cancels in the ratio, and so does exp(-max Re(t w / 2)), which
+    keeps both forms finite at large real t.  The Bethe vector and its
+    projection are taken one translation-momentum block at a time.
+    """
     if not 1 <= geom.n <= geom.m:
         raise ValueError("need 1 <= N <= M")
-    basis = sector_basis(geom)
-    ham = build_sector_hamiltonian(geom)
-    w, vecs = np.linalg.eigh(ham)
-    evo = (vecs * np.exp(-t * w)) @ vecs.T
-    proj = np.array([1.0 if min(b) >= n else 0.0 for b in basis])
+    orbits = sector_orbits(geom)
+    proj = np.array([1.0 if min(b) >= n else 0.0 for b in sector_basis(geom)])
     vec = bethe_vector(bethe_ground_state(geom))
-    num = np.conj(vec * proj) @ evo @ (vec * proj)
-    den = np.conj(vec) @ evo @ vec
+    w, coords = _adjacency_spectrum(orbits, np.array([vec * proj, vec]))
+    exponent = t / 2.0 * w
+    num, den = np.abs(coords) ** 2 @ np.exp(exponent - np.max(exponent.real))
     return complex(num / den)
 
 

@@ -18,7 +18,10 @@ from spinpaths.chain import (
     hopping_power,
     norm_squared,
     sector_basis,
+    sector_orbits,
 )
+from spinpaths.partitions import mu_to_lambda
+from spinpaths.schur import schur_determinant
 
 
 def test_geometry_validation():
@@ -122,6 +125,49 @@ def test_bethe_vector_is_eigenvector(m, n):
         vec = bethe_vector(mset)
         resid = np.linalg.norm(ham @ vec - mset.energy * vec)
         assert resid < 1e-9 * np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (7, 4), (13, 5)])
+def test_bethe_vector_matches_per_state_schur(m, n):
+    geom = ChainGeometry(m, n)
+    mset = bethe_ground_state(geom)
+    ref = [schur_determinant(mu_to_lambda(b), mset.phases())
+           for b in sector_basis(geom)]
+    assert np.array_equal(bethe_vector(mset), ref)
+
+
+def translate(state, j, ring):
+    return tuple(sorted(((p + j) % ring for p in state), reverse=True))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (3, 0), (3, 2), (5, 3),
+                                 (6, 2), (7, 4)])
+def test_sector_orbits_and_momentum_blocks(m, n):
+    geom = ChainGeometry(m, n)
+    basis = sector_basis(geom)
+    ring = geom.sites
+    orb = sector_orbits(geom)
+    reps = [basis[i] for i in orb.orbit[:, 0]]
+    for r, rep in enumerate(reps):
+        assert [basis[i] for i in orb.orbit[r]] == \
+            [translate(rep, j, ring) for j in range(ring)]
+        assert orb.period[r] == min(p for p in range(1, ring + 1)
+                                    if translate(rep, p, ring) == rep)
+    for i, state in enumerate(basis):
+        assert translate(reps[orb.rep[i]], orb.shift[i], ring) == state
+    # the Bloch coordinates are unitary
+    x = np.random.default_rng(11).normal(size=(2, len(basis)))
+    bloch = orb.coordinates(x)
+    assert np.allclose(np.sum(np.abs(bloch) ** 2, axis=(1, 2)),
+                       np.sum(x ** 2, axis=1))
+    # blocks k and -k together carry the spectrum of the adjacency
+    spectrum = []
+    for k, rows, block in orb.blocks():
+        assert np.allclose(block, block.conj().T)
+        w = np.linalg.eigvalsh(block)
+        spectrum += list(w) * (1 if k == -k % ring else 2)
+    dense = np.linalg.eigvalsh(-build_sector_hopping(geom))
+    assert np.allclose(np.sort(spectrum), dense, atol=1e-10)
 
 
 def test_ground_state():

@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from spinpaths.chain import (
     ChainGeometry,
+    SectorCapError,
     bethe_ground_state,
     build_sector_hamiltonian,
     build_sector_hopping,
@@ -28,7 +32,9 @@ from spinpaths.correlators import (
     transition_amplitude_exact,
     trig_path_count,
 )
+from spinpaths.partitions import mu_to_lambda
 from spinpaths.paths import count_random_turns_paths
+from spinpaths.schur import schur_determinant, schur_evaluate
 
 RNG = np.random.default_rng(515)
 
@@ -157,9 +163,12 @@ def test_trig_count_equals_walker_count(m, n):
 
 
 def test_trig_count_non_finite_sum_raises():
-    # (2 sum cos)^1200 overflows and the subset sum becomes NaN
-    with pytest.raises(IntegerRoundingError):
-        trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200)
+    # (2 sum cos)^1200 overflows and the subset sum becomes NaN; the error
+    # is the only report, with no numpy warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegerRoundingError):
+            trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200)
 
 
 def test_trig_count_rejects_negative_steps():
@@ -264,3 +273,92 @@ def test_persistence_of_string_alias():
     geom = ChainGeometry(4, 2)
     assert persistence_of_string(geom, 1, 0.4) == \
         persistence_spectral(geom, 1, 0.4)
+
+
+# ------------------------------------------ exact-diagonalization oracles
+# References: numpy `eigh` of the dense sector matrices, and Schur vectors
+# taken one basis state at a time.  (3,2), (5,3) and (7,4) have translation
+# orbits shorter than the ring; M=1 has the doubled bond.
+
+ORACLE_TIMES = (0.0, 0.8, 1.5j, 0.5 - 2j, 6.0)
+
+
+def schur_vector(geom, x, evaluate=schur_evaluate):
+    return np.array([evaluate(mu_to_lambda(b) if b else (), x)
+                     for b in sector_basis(geom)])
+
+
+def window(geom, n):
+    return np.array([1.0 if (not b or min(b) >= n) else 0.0
+                     for b in sector_basis(geom)])
+
+
+def dense_evolution(matrix, scale):
+    """exp(scale * matrix) for a real-symmetric matrix, by numpy eigh."""
+    w, vecs = np.linalg.eigh(matrix)
+    return (vecs * np.exp(scale * w)) @ vecs.T
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (4, 2), (5, 3), (7, 4)])
+def test_persistence_exact_matches_dense_eigh(m, n):
+    geom = ChainGeometry(m, n)
+    ham = build_sector_hamiltonian(geom)
+    vec = schur_vector(geom, bethe_ground_state(geom).phases(),
+                       schur_determinant)
+    for shift in range(geom.k_cap + 1):
+        part = vec * window(geom, shift)
+        for t in ORACLE_TIMES:
+            evo = dense_evolution(ham, -t)
+            ref = (np.conj(part) @ evo @ part) / (np.conj(vec) @ evo @ vec)
+            got = persistence_exact(geom, shift, t)
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (shift, t)
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 1), (1, 2), (3, 2), (4, 0),
+                                 (4, 5), (5, 3), (7, 4)])
+def test_transition_exact_matches_dense_eigh(m, n):
+    geom = ChainGeometry(m, n)
+    hop = build_sector_hopping(geom)
+    u, v = random_params(n), random_params(n)
+    left, right = schur_vector(geom, v), schur_vector(geom, u)
+    for shift in range(geom.k_cap + 1):
+        proj = window(geom, shift)
+        for t in ORACLE_TIMES:
+            ref = (left * proj) @ dense_evolution(hop, -t / 2.0) @ (right * proj)
+            got = transition_amplitude_exact(geom, u, v, shift, t)
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (shift, t)
+
+
+@pytest.mark.parametrize("m,n", [(7, 4), (9, 4)])
+def test_persistence_exact_large_real_time(m, n):
+    # exp(-t E) underflows for every eigenvalue at t = 1000; the oracle
+    # divides the common factor out before taking the exponential
+    geom = ChainGeometry(m, n)
+    for shift in range(geom.k_cap + 1):
+        for t in (300.0, 1000.0, 1000.0 + 3j):
+            ref = persistence_spectral(geom, shift, t)
+            got = persistence_exact(geom, shift, t)
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (shift, t)
+
+
+def test_persistence_exact_memory_stays_below_sector_matrix():
+    # d = C(16, 6) = 8008: a dense float sector matrix alone is 513 MB
+    geom = ChainGeometry(15, 6)
+    tracemalloc.start()
+    try:
+        got = persistence_exact(geom, 2, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    ref = persistence_spectral(geom, 2, 1.3)
+    assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_oracles_check_sector_cap_before_enumerating():
+    # C(41, 20) ~ 2.7e11 states: enumerating the basis first would not return
+    geom = ChainGeometry(40, 20)
+    with pytest.raises(SectorCapError):
+        persistence_exact(geom, 1, 0.5)
+    with pytest.raises(SectorCapError):
+        transition_amplitude_exact(geom, (1.0,) * 20, (1.0,) * 20, 1, 0.5)
