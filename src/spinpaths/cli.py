@@ -29,6 +29,7 @@ from .chain import (
 from .partitions import shifted_boxed_partitions
 from .paths import (
     count_random_turns_paths,
+    count_random_turns_series,
     enumerate_nests,
     nest_partition_function,
     conjugate_nest_partition_function,
@@ -319,13 +320,13 @@ def cmd_sweep(args) -> int:
                 rows.append([args.m, args.n, n_str, t, repr(val.real)])
         _emit_csv(["m", "n", "string_n", "t", "value"], rows)
     elif args.subject == "path-counts":
-        rows = []
         start = _parse_int_tuple(args.start)
         end = _parse_int_tuple(args.end) if args.end else start
-        for k in _parse_range(args.steps):
-            rows.append([args.m, "|".join(map(str, start)),
-                         "|".join(map(str, end)), k,
-                         count_random_turns_paths(start, end, k, args.m)])
+        ks = _parse_range(args.steps)
+        # an empty range prints the header alone, whatever the endpoints
+        counts = count_random_turns_series(start, end, ks, args.m) if ks else []
+        rows = [[args.m, "|".join(map(str, start)), "|".join(map(str, end)), k, c]
+                for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)
     elif args.subject == "macmahon":
         rows = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .partitions import (
     mu_to_lambda,
     shifted_boxed_partitions,
 )
-from .paths import random_turns_counts_from
+from .paths import frontier_counts, random_turns_frontiers
 from .schur import (
     jacobi_trudi_rows,
     schur_count_at_one,
@@ -190,6 +191,11 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     j, l = _check_endpoints(geom, j, l)
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    # on an even ring each tick changes the position sum by an odd amount
+    # (+-1, or +-M across the seam), so the count is exactly 0 when the
+    # parities disagree; the float sum would only cancel to roundoff
+    if geom.sites % 2 == 0 and (sum(l) - sum(j) - steps) % 2:
+        return 0
     # an overflowing sum is caught by the residual check below
     with np.errstate(over="ignore", invalid="ignore"):
         val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
@@ -322,18 +328,20 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     nvar = geom.n
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).phases, n)
     lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
 
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
-    counts = {lam: schur_count_at_one(lam, nvar) for lam in shapes}
-    mus = {lam: lambda_to_mu(lam, nvar) for lam in shapes}
-    rhs = 0
-    for lam_r in shapes:
-        walks = random_turns_counts_from(mus[lam_r], steps, geom.m)
-        for lam_l in shapes:
-            rhs += counts[lam_l] * counts[lam_r] * walks.get(mus[lam_l], 0)
+    counts = [schur_count_at_one(lam, nvar) for lam in shapes]
+    mus = [lambda_to_mu(lam, nvar) for lam in shapes]
+    # sum_{l,r} s_l s_r walks(mu_r -> mu_l) is, by linearity, one walk from
+    # the count-weighted starts read off at every mu_l
+    walk = random_turns_frontiers(dict(zip(mus, counts)), geom.m)
+    walks = frontier_counts(next(islice(walk, steps, None)), mus)
+    rhs = sum(c * w for c, w in zip(counts, walks))
 
     residual = abs(lhs - rhs)
     return {

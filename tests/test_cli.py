@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from spinpaths.cli import main
+from spinpaths.paths import count_random_turns_paths
 
 
 def run_cli(argv):
@@ -88,6 +90,49 @@ def test_sweep_csv():
     assert lines[0] == "m,start,end,steps,count"
     assert len(lines) == 5
     assert lines[1].split(",")[1] == "1|0"
+
+
+@pytest.mark.parametrize("start,end,steps,ks", [
+    ("3,1,0", None, "3..7", range(3, 8)),
+    ("3,1,0", None, "5", [5]),
+    ("3,1,0", "4,2,0", "3..7", range(3, 8)),
+])
+def test_sweep_path_counts_rows(capsys, start, end, steps, ks):
+    argv = ["sweep", "path-counts", "--m", "5", "--start", start, "--steps", steps]
+    if end:
+        argv += ["--end", end]
+    assert main(argv) == 0
+    a = tuple(map(int, start.split(",")))
+    b = tuple(map(int, (end or start).split(",")))
+    want = [f"5,{start.replace(',', '|')},{(end or start).replace(',', '|')},{k},"
+            f"{count_random_turns_paths(a, b, k, 5)}" for k in ks]
+    assert capsys.readouterr().out.splitlines() == ["m,start,end,steps,count", *want]
+
+
+def test_sweep_path_counts_empty_range_prints_header(capsys):
+    assert main(["sweep", "path-counts", "--m", "3", "--start", "1,0",
+                 "--steps", "4..2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["m,start,end,steps,count"]
+
+
+def test_sweep_path_counts_negative_step_is_bad_input(capsys):
+    assert main(["sweep", "path-counts", "--m", "3", "--start", "1,0",
+                 "--steps=-1..2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "bad-input"
+
+
+def test_sweep_path_counts_stdout_pinned():
+    # the benchmark's sweep-path-counts-11-3 input at seed 11; the digest is
+    # of the stdout the earlier loop printed, one walk per step count, and
+    # the single walk over all step counts must print the same bytes
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "sweep",
+                          "path-counts", "--m", "11", "--start", "8,6,2",
+                          "--steps", "0..24"], capture_output=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == \
+        "9b27d1d254df9d6b8fd9f36c15859dcaccf9adb557d09948810e6fe924c759d4"
 
 
 def test_deterministic_output():

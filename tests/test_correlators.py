@@ -32,9 +32,9 @@ from spinpaths.correlators import (
     transition_amplitude_exact,
     trig_path_count,
 )
-from spinpaths.partitions import mu_to_lambda
-from spinpaths.paths import count_random_turns_paths
-from spinpaths.schur import schur_determinant, schur_evaluate
+from spinpaths.partitions import lambda_to_mu, mu_to_lambda, shifted_boxed_partitions
+from spinpaths.paths import count_random_turns_paths, random_turns_counts_from
+from spinpaths.schur import schur_count_at_one, schur_determinant, schur_evaluate
 
 RNG = np.random.default_rng(515)
 
@@ -171,6 +171,22 @@ def test_trig_count_non_finite_sum_raises():
             trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200)
 
 
+@pytest.mark.parametrize("steps", [16, 20])
+def test_trig_count_parity_zero_is_exact(steps):
+    # on the 12-site ring each tick flips the parity of the position sum, so
+    # (8,4,1) -> (9,5,2), sums 13 and 16, has no path of even length; the
+    # float sum there cancels only to roundoff
+    geom = ChainGeometry(11, 3)
+    assert count_random_turns_paths((8, 4, 1), (9, 5, 2), steps, 11) == 0
+    assert trig_path_count(geom, (8, 4, 1), (9, 5, 2), steps) == 0
+
+
+def test_trig_count_odd_ring_has_no_parity_rule():
+    # on the 5-site ring a walker returns in 5 ticks, all left or all right
+    assert trig_path_count(ChainGeometry(4, 1), (0,), (0,), 5) == 2
+    assert count_random_turns_paths((0,), (0,), 5, 4) == 2
+
+
 def test_trig_count_rejects_negative_steps():
     with pytest.raises(ValueError):
         trig_path_count(ChainGeometry(3, 1), (0,), (0,), -1)
@@ -221,6 +237,36 @@ def test_equality_of_sums(m, n, shift, steps):
     report = equality_of_sums_report(ChainGeometry(m, n), shift, steps)
     assert report["pass"], report
     assert report["residual"] <= 1e-6 * max(1, report["rhs"])
+
+
+def _rhs_per_shape(geom, n, steps):
+    """The right side as a double loop over boxed shapes, one walk per shape."""
+    nvar = geom.n
+    shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
+        else [()]
+    counts = {lam: schur_count_at_one(lam, nvar) for lam in shapes}
+    mus = {lam: lambda_to_mu(lam, nvar) for lam in shapes}
+    rhs = 0
+    for lam_r in shapes:
+        walks = random_turns_counts_from(mus[lam_r], steps, geom.m)
+        for lam_l in shapes:
+            rhs += counts[lam_l] * counts[lam_r] * walks.get(mus[lam_l], 0)
+    return rhs
+
+
+@pytest.mark.parametrize("m,n", [(6, 3), (9, 3), (4, 0)])
+def test_equality_of_sums_rhs_is_one_weighted_walk(m, n):
+    geom = ChainGeometry(m, n)
+    for shift in sorted({0, 1, geom.k_cap}):
+        for steps in (0, 3, 8):
+            report = equality_of_sums_report(geom, shift, steps)
+            assert report["rhs"] == _rhs_per_shape(geom, shift, steps)
+            assert report["pass"]
+
+
+def test_equality_of_sums_rejects_negative_steps():
+    with pytest.raises(ValueError):
+        equality_of_sums_report(ChainGeometry(4, 2), 0, -1)
 
 
 def test_equality_of_sums_spot_value():

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpaths.chain import hopping_power
+from spinpaths.chain import ChainGeometry, hopping_power, sector_basis
 from spinpaths.partitions import boxed_partitions
 from spinpaths.paths import (
     PathNest,
     conjugate_nest_partition_function,
     count_random_turns_paths,
+    count_random_turns_series,
     enumerate_nests,
+    frontier_counts,
     nest_partition_function,
     random_turns_counts_from,
+    random_turns_frontiers,
     watermelon_count,
 )
 from spinpaths.qpoly import QPolynomial
@@ -123,6 +126,96 @@ def test_dp_layers_stay_vicious():
     for config in layer:
         assert len(set(config)) == len(config)
         assert config == tuple(sorted(config, reverse=True))
+
+
+def _sector_walk(m, starts, steps):
+    """Reference walker counts: the weighted start vector times powers of the
+    sector adjacency, taken from `sector_basis` in Python ints (object dtype).
+
+    Returns the basis and one count vector per tick 0..steps.
+    """
+    nwalk = len(next(iter(starts)))
+    basis = sector_basis(ChainGeometry(m, nwalk))
+    index = {config: i for i, config in enumerate(basis)}
+    # sparse adjacency: the basis index of every one-move neighbour, with
+    # multiplicity (the 2-site ring reaches the other site both ways)
+    neighbours = []
+    for config in basis:
+        hops = []
+        for pos in config:
+            for target in ((pos + 1) % (m + 1), (pos - 1) % (m + 1)):
+                if target not in config:
+                    moved = set(config) - {pos} | {target}
+                    hops.append(index[tuple(sorted(moved, reverse=True))])
+        neighbours.append(hops)
+    vec = np.zeros(len(basis), dtype=object)
+    for config, w in starts.items():
+        vec[index[config]] = w
+    out = [vec]
+    for _ in range(steps):
+        nxt = np.zeros(len(basis), dtype=object)
+        for i in np.flatnonzero(vec):
+            for j in neighbours[i]:
+                nxt[j] += vec[i]
+        vec = nxt
+        out.append(vec)
+    return basis, out
+
+
+def _as_dict(basis, vec):
+    return {config: vec[i] for i, config in enumerate(basis) if vec[i]}
+
+
+@pytest.mark.parametrize("m,start,steps", [
+    (1, (0,), 5),             # doubled bond, one walker
+    (1, (1, 0), 3),           # doubled bond, full ring: nothing moves
+    (2, (), 3),               # no walkers: empty after the first tick
+    (3, (3, 2, 1, 0), 3),     # N = M + 1: empty after the first tick
+    (4, (3, 1), 8),
+    (5, (4, 2, 0), 7),
+    (6, (5, 3, 2, 0), 6),
+    (9, (9, 5, 4), 9),
+    (70, (62, 61, 0), 6),     # walkers cross the int64 word boundary and the seam
+])
+def test_dp_matches_sector_adjacency_powers(m, start, steps):
+    basis, ref = _sector_walk(m, {start: 1}, steps)
+    for k in range(steps + 1):
+        got = random_turns_counts_from(start, k, m)
+        assert got == _as_dict(basis, ref[k])
+        assert all(type(c) is int and c > 0 for c in got.values())
+
+
+def test_dp_count_past_two_to_the_64():
+    basis, ref = _sector_walk(7, {(7, 3): 1}, 60)
+    got = random_turns_counts_from((7, 3), 60, 7)
+    assert got == _as_dict(basis, ref[60])
+    assert max(got.values()) > 2 ** 64
+
+
+@pytest.mark.parametrize("m,starts,steps", [
+    (5, {(4, 2, 0): 3, (5, 1, 0): 7, (3, 2, 1): 2 ** 70}, 6),
+    (1, {(1,): 5, (0,): 2}, 4),
+    (63, {(62, 3): 11, (61, 60): 13}, 5),
+])
+def test_weighted_frontiers_match_sector_adjacency_powers(m, starts, steps):
+    basis, ref = _sector_walk(m, starts, steps)
+    walk = random_turns_frontiers(starts, m)
+    for k, frontier in zip(range(steps + 1), walk):
+        assert frontier_counts(frontier, basis) == ref[k].tolist()
+        assert len(frontier[0]) == np.count_nonzero(ref[k])
+
+
+def test_series_matches_single_counts():
+    ks = [0, 2, 3, 7, 10]
+    got = count_random_turns_series((5, 2, 0), (4, 2, 1), ks, 6)
+    assert got == [count_random_turns_paths((5, 2, 0), (4, 2, 1), k, 6) for k in ks]
+    assert count_random_turns_series((1, 0), (1, 0), [], 3) == []
+    with pytest.raises(ValueError):
+        count_random_turns_series((1, 0), (1, 0), [2, -1], 3)
+    with pytest.raises(ValueError):
+        count_random_turns_series((1, 0), (2,), [1], 3)
+    with pytest.raises(ValueError):
+        count_random_turns_series((4, 0), (1, 0), [1], 3)
 
 
 def test_watermelon_examples():
