@@ -15,47 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, pi, sin
+from math import pi, sin
 from typing import Iterator
 
 import numpy as np
 
+from .core import ChainGeometry, SectorCapError
 from .kernels import stacked_dets
 from .partitions import StrictPartition, descending_subsets
 from .schur import vandermonde
 
 DEFAULT_SECTOR_CAP = 50_000
-
-
-class SectorCapError(RuntimeError):
-    """Sector dimension exceeds the configured cap."""
-
-
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Ring of m+1 sites holding n down spins."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least a 2-site ring (m >= 1)")
-        if not 0 <= self.n <= self.m + 1:
-            raise ValueError(f"down-spin count {self.n} outside 0..{self.m + 1}")
-
-    @property
-    def sites(self) -> int:
-        return self.m + 1
-
-    @property
-    def k_cap(self) -> int:
-        """Width bound for shapes in this sector: M - N + 1."""
-        return self.m - self.n + 1
-
-    @property
-    def sector_dim(self) -> int:
-        return comb(self.sites, self.n)
 
 
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:

@@ -8,6 +8,9 @@ disagree, no integer, no convergence) also exits 1.  Big integers are
 emitted as decimal strings and complex values as {"re": .., "im": ..}
 objects, so output round-trips losslessly.  Identical invocations
 produce byte-identical output.
+
+Only numpy-free modules load here; a verb that needs numpy, `chain` or
+`correlators` imports them inside the verb.
 """
 
 from __future__ import annotations
@@ -16,42 +19,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import correlators
-from .chain import (
-    ChainGeometry,
-    SectorCapError,
-    bethe_ground_state,
-    enumerate_bethe_sets,
-    ground_state_energy_closed_form,
-)
-from .partitions import shifted_boxed_partitions
-from .paths import (
-    count_random_turns_paths,
-    count_random_turns_series,
-    enumerate_nests,
-    nest_partition_function,
-    conjugate_nest_partition_function,
-)
-from .qpoly import (
-    q_binomial_extended,
-    macmahon_count,
-    macmahon_z,
-    qpoly_matrix_det,
-)
-from .schur import (
-    CoincidentArgumentsError,
-    EnumerationCapError,
-    cauchy_binet_closed,
-    cauchy_binet_enum,
-    projection_average_q,
-    schur_count_at_one,
-    schur_evaluate,
-    schur_monomials,
-    schur_from_monomials,
-    schur_determinant,
-)
+from . import core, partitions, paths, qpoly, schur
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,13 +29,15 @@ EXIT_CAP = 3
 
 # failed library checks, by the error name written to stderr
 CHECK_ERRORS = {
-    correlators.RouteMismatchError: "route-mismatch",
-    correlators.IntegerRoundingError: "integer-rounding",
-    correlators.SeriesConvergenceError: "series-not-converged",
+    core.RouteMismatchError: "route-mismatch",
+    core.IntegerRoundingError: "integer-rounding",
+    core.SeriesConvergenceError: "series-not-converged",
 }
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str | None, option: str) -> tuple[int, ...]:
+    if text is None:
+        raise ValueError(f"{option} is required")
     text = text.strip()
     if not text:
         return ()
@@ -93,16 +63,16 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 
 def cmd_schur(args) -> int:
-    lam = _parse_int_tuple(args.shape)
+    lam = _parse_int_tuple(args.shape, "--shape")
     nvar = args.vars
     if args.at_ones:
         _emit({"shape": list(lam), "vars": nvar,
-               "count": str(schur_count_at_one(lam, nvar))})
+               "count": str(schur.schur_count_at_one(lam, nvar))})
     elif args.q_symbolic is not None:
         if args.q_symbolic == "qvec":
-            poly = nest_partition_function(lam, nvar)
+            poly = paths.nest_partition_function(lam, nvar)
         elif args.q_symbolic == "qvec-over-q":
-            poly = conjugate_nest_partition_function(
+            poly = paths.conjugate_nest_partition_function(
                 lam, nvar, args.m if args.m is not None else nvar + (lam[0] if lam else 0))
         else:
             raise ValueError("--q-symbolic must be qvec or qvec-over-q")
@@ -113,7 +83,7 @@ def cmd_schur(args) -> int:
         if len(x) != nvar:
             raise ValueError(f"--at needs {nvar} values")
         _emit({"shape": list(lam), "vars": nvar,
-               "value": _complex_json(schur_evaluate(lam, x))})
+               "value": _complex_json(schur.schur_evaluate(lam, x))})
     else:
         raise ValueError("choose one of --at-ones, --q-symbolic, --at")
     return EXIT_OK
@@ -121,14 +91,14 @@ def cmd_schur(args) -> int:
 
 def cmd_paths(args) -> int:
     if args.count:
-        start = _parse_int_tuple(args.start)
-        end = _parse_int_tuple(args.end)
-        n = count_random_turns_paths(start, end, args.steps, args.m)
+        start = _parse_int_tuple(args.start, "--start")
+        end = _parse_int_tuple(args.end, "--end")
+        n = paths.count_random_turns_paths(start, end, args.steps, args.m)
         _emit({"start": list(start), "end": list(end), "steps": args.steps,
                "m": args.m, "count": str(n)})
     elif args.nests:
-        lam = _parse_int_tuple(args.shape)
-        nests = [nest.to_json() for nest in enumerate_nests(lam, args.vars)]
+        lam = _parse_int_tuple(args.shape, "--shape")
+        nests = [nest.to_json() for nest in paths.enumerate_nests(lam, args.vars)]
         _emit({"shape": list(lam), "vars": args.vars,
                "total": str(len(nests)), "nests": nests[:args.limit]})
     else:
@@ -137,18 +107,20 @@ def cmd_paths(args) -> int:
 
 
 def cmd_chain_spectrum(args) -> int:
-    geom = ChainGeometry(args.m, args.n)
-    sets = [s.to_json() for s in enumerate_bethe_sets(geom)]
+    from . import chain
+    geom = core.ChainGeometry(args.m, args.n)
+    sets = [s.to_json() for s in chain.enumerate_bethe_sets(geom)]
     doc = {"m": args.m, "n": args.n, "sets": sets}
     if 1 <= args.n <= args.m:
-        doc["ground"] = bethe_ground_state(geom).to_json()
-        doc["ground_closed_form"] = ground_state_energy_closed_form(geom)
+        doc["ground"] = chain.bethe_ground_state(geom).to_json()
+        doc["ground_closed_form"] = chain.ground_state_energy_closed_form(geom)
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_correlator(args) -> int:
-    geom = ChainGeometry(args.m, args.n)
+    from . import correlators
+    geom = core.ChainGeometry(args.m, args.n)
     t = complex(args.t)
     if args.kind == "one-particle":
         j, l = args.j_site, args.l_site
@@ -164,8 +136,8 @@ def cmd_correlator(args) -> int:
                "z": _complex_json(z), "value": _complex_json(value),
                "route_residuals": {}}
     elif args.kind == "multi-particle":
-        j = _parse_int_tuple(args.j)
-        l = _parse_int_tuple(args.l)
+        j = _parse_int_tuple(args.j, "--j")
+        l = _parse_int_tuple(args.l, "--l")
         res = correlators.multi_particle_g_detailed(geom, j, l, t)
         doc = {"kind": args.kind, "m": args.m, "n": args.n,
                "j": list(j), "l": list(l), "t": _complex_json(t),
@@ -186,7 +158,8 @@ def cmd_correlator(args) -> int:
 
 
 def _verify_equality_of_sums(args) -> list[dict]:
-    geom = ChainGeometry(args.m, args.n)
+    from . import correlators
+    geom = core.ChainGeometry(args.m, args.n)
     rep = correlators.equality_of_sums_report(geom, args.string_n, args.steps)
     return [{"identity": "equality-of-sums",
              "lhs": rep["lhs"], "rhs": str(rep["rhs"]),
@@ -194,6 +167,8 @@ def _verify_equality_of_sums(args) -> list[dict]:
 
 
 def _verify_cauchy_binet(args) -> list[dict]:
+    import numpy as np
+    from . import correlators
     rng = np.random.default_rng(args.seed)
     out = []
     for trial in range(args.trials):
@@ -202,8 +177,8 @@ def _verify_cauchy_binet(args) -> list[dict]:
         if trial == 0 and args.n >= 1:
             y = np.array(y)
             y[0] = 1.0 / x[0]  # hit the removable singularity
-        a = cauchy_binet_enum(x, y, args.length, args.string_n)
-        b = cauchy_binet_closed(x, y, args.length, args.string_n)
+        a = schur.cauchy_binet_enum(x, y, args.length, args.string_n)
+        b = schur.cauchy_binet_closed(x, y, args.length, args.string_n)
         resid = correlators.relative_residual(b, a)
         out.append({"identity": "cauchy-binet", "trial": trial,
                     "lhs": _complex_json(a), "rhs": _complex_json(b),
@@ -212,7 +187,8 @@ def _verify_cauchy_binet(args) -> list[dict]:
 
 
 def _verify_persistence(args) -> list[dict]:
-    geom = ChainGeometry(args.m, args.n)
+    from . import correlators
+    geom = core.ChainGeometry(args.m, args.n)
     t = complex(args.t)
     sp = correlators.persistence_spectral(geom, args.string_n, t)
     ex = correlators.persistence_exact(geom, args.string_n, t)
@@ -227,8 +203,8 @@ def _verify_macmahon(args) -> list[dict]:
     out = []
     for n in range(1, args.n + 1):
         for k in range(0, args.k + 1):
-            z = macmahon_z(n, k)
-            count = macmahon_count(n, k)
+            z = qpoly.macmahon_z(n, k)
+            count = qpoly.macmahon_count(n, k)
             ok = z.at_one() == count
             out.append({"identity": "macmahon", "n": n, "k": k,
                         "lhs": str(z.at_one()), "rhs": str(count),
@@ -237,15 +213,17 @@ def _verify_macmahon(args) -> list[dict]:
 
 
 def _verify_schur_dual(args) -> list[dict]:
+    import numpy as np
+    from . import correlators
     rng = np.random.default_rng(args.seed)
     out = []
-    for lam in shifted_boxed_partitions(args.n, args.length, 0):
-        monomials = schur_monomials(lam, args.n)
+    for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
+        monomials = schur.schur_monomials(lam, args.n)
         worst = 0.0
         for _ in range(args.trials):
             x = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-            d = schur_determinant(lam, x)
-            e = schur_from_monomials(monomials, x)
+            d = schur.schur_determinant(lam, x)
+            e = schur.schur_from_monomials(monomials, x)
             worst = max(worst, correlators.relative_residual(d, e))
         out.append({"identity": "schur-dual", "shape": list(lam),
                     "residual": float(worst), "pass": bool(worst < 1e-10)})
@@ -255,15 +233,15 @@ def _verify_schur_dual(args) -> list[dict]:
 def _verify_q_chain(args) -> list[dict]:
     out = []
     for n_str in range(0, args.k + 1):
-        geom = ChainGeometry(args.n + args.k - 1, args.n)
+        geom = core.ChainGeometry(args.n + args.k - 1, args.n)
         d = geom.k_cap - n_str
-        mat = [[q_binomial_extended(2 * args.n + i - 1, args.n + j - 1)
+        mat = [[qpoly.q_binomial_extended(2 * args.n + i - 1, args.n + j - 1)
                 for j in range(1, d + 1)] for i in range(1, d + 1)]
-        det = qpoly_matrix_det(mat)
+        det = qpoly.qpoly_matrix_det(mat)
         shift = n_str * args.n ** 2 + (args.n * d * (1 - d)) // 2
-        lhs = projection_average_q(args.n, geom.m, n_str)
+        lhs = schur.projection_average_q(args.n, geom.m, n_str)
         mid = det.shifted(shift)
-        rhs = macmahon_z(args.n, d).shifted(n_str * args.n ** 2)
+        rhs = qpoly.macmahon_z(args.n, d).shifted(n_str * args.n ** 2)
         ok = lhs == mid == rhs
         out.append({"identity": "q-chain", "n": args.n, "string_n": n_str,
                     "box": d, "residual": 0.0 if ok else 1.0, "pass": ok})
@@ -312,7 +290,8 @@ def _parse_float_range(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     if args.subject == "persistence":
-        geom = ChainGeometry(args.m, args.n)
+        from . import correlators
+        geom = core.ChainGeometry(args.m, args.n)
         rows = []
         for n_str in _parse_range(args.string_n):
             for t in _parse_float_range(args.t):
@@ -320,11 +299,11 @@ def cmd_sweep(args) -> int:
                 rows.append([args.m, args.n, n_str, t, repr(val.real)])
         _emit_csv(["m", "n", "string_n", "t", "value"], rows)
     elif args.subject == "path-counts":
-        start = _parse_int_tuple(args.start)
-        end = _parse_int_tuple(args.end) if args.end else start
+        start = _parse_int_tuple(args.start, "--start")
+        end = _parse_int_tuple(args.end, "--end") if args.end else start
         ks = _parse_range(args.steps)
         # an empty range prints the header alone, whatever the endpoints
-        counts = count_random_turns_series(start, end, ks, args.m) if ks else []
+        counts = paths.count_random_turns_series(start, end, ks, args.m) if ks else []
         rows = [[args.m, "|".join(map(str, start)), "|".join(map(str, end)), k, c]
                 for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)
@@ -332,7 +311,7 @@ def cmd_sweep(args) -> int:
         rows = []
         for n in _parse_range(args.box_n):
             for k in _parse_range(args.box_k):
-                rows.append([n, k, macmahon_count(n, k)])
+                rows.append([n, k, qpoly.macmahon_count(n, k)])
         _emit_csv(["n", "k", "count"], rows)
     else:
         raise ValueError(f"unknown sweep subject {args.subject}")
@@ -447,9 +426,9 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (ValueError, KeyError, json.JSONDecodeError,
-            CoincidentArgumentsError) as exc:
+            core.CoincidentArgumentsError) as exc:
         error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)
-    except (EnumerationCapError, SectorCapError) as exc:
+    except (core.EnumerationCapError, core.SectorCapError) as exc:
         error, code, detail = "cap-exceeded", EXIT_CAP, str(exc)
     except tuple(CHECK_ERRORS) as exc:
         error, code, detail = CHECK_ERRORS[type(exc)], EXIT_VERIFY_FAILED, str(exc)

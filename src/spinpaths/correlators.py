@@ -20,7 +20,6 @@ from itertools import islice
 import numpy as np
 
 from .chain import (
-    ChainGeometry,
     SectorOrbits,
     bethe_ground_state,
     bethe_vector,
@@ -28,6 +27,12 @@ from .chain import (
     momentum_table,
     sector_basis,
     sector_orbits,
+)
+from .core import (
+    ChainGeometry,
+    IntegerRoundingError,
+    RouteMismatchError,
+    SeriesConvergenceError,
 )
 from .kernels import det_product_sum, stacked_dets
 from .partitions import (
@@ -49,18 +54,6 @@ SERIES_MAX_TERMS = 400
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
 INTEGER_ROUNDING_TOL = 1e-6
-
-
-class RouteMismatchError(RuntimeError):
-    """Two independent computation routes disagree beyond tolerance."""
-
-
-class IntegerRoundingError(RuntimeError):
-    """A trigonometric sum failed to land on an integer within tolerance."""
-
-
-class SeriesConvergenceError(RuntimeError):
-    """A power series did not reach its tail tolerance within its term cap."""
 
 
 @dataclass

@@ -9,17 +9,17 @@ keeps only the frontier, the configurations reached so far, packed as
 occupancy bits into int64 words (62 sites per word, so any ring size
 takes the same path) beside an object array of Python-int counts; each
 tick moves all rows at once in numpy.  One walk from weighted starts
-serves every step count and, by linearity, every start at once.
+serves every step count and, by linearity, every start at once.  Only
+the DP imports numpy, so the nest verbs start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-import numpy as np
-
+from .core import EnumerationCapError
 from .partitions import (
     Partition,
     StrictPartition,
@@ -31,11 +31,13 @@ from .partitions import (
 from .qpoly import QPolynomial
 from .schur import (
     DEFAULT_ENUM_CAP,
-    EnumerationCapError,
     schur_count_at_one,
     ssyt,
     tableau_step_counts,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WORD_BITS = 62   # sites per int64 occupancy word; the sign bit is never set
 
@@ -156,6 +158,7 @@ def random_turns_frontiers(starts: Mapping[StrictPartition, int], m: int
     and merges equal rows with one lexsort.  Rows are distinct, and no count
     is 0 while the weights are positive.
     """
+    import numpy as np
     ring = m + 1
     width = -(-ring // _WORD_BITS)
     words = _pack([_check_config(c, m) for c in starts], width)
@@ -185,7 +188,7 @@ def frontier_counts(frontier: tuple[np.ndarray, np.ndarray],
     """The frontier's count at each configuration, 0 where none is reached."""
     words, counts = frontier
     keys = _pack(configs, words.shape[1])
-    return [int(counts[np.all(words == key, axis=1)].sum()) for key in keys]
+    return [int(counts[(words == key).all(axis=1)].sum()) for key in keys]
 
 
 def _check_config(config: StrictPartition, m: int) -> StrictPartition:
@@ -205,6 +208,7 @@ def _check_endpoints(start: StrictPartition, end: StrictPartition,
 
 def _pack(configs: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
     """Occupancy words, one row per configuration: site p is bit p % 62 of word p // 62."""
+    import numpy as np
     words = np.zeros((len(configs), width), dtype=np.int64)
     for row, config in zip(words, configs):
         for p in config:
@@ -214,6 +218,7 @@ def _pack(configs: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
 
 def _occupancy(words: np.ndarray, ring: int) -> np.ndarray:
     """(ring, rows) bool array, True where the row's configuration occupies the site."""
+    import numpy as np
     occ = np.empty((ring, len(words)), dtype=bool)
     for p in range(ring):
         np.not_equal(words[:, p // _WORD_BITS] & (1 << (p % _WORD_BITS)), 0, out=occ[p])
@@ -222,7 +227,7 @@ def _occupancy(words: np.ndarray, ring: int) -> np.ndarray:
 
 def _configs(words: np.ndarray, ring: int, nwalk: int) -> list[tuple[int, ...]]:
     """Decode occupancy words into strictly decreasing position tuples."""
-    cols = np.nonzero(_occupancy(words, ring)[::-1].T)[1].reshape(len(words), nwalk)
+    cols = _occupancy(words, ring)[::-1].T.nonzero()[1].reshape(len(words), nwalk)
     return list(map(tuple, (ring - 1 - cols).tolist()))
 
 

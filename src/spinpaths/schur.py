@@ -5,16 +5,17 @@ arguments; the tableau route is exact everywhere but enumerative.  Both
 are kept and cross-checked; `schur_evaluate` picks whichever is valid.
 The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
 spectral routes take each boxed sum as one determinant (Cauchy-Binet).
+Only the numeric functions import numpy, so the integer verbs start
+without it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
+from .core import CoincidentArgumentsError, EnumerationCapError
 from .partitions import (
     Partition,
     check_partition,
@@ -23,16 +24,11 @@ from .partitions import (
 )
 from .qpoly import QPolynomial
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SEPARATION_TOL = 1e-9
 DEFAULT_ENUM_CAP = 10_000_000
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when a combinatorial enumeration would exceed the configured cap."""
-
-
-class CoincidentArgumentsError(ValueError):
-    """Raised when the alternant route is asked for nearly coincident points."""
 
 
 def vandermonde(x: Sequence[complex]) -> complex:
@@ -57,6 +53,7 @@ def _check_distinct(x: Sequence[complex]) -> None:
 
 def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
     """det(x_j^{lam_k + N - k}) / Vandermonde(x); requires distinct x."""
+    import numpy as np
     lam = check_partition(lam)
     n = len(x)
     if len(lam) > n:
@@ -169,6 +166,7 @@ def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
     these, so the minor on the columns mu = lam + staircase, in that order,
     is s_lam(x) at any x.  They cancel far less: at x = 1^N, C(m, N-1-a).
     """
+    import numpy as np
     out = np.zeros((len(x), width), dtype=complex)
     h = np.eye(1, width, dtype=complex)[0]
     for j, xj in enumerate(x):
@@ -198,6 +196,7 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
     T_kj = (1 - (x_k y_j)^{length-n+N}) / (1 - x_k y_j),
     with the removable singularity at x_k y_j = 1 replaced by length-n+N.
     """
+    import numpy as np
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if length - n < 0:

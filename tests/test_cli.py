@@ -123,6 +123,21 @@ def test_sweep_path_counts_negative_step_is_bad_input(capsys):
     assert json.loads(out.err)["error"] == "bad-input"
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["sweep", "path-counts", "--m", "3", "--end", "1,0"], "--start"),
+    (["paths", "--count", "--end", "1,0", "--steps", "2", "--m", "3"], "--start"),
+    (["paths", "--count", "--start", "1,0", "--steps", "2", "--m", "3"], "--end"),
+    (["correlator", "--kind", "multi-particle", "--m", "4", "--n", "2",
+      "--j", "1,0"], "--l"),
+])
+def test_missing_endpoint_is_bad_input(capsys, argv, missing):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "bad-input",
+                                   "detail": f"{missing} is required"}
+
+
 def test_sweep_path_counts_stdout_pinned():
     # the benchmark's sweep-path-counts-11-3 input at seed 11; the digest is
     # of the stdout the earlier loop printed, one walk per step count, and
