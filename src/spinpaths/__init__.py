@@ -14,8 +14,8 @@ _EXPORTS = {
     "core": ("ChainGeometry",),
     "correlators": ("equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",
-                    "persistence_of_string", "persistence_spectral",
-                    "transition_amplitude", "trig_path_count"),
+                    "persistence_spectral", "transition_amplitude",
+                    "trig_path_count"),
     "partitions": ("boxed_partitions", "lambda_to_mu", "mu_to_lambda",
                    "staircase"),
     "paths": ("PathNest", "conjugate_nest_partition_function",

@@ -26,6 +26,7 @@ from .partitions import StrictPartition, descending_subsets
 from .schur import vandermonde
 
 DEFAULT_SECTOR_CAP = 50_000
+DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
 
 
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
@@ -71,20 +72,18 @@ def _hop_targets(config: StrictPartition, ring: int) -> Iterator[StrictPartition
                                    reverse=True))
 
 
-def _check_sector_cap(geom: ChainGeometry, cap: int) -> None:
-    if geom.sector_dim > cap:
-        raise SectorCapError(f"sector dimension {geom.sector_dim} exceeds {cap}")
-
-
-def build_sector_hamiltonian(geom: ChainGeometry,
-                             cap: int = DEFAULT_SECTOR_CAP) -> np.ndarray:
+def build_sector_hamiltonian(geom: ChainGeometry) -> np.ndarray:
     """Dense real-symmetric XX Hamiltonian in the fixed down-spin sector.
 
     Diagonal is +N from the field term; each allowed one-walker hop
     contributes -1/2 per directed bond (so -1 across the doubled bond of
-    the 2-site ring).
+    the 2-site ring).  Its dim^2 * 8 bytes are checked against
+    `DENSE_BYTES_CAP` before anything is enumerated or allocated.
     """
-    _check_sector_cap(geom, cap)
+    nbytes = geom.sector_dim ** 2 * 8
+    if nbytes > DENSE_BYTES_CAP:
+        raise SectorCapError(
+            f"dense sector matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
     basis = sector_basis(geom)
     index = {b: i for i, b in enumerate(basis)}
     dim = len(basis)
@@ -97,10 +96,9 @@ def build_sector_hamiltonian(geom: ChainGeometry,
     return ham
 
 
-def build_sector_hopping(geom: ChainGeometry,
-                         cap: int = DEFAULT_SECTOR_CAP) -> np.ndarray:
+def build_sector_hopping(geom: ChainGeometry) -> np.ndarray:
     """The hopping part alone: twice (H_sector - N * identity)."""
-    ham = build_sector_hamiltonian(geom, cap=cap)
+    ham = build_sector_hamiltonian(geom)
     return 2.0 * (ham - geom.n * np.identity(ham.shape[0]))
 
 
@@ -154,7 +152,9 @@ class SectorOrbits:
 def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
     """Translation orbits of `sector_basis(geom)`; each representative is
     the lowest basis index of its orbit.  The sector cap is checked first."""
-    _check_sector_cap(geom, DEFAULT_SECTOR_CAP)
+    if geom.sector_dim > DEFAULT_SECTOR_CAP:
+        raise SectorCapError(
+            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
     basis = sector_basis(geom)
     index = {b: i for i, b in enumerate(basis)}
     ring, dim = geom.sites, len(basis)
@@ -301,9 +301,4 @@ def norm_squared(momenta: BetheMomenta) -> float:
     but without touching the full sector.
     """
     geom = momenta.geometry
-    phases = momenta.phases()
-    vand = 1.0
-    for a in range(geom.n):
-        for b in range(a + 1, geom.n):
-            vand *= abs(phases[a] - phases[b]) ** 2
-    return float(geom.sites ** geom.n / vand)
+    return float(geom.sites ** geom.n / abs(vandermonde(momenta.phases())) ** 2)

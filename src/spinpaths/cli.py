@@ -4,10 +4,10 @@ Verbs: schur, paths, chain-spectrum, correlator, verify, sweep.
 Results go to stdout as JSON (CSV for sweep); errors go to stderr as a
 JSON object.  Exit codes: 0 success, 1 verification failure, 2 bad
 input, 3 resource cap exceeded; a result failing its own check (routes
-disagree, no integer, no convergence) also exits 1.  Big integers are
-emitted as decimal strings and complex values as {"re": .., "im": ..}
-objects, so output round-trips losslessly.  Identical invocations
-produce byte-identical output.
+disagree, no integer, a value past the float range) also exits 1.  Big
+integers are emitted as decimal strings and complex values as
+{"re": .., "im": ..} objects, so output round-trips losslessly.
+Identical invocations produce byte-identical output.
 
 Only numpy-free modules load here; a verb that needs numpy, `chain` or
 `correlators` imports them inside the verb.
@@ -31,7 +31,7 @@ EXIT_CAP = 3
 CHECK_ERRORS = {
     core.RouteMismatchError: "route-mismatch",
     core.IntegerRoundingError: "integer-rounding",
-    core.SeriesConvergenceError: "series-not-converged",
+    core.FloatOverflowError: "float-overflow",
 }
 
 

@@ -28,8 +28,8 @@ class IntegerRoundingError(RuntimeError):
     """A trigonometric sum failed to land on an integer within tolerance."""
 
 
-class SeriesConvergenceError(RuntimeError):
-    """A power series did not reach its tail tolerance within its term cap."""
+class FloatOverflowError(RuntimeError):
+    """A result would leave the float range."""
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Time convention, pinned once: the hopping generating functions are series
 in t/2 (they weight a K-step walk by (t/2)^K / K!), and the persistence
 ratio uses Euclidean evolution exp(-t * H) with the full sector
-Hamiltonian.  Every spectral formula here has an independent second
-route (determinant, walker count, or exact diagonalization in the
-spin-configuration basis) and the detailed variants report the
-cross-route residuals.  The diagonalization oracles never form the
-sector matrix: they split it into translation-momentum blocks and take
-one `eigh` per block.
+Hamiltonian.  t may be complex; real time is t = i tau.  Every spectral
+formula here has an independent second route (determinant, walker
+count, or exact diagonalization in the spin-configuration basis) and the
+detailed variants report the cross-route residuals.  The determinants
+take the one-walker propagator from one `eigh` of the twisted hop
+matrix, which shares nothing with the analytic momenta of the spectral
+sums.  The diagonalization oracles never form the sector matrix: they
+split it into translation-momentum blocks and take one `eigh` per block.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .chain import (
 )
 from .core import (
     ChainGeometry,
+    FloatOverflowError,
     IntegerRoundingError,
     RouteMismatchError,
-    SeriesConvergenceError,
 )
 from .kernels import det_product_sum, stacked_dets
 from .partitions import (
@@ -49,8 +51,7 @@ from .schur import (
     vandermonde,
 )
 
-SERIES_TAIL_TOL = 1e-14
-SERIES_MAX_TERMS = 400
+FLOAT_LOG_MAX = float(np.log(np.finfo(float).max))
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
 INTEGER_ROUNDING_TOL = 1e-6
@@ -74,36 +75,31 @@ def _validate_sites(geom: ChainGeometry, *indices: int) -> None:
 
 
 def one_particle_matrix(geom: ChainGeometry, t: complex,
-                        boundary_sign: float = 1.0) -> np.ndarray:
-    """Full matrix of one-walker generating functions, series in t/2.
+                        nvar: int = 1) -> np.ndarray:
+    """exp((t/2) Delta_tw), the one-walker generating functions in t/2.
 
-    `boundary_sign` multiplies the wrap-around hop.  Determinant formulas
-    for an N-walker sector need the sign (-1)^(N-1): products of walker
-    moves around the ring pick up the exchange sign of the resulting
-    cyclic permutation, and the twisted boundary makes the one-particle
-    determinant reproduce the sector matrix element exactly.
+    Delta_tw is the ring hop matrix with the wrap-around hop signed
+    (-1)^(nvar-1): products of walker moves around the ring pick up the
+    exchange sign of the resulting cyclic permutation, so with this twist
+    an nvar-walker determinant reproduces the sector matrix element
+    exactly.  One `eigh` of the real symmetric Delta_tw serves every
+    complex t, real time t = i tau included.  Raises `FloatOverflowError`
+    before the largest nvar-walker modulus, the exp of the sum of the nvar
+    largest Re(t) w / 2, would leave the float range.
     """
-    size = geom.sites
     # sign the wrap-around bond; on the 2-site ring it is the second copy
     # of the doubled bond
     delta = hopping_matrix(geom.m).astype(float)
-    delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 1.0 + boundary_sign
-    power = np.identity(size)
-    out = np.identity(size, dtype=complex)
-    coef = 1.0 + 0.0j
-    bound = 1.0
-    k = 0
-    while bound >= SERIES_TAIL_TOL and k < SERIES_MAX_TERMS:
-        k += 1
-        power = power @ delta
-        coef *= t / 2.0 / k
-        out += coef * power
-        bound *= 2.0 * abs(t) / k
-    if bound >= SERIES_TAIL_TOL:
-        raise SeriesConvergenceError(
-            f"series in t={t} has tail bound {bound:.3e} after {k} terms; "
-            f"need {SERIES_TAIL_TOL:.0e}")
-    return out
+    if nvar % 2 == 0:
+        delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
+    w, vecs = np.linalg.eigh(delta)
+    exponent = t / 2.0 * w
+    log_max = np.sort(exponent.real)[geom.sites - nvar:].sum()
+    if log_max > FLOAT_LOG_MAX:
+        raise FloatOverflowError(
+            f"the {nvar}-walker propagator at t={t} reaches exp({log_max:.1f}), "
+            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
+    return (vecs * np.exp(exponent)) @ vecs.T
 
 
 def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
@@ -162,7 +158,7 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
     if len(set(j)) != len(j) or len(set(l)) != len(l):
         return CorrelatorResult(0.0 + 0.0j)
     nvar = len(j)
-    gmat = one_particle_matrix(geom, t, boundary_sign=(-1.0) ** (nvar - 1))
+    gmat = one_particle_matrix(geom, t, nvar)
     det_route = complex(np.linalg.det(gmat[np.ix_(j, l)])) if nvar else 1.0 + 0.0j
 
     spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
@@ -219,7 +215,7 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
 
-    gmat = one_particle_matrix(geom, t, boundary_sign=(-1.0) ** (nvar - 1))
+    gmat = one_particle_matrix(geom, t, nvar)
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
     count = len(shapes)
@@ -403,6 +399,3 @@ def persistence_detailed(geom: ChainGeometry, n: int, t: complex) -> CorrelatorR
         )
     return CorrelatorResult(spectral, {"spectral_vs_dense": resid})
 
-
-def persistence_of_string(geom: ChainGeometry, n: int, t: complex) -> complex:
-    return persistence_spectral(geom, n, t)

@@ -4,6 +4,7 @@ from math import comb, pi, sin
 import numpy as np
 import pytest
 
+from spinpaths import chain
 from spinpaths.chain import (
     BetheMomenta,
     ChainGeometry,
@@ -74,6 +75,18 @@ def test_hopping_part_relation():
 def test_sector_cap():
     with pytest.raises(SectorCapError):
         build_sector_hamiltonian(ChainGeometry(40, 20))
+
+
+def test_dense_builders_check_bytes_before_enumerating(monkeypatch):
+    # C(18, 8) = 43,758 states is under the sector cap, but one dense matrix
+    # of that dimension takes 15 GB; the budget must stop it before the basis
+    def enumerate_basis(geom):
+        raise AssertionError("the sector basis was enumerated")
+
+    monkeypatch.setattr(chain, "sector_basis", enumerate_basis)
+    for build in (build_sector_hamiltonian, build_sector_hopping):
+        with pytest.raises(SectorCapError, match="bytes"):
+            build(ChainGeometry(17, 8))
 
 
 def test_single_particle_sector_is_half_hop():

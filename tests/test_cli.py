@@ -186,13 +186,14 @@ def test_exit_code_cap_sector():
 
 
 def test_exit_code_failed_check():
-    # at |t| = 300 the one-walker series cannot converge within its term cap
+    # at t = 300 the three-walker propagator reaches exp(785.4), past the
+    # float maximum
     out = run_cli(["correlator", "--kind", "multi-particle", "--m", "9",
                    "--n", "3", "--j", "5,3,1", "--l", "6,3,0", "--t", "300"])
     assert out.returncode == 1
     assert out.stdout == ""
     doc = json.loads(out.stderr.strip())
-    assert doc["error"] == "series-not-converged"
+    assert doc["error"] == "float-overflow"
     assert doc["detail"]
 
 

@@ -10,13 +10,14 @@ from spinpaths.chain import (
     bethe_ground_state,
     build_sector_hamiltonian,
     build_sector_hopping,
+    hopping_matrix,
     sector_basis,
 )
 from spinpaths import correlators
 from spinpaths.correlators import (
+    FloatOverflowError,
     IntegerRoundingError,
     RouteMismatchError,
-    SeriesConvergenceError,
     equality_of_sums_report,
     laplace_generating_f,
     multi_particle_g,
@@ -25,7 +26,6 @@ from spinpaths.correlators import (
     one_particle_matrix,
     persistence_detailed,
     persistence_exact,
-    persistence_of_string,
     persistence_spectral,
     transition_amplitude,
     transition_amplitude_detailed,
@@ -71,11 +71,44 @@ def test_one_particle_time_derivative():
     assert np.allclose(deriv, 0.5 * hopping_matrix(geom.m) @ mid, atol=1e-8)
 
 
-@pytest.mark.parametrize("t", [400.0, 300j])
-def test_one_particle_series_raises_when_not_converged(t):
-    """The Taylor series never stops short of its tail tolerance silently."""
-    with pytest.raises(SeriesConvergenceError):
-        one_particle_matrix(ChainGeometry(4, 1), t)
+def twisted_hop(m: int, nvar: int) -> np.ndarray:
+    """The ring hop matrix with its wrap-around bond signed (-1)^(nvar-1),
+    written bond by bond; on the 2-site ring the two bonds join one pair."""
+    delta = np.zeros((m + 1, m + 1))
+    for a in range(m + 1):
+        b = (a + 1) % (m + 1)
+        hop = (-1.0) ** (nvar - 1) if b == 0 else 1.0
+        delta[a, b] += hop
+        delta[b, a] += hop
+    return delta
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 15])
+@pytest.mark.parametrize("nvar", [1, 2])
+def test_one_particle_matrix_matches_expm_in_real_time(m, nvar):
+    """Real time t = i tau, where a Taylor series would cancel to nothing."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    geom = ChainGeometry(m, 1)
+    for tau in (0.5, 10.0, 60.0, 300.0, 1000.0):
+        want = expm(0.5j * tau * twisted_hop(m, nvar))
+        got = one_particle_matrix(geom, 1j * tau, nvar)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_one_particle_g_real_time_matches_expm():
+    expm = pytest.importorskip("scipy.linalg").expm
+    want = expm(30j * hopping_matrix(4))[0, 0]
+    got = one_particle_g(ChainGeometry(4, 1), 0, 0, 60j)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_one_particle_raises_float_overflow():
+    # the largest entry grows like exp(t): finite at t = 700, past the
+    # float maximum exp(709.78) at t = 2000
+    geom = ChainGeometry(4, 1)
+    assert np.isfinite(one_particle_g(geom, 0, 0, 700.0))
+    with pytest.raises(FloatOverflowError):
+        one_particle_g(geom, 0, 0, 2000.0)
 
 
 def test_one_particle_g_entry_and_validation():
@@ -127,8 +160,23 @@ def test_multi_particle_matches_dense_evolution():
             assert got == pytest.approx(evo[a, b], abs=1e-10)
 
 
-def test_multi_particle_large_t_stops_at_series_check():
-    with pytest.raises(SeriesConvergenceError):
+@pytest.mark.parametrize("tau", [25.0, 100.0, 1000.0])
+def test_multi_particle_real_time_routes_agree(tau):
+    geom = ChainGeometry(9, 3)
+    res = multi_particle_g_detailed(geom, (5, 3, 1), (6, 3, 0), 1j * tau)
+    assert res.route_residuals["det_vs_spectral"] <= 1e-9
+    # the sector matrix element of exp((i tau / 2) * adjacency)
+    basis = sector_basis(geom)
+    w, vecs = np.linalg.eigh(build_sector_hopping(geom))
+    row, col = basis.index((5, 3, 1)), basis.index((6, 3, 0))
+    want = (vecs[row] * np.exp(-0.5j * tau * w)) @ vecs[col]
+    assert res.value == pytest.approx(want, abs=1e-9)
+
+
+def test_multi_particle_large_t_raises_float_overflow():
+    # the true value is about 1.6e339 = exp(780.8); the three largest
+    # one-walker exponents sum to 785.4, past the float maximum exp(709.78)
+    with pytest.raises(FloatOverflowError, match="785.4"):
         multi_particle_g_detailed(ChainGeometry(9, 3), (5, 3, 1), (6, 3, 0),
                                   300)
 
@@ -218,6 +266,14 @@ def test_transition_amplitude_nan_route_raises(monkeypatch):
     with pytest.raises(RouteMismatchError):
         transition_amplitude_detailed(ChainGeometry(4, 2), random_params(2),
                                       random_params(2), 1, 0.5)
+
+
+def test_transition_amplitude_large_t_raises_float_overflow():
+    # two walkers on 5 sites: the two largest twisted one-walker exponents
+    # sum to 2 cos(pi/5) t = 1618 at t = 1000
+    with pytest.raises(FloatOverflowError):
+        transition_amplitude_detailed(ChainGeometry(4, 2), (1.0, 0.5),
+                                      (0.5, 1.0), 1, 1000.0)
 
 
 def test_transition_amplitude_validation():
@@ -313,12 +369,6 @@ def test_persistence_monotone_window():
     geom = ChainGeometry(6, 2)
     vals = [persistence_spectral(geom, k, 0.3).real for k in range(0, 4)]
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
-
-
-def test_persistence_of_string_alias():
-    geom = ChainGeometry(4, 2)
-    assert persistence_of_string(geom, 1, 0.4) == \
-        persistence_spectral(geom, 1, 0.4)
 
 
 # ------------------------------------------ exact-diagonalization oracles
