@@ -7,10 +7,9 @@ loads no submodule, and an integer name loads no numpy.
 from importlib import import_module
 
 _EXPORTS = {
-    "chain": ("BetheMomenta", "bethe_ground_state", "bethe_vector",
-              "build_sector_hamiltonian", "enumerate_bethe_sets",
-              "hopping_matrix", "hopping_power", "norm_squared",
-              "sector_basis"),
+    "chain": ("bethe_ground_state", "bethe_vector",
+              "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
+              "momentum_table", "norm_squared", "sector_basis"),
     "core": ("ChainGeometry",),
     "correlators": ("equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",

@@ -7,14 +7,14 @@ Conventions pinned here and relied on everywhere else:
   - sector basis states are the descending down-spin coordinate tuples,
     listed in ascending lexicographic order of those tuples;
   - momentum grid theta_s = 2*pi/(M+1) * (s - (N-1)/2) for s = 0..M, which
-    satisfies exp(i(M+1)theta) = (-1)^(N-1) for every integer s.
+    satisfies exp(i(M+1)theta) = (-1)^(N-1) for every integer s; a Bethe
+    state is one N-subset of the grid, a row of `momentum_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import pi, sin
 from typing import Iterator
 
@@ -31,10 +31,7 @@ DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
 
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
     """Descending coordinate tuples, ascending lexicographic order."""
-    return sorted(
-        tuple(sorted(c, reverse=True))
-        for c in combinations(range(geom.sites), geom.n)
-    )
+    return list(descending_subsets(geom.m, geom.n))[::-1]
 
 
 def hopping_matrix(m: int) -> np.ndarray:
@@ -179,74 +176,12 @@ def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
 
 
 @dataclass(frozen=True)
-class BetheMomenta:
-    """One solution set of the momentum quantization on the ring.
-
-    `grid_indices` are the descending integers s in 0..M selecting momenta
-    theta_s = 2*pi/(M+1) * (s - (N-1)/2).
-    """
-
-    geometry: ChainGeometry
-    grid_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        g = self.geometry
-        if len(self.grid_indices) != g.n:
-            raise ValueError("grid index count must equal the down-spin count")
-        if len(set(self.grid_indices)) != g.n:
-            raise ValueError("grid indices must be distinct")
-        if self.grid_indices and not (
-            0 <= min(self.grid_indices) and max(self.grid_indices) <= g.m
-        ):
-            raise ValueError("grid indices outside 0..M")
-
-    @property
-    def thetas(self) -> np.ndarray:
-        g = self.geometry
-        s = np.asarray(self.grid_indices, dtype=float)
-        return 2.0 * pi / g.sites * (s - (g.n - 1) / 2.0)
-
-    @property
-    def energy(self) -> float:
-        return float(self.geometry.n - np.sum(np.cos(self.thetas)))
-
-    def phases(self) -> np.ndarray:
-        """exp(i theta_j)."""
-        return np.exp(1j * self.thetas)
-
-    def bethe_residuals(self) -> np.ndarray:
-        """|exp(i(M+1)theta) - (-1)^(N-1)| per momentum."""
-        g = self.geometry
-        target = (-1.0) ** (g.n - 1)
-        return np.abs(np.exp(1j * g.sites * self.thetas) - target)
-
-    def to_json(self) -> dict:
-        return {
-            "I": list(self.grid_indices),
-            "theta": [float(t) for t in self.thetas],
-            "energy": self.energy,
-        }
-
-
-def _check_subset_cap(geom: ChainGeometry, cap: int) -> None:
-    if geom.sector_dim > cap:
-        raise SectorCapError(
-            f"momentum-subset count {geom.sector_dim} exceeds {cap}")
-
-
-def enumerate_bethe_sets(geom: ChainGeometry,
-                         cap: int = DEFAULT_SECTOR_CAP) -> Iterator[BetheMomenta]:
-    """All C(M+1, N) distinct momentum subsets, fixed order."""
-    _check_subset_cap(geom, cap)
-    for c in descending_subsets(geom.m, geom.n):
-        yield BetheMomenta(geom, c)
-
-
-@dataclass(frozen=True)
 class MomentumTable:
-    """Every momentum subset of a geometry, one row each in the order of
-    `enumerate_bethe_sets`: (S, N) grid indices, thetas and phases, and (S,)
-    energies.  Read-only, because one cached table is shared."""
+    """Every Bethe state of a geometry, one row per momentum subset: (S, N)
+    grid indices s (descending, in the order of `descending_subsets`),
+    thetas and phases exp(i theta), and (S,) energies N - sum cos theta.
+    The ground state is the last row.  Read-only, because one cached table
+    is shared."""
 
     indices: np.ndarray
     thetas: np.ndarray
@@ -257,7 +192,9 @@ class MomentumTable:
 @lru_cache(maxsize=8)
 def momentum_table(geom: ChainGeometry) -> MomentumTable:
     """The subset table of `geom`, cached and shared; the cap is checked first."""
-    _check_subset_cap(geom, DEFAULT_SECTOR_CAP)
+    if geom.sector_dim > DEFAULT_SECTOR_CAP:
+        raise SectorCapError(
+            f"momentum-subset count {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
     count, n = geom.sector_dim, geom.n
     indices = np.fromiter((i for c in descending_subsets(geom.m, n) for i in c),
                           dtype=np.int64, count=count * n).reshape(count, n)
@@ -269,22 +206,24 @@ def momentum_table(geom: ChainGeometry) -> MomentumTable:
     return table
 
 
-def bethe_ground_state(geom: ChainGeometry) -> BetheMomenta:
-    """Grid indices N-1, ..., 1, 0; the lowest-energy momentum set."""
+def bethe_ground_state(geom: ChainGeometry) -> MomentumTable:
+    """The lowest-energy row of `momentum_table(geom)`, grid indices
+    N-1, ..., 1, 0: its last row, as (N,) arrays and a scalar energy."""
     if not 1 <= geom.n <= geom.m:
         raise ValueError("ground state defined for 1 <= N <= M")
-    return BetheMomenta(geom, tuple(range(geom.n - 1, -1, -1)))
+    table = momentum_table(geom)
+    return MomentumTable(table.indices[-1], table.thetas[-1],
+                         table.phases[-1], table.energies[-1])
 
 
 def ground_state_energy_closed_form(geom: ChainGeometry) -> float:
     return geom.n - sin(pi * geom.n / geom.sites) / sin(pi / geom.sites)
 
 
-def bethe_vector(momenta: BetheMomenta) -> np.ndarray:
-    """Sector amplitudes: Schur value of the shape of each basis state, as
+def bethe_vector(geom: ChainGeometry, phases: np.ndarray) -> np.ndarray:
+    """Sector amplitudes of the Bethe state with the (N,) `phases` of one
+    table row: Schur value of the shape of each basis state, as
     det(x_j^{mu_k}) / (sign V(x)) with mu the basis tuple itself."""
-    geom = momenta.geometry
-    phases = momenta.phases()
     mus = np.array(sector_basis(geom), dtype=float).reshape(geom.sector_dim, geom.n)
     dets = stacked_dets(len(mus), lambda rows:
                         phases[None, :, None] ** mus[rows, None, :])
@@ -293,12 +232,12 @@ def bethe_vector(momenta: BetheMomenta) -> np.ndarray:
     return dets / (sign * vandermonde(phases))
 
 
-def norm_squared(momenta: BetheMomenta) -> float:
-    """Squared norm of the state: (M+1)^N over the squared Vandermonde modulus.
+def norm_squared(geom: ChainGeometry, phases: np.ndarray) -> float:
+    """Squared norm of the Bethe state with the (N,) `phases` of one table
+    row: (M+1)^N over the squared Vandermonde modulus.
 
     Equals the boxed sum of |Schur|^2 over the sector basis (the closed
     form of the completeness sum), which is what `bethe_vector` would give
     but without touching the full sector.
     """
-    geom = momenta.geometry
-    return float(geom.sites ** geom.n / abs(vandermonde(momenta.phases())) ** 2)
+    return float(geom.sites ** geom.n / abs(vandermonde(phases)) ** 2)

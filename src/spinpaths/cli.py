@@ -109,10 +109,13 @@ def cmd_paths(args) -> int:
 def cmd_chain_spectrum(args) -> int:
     from . import chain
     geom = core.ChainGeometry(args.m, args.n)
-    sets = [s.to_json() for s in chain.enumerate_bethe_sets(geom)]
+    table = chain.momentum_table(geom)
+    sets = [{"I": i, "theta": theta, "energy": energy} for i, theta, energy
+            in zip(table.indices.tolist(), table.thetas.tolist(),
+                   table.energies.tolist())]
     doc = {"m": args.m, "n": args.n, "sets": sets}
     if 1 <= args.n <= args.m:
-        doc["ground"] = chain.bethe_ground_state(geom).to_json()
+        doc["ground"] = sets[-1]  # `bethe_ground_state`, the table's last row
         doc["ground_closed_form"] = chain.ground_state_energy_closed_form(geom)
     _emit(doc)
     return EXIT_OK

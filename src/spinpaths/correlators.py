@@ -83,9 +83,11 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     exchange sign of the resulting cyclic permutation, so with this twist
     an nvar-walker determinant reproduces the sector matrix element
     exactly.  One `eigh` of the real symmetric Delta_tw serves every
-    complex t, real time t = i tau included.  Raises `FloatOverflowError`
-    before the largest nvar-walker modulus, the exp of the sum of the nvar
-    largest Re(t) w / 2, would leave the float range.
+    complex t, real time t = i tau included.  Each row of the result has
+    2-norm at most exp(max Re(t) w / 2), so by Hadamard's inequality every
+    entry and every nvar x nvar minor is bounded by exp(nvar max Re(t) w / 2);
+    `FloatOverflowError` is raised when that bound leaves the float range,
+    before `exp` or `det` could overflow.
     """
     # sign the wrap-around bond; on the 2-site ring it is the second copy
     # of the doubled bond
@@ -94,10 +96,10 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
         delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
     w, vecs = np.linalg.eigh(delta)
     exponent = t / 2.0 * w
-    log_max = np.sort(exponent.real)[geom.sites - nvar:].sum()
+    log_max = nvar * exponent.real.max()
     if log_max > FLOAT_LOG_MAX:
         raise FloatOverflowError(
-            f"the {nvar}-walker propagator at t={t} reaches exp({log_max:.1f}), "
+            f"the {nvar}-walker minors at t={t} can reach exp({log_max:.1f}), "
             f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
     return (vecs * np.exp(exponent)) @ vecs.T
 
@@ -362,10 +364,9 @@ def _persistence_terms(geom: ChainGeometry,
     """
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
-    gphases = ground.phases()
-    boxed = _boxed_dets(geom, gphases, np.conj(table.phases), n)
-    gaps = table.energies - ground.energy
-    weights = np.abs(boxed * vandermonde(gphases)) ** 2 / float(geom.sites) ** (2 * geom.n)
+    boxed = _boxed_dets(geom, ground.phases, np.conj(table.phases), n)
+    gaps = table.energies - ground.energies
+    weights = np.abs(boxed * vandermonde(ground.phases)) ** 2 / float(geom.sites) ** (2 * geom.n)
     gaps.flags.writeable = weights.flags.writeable = False
     return gaps, weights
 
@@ -382,7 +383,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
         raise ValueError("need 1 <= N <= M")
     orbits = sector_orbits(geom)
     proj = np.array([1.0 if min(b) >= n else 0.0 for b in sector_basis(geom)])
-    vec = bethe_vector(bethe_ground_state(geom))
+    vec = bethe_vector(geom, bethe_ground_state(geom).phases)
     w, coords = _adjacency_spectrum(orbits, np.array([vec * proj, vec]))
     exponent = t / 2.0 * w
     num, den = np.abs(coords) ** 2 @ np.exp(exponent - np.max(exponent.real))

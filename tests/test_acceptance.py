@@ -18,9 +18,9 @@ from spinpaths.chain import (
     ChainGeometry,
     bethe_ground_state,
     build_sector_hamiltonian,
-    enumerate_bethe_sets,
     ground_state_energy_closed_form,
     hopping_power,
+    momentum_table,
     sector_basis,
 )
 from spinpaths.correlators import (
@@ -239,11 +239,11 @@ def test_10_momentum_spectrum(capsys):
         for n in range(0, m + 2):
             geom = ChainGeometry(m, n)
             dense = np.sort(np.linalg.eigvalsh(build_sector_hamiltonian(geom)))
-            fromsets = np.sort([s.energy for s in enumerate_bethe_sets(geom)])
+            fromsets = np.sort(momentum_table(geom).energies)
             if not np.allclose(dense, fromsets, atol=1e-8):
                 ok = False
             if 1 <= n <= m:
-                ground = bethe_ground_state(geom).energy
+                ground = bethe_ground_state(geom).energies
                 closed = ground_state_energy_closed_form(geom)
                 if abs(ground - closed) > 1e-10 or \
                         abs(ground - dense[0]) > 1e-8:

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from math import comb, pi, sin
 
@@ -6,21 +7,21 @@ import pytest
 
 from spinpaths import chain
 from spinpaths.chain import (
-    BetheMomenta,
     ChainGeometry,
     SectorCapError,
     bethe_ground_state,
     bethe_vector,
     build_sector_hamiltonian,
     build_sector_hopping,
-    enumerate_bethe_sets,
     ground_state_energy_closed_form,
     hopping_matrix,
     hopping_power,
+    momentum_table,
     norm_squared,
     sector_basis,
     sector_orbits,
 )
+from spinpaths.cli import main
 from spinpaths.partitions import mu_to_lambda
 from spinpaths.schur import schur_determinant
 
@@ -41,6 +42,13 @@ def test_sector_basis():
     assert len(basis) == 6
     assert all(b == tuple(sorted(b, reverse=True)) for b in basis)
     assert len(set(basis)) == 6
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 2), (3, 2), (6, 3), (9, 4)])
+def test_sector_basis_is_sorted_combinations(m, n):
+    want = sorted(tuple(sorted(c, reverse=True))
+                  for c in combinations(range(m + 1), n))
+    assert sector_basis(ChainGeometry(m, n)) == want
 
 
 def test_hopping_matrix_shapes():
@@ -99,26 +107,24 @@ def test_single_particle_sector_is_half_hop():
 
 
 def test_momenta_quantization():
-    geom = ChainGeometry(4, 2)
-    for mset in enumerate_bethe_sets(geom):
-        assert np.max(mset.bethe_residuals()) < 1e-12
-        # phases on the unit circle
-        assert np.allclose(np.abs(mset.phases()), 1.0)
-
-
-def test_momenta_validation():
-    geom = ChainGeometry(4, 2)
-    with pytest.raises(ValueError):
-        BetheMomenta(geom, (1, 1))
-    with pytest.raises(ValueError):
-        BetheMomenta(geom, (5, 0))
+    # every table row solves exp(i(M+1)theta) = (-1)^(N-1) on the unit circle
+    for m, n in [(1, 1), (1, 2), (4, 0), (4, 2), (7, 4), (8, 9), (12, 5)]:
+        geom = ChainGeometry(m, n)
+        table = momentum_table(geom)
+        resid = np.abs(np.exp(1j * geom.sites * table.thetas) - (-1.0) ** (n - 1))
+        assert np.all(resid < 1e-12), (m, n)
+        assert np.allclose(np.abs(table.phases), 1.0)
+        assert np.allclose(table.phases, np.exp(1j * table.thetas))
 
 
 def test_enumeration_size():
-    geom = ChainGeometry(5, 3)
-    sets = list(enumerate_bethe_sets(geom))
-    assert len(sets) == comb(6, 3)
-    assert len({s.grid_indices for s in sets}) == len(sets)
+    # C(M+1, N) distinct rows of descending grid indices in 0..M
+    for m, n in [(5, 3), (4, 0), (4, 5), (9, 4)]:
+        indices = momentum_table(ChainGeometry(m, n)).indices.tolist()
+        assert len(indices) == comb(m + 1, n)
+        assert len({tuple(row) for row in indices}) == len(indices)
+        assert all(row == sorted(row, reverse=True) and
+                   all(0 <= s <= m for s in row) for row in indices)
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (5, 2), (5, 3)])
@@ -126,7 +132,7 @@ def test_spectrum_matches_dense_diagonalization(m, n):
     geom = ChainGeometry(m, n)
     ham = build_sector_hamiltonian(geom)
     dense = np.sort(np.linalg.eigvalsh(ham))
-    bethe = np.sort([s.energy for s in enumerate_bethe_sets(geom)])
+    bethe = np.sort(momentum_table(geom).energies)
     assert np.allclose(dense, bethe, atol=1e-10)
 
 
@@ -134,19 +140,20 @@ def test_spectrum_matches_dense_diagonalization(m, n):
 def test_bethe_vector_is_eigenvector(m, n):
     geom = ChainGeometry(m, n)
     ham = build_sector_hamiltonian(geom)
-    for mset in enumerate_bethe_sets(geom):
-        vec = bethe_vector(mset)
-        resid = np.linalg.norm(ham @ vec - mset.energy * vec)
+    table = momentum_table(geom)
+    for phases, energy in zip(table.phases, table.energies):
+        vec = bethe_vector(geom, phases)
+        resid = np.linalg.norm(ham @ vec - energy * vec)
         assert resid < 1e-9 * np.linalg.norm(vec)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (7, 4), (13, 5)])
 def test_bethe_vector_matches_per_state_schur(m, n):
     geom = ChainGeometry(m, n)
-    mset = bethe_ground_state(geom)
-    ref = [schur_determinant(mu_to_lambda(b), mset.phases())
+    phases = bethe_ground_state(geom).phases
+    ref = [schur_determinant(mu_to_lambda(b), phases)
            for b in sector_basis(geom)]
-    assert np.array_equal(bethe_vector(mset), ref)
+    assert np.array_equal(bethe_vector(geom, phases), ref)
 
 
 def translate(state, j, ring):
@@ -184,34 +191,49 @@ def test_sector_orbits_and_momentum_blocks(m, n):
 
 
 def test_ground_state():
-    geom = ChainGeometry(6, 3)
-    ground = bethe_ground_state(geom)
-    energies = [s.energy for s in enumerate_bethe_sets(geom)]
-    assert ground.energy == pytest.approx(min(energies), abs=1e-12)
-    closed = geom.n - sin(pi * geom.n / geom.sites) / sin(pi / geom.sites)
-    assert ground_state_energy_closed_form(geom) == pytest.approx(closed, abs=1e-12)
-    assert ground.energy == pytest.approx(closed, abs=1e-12)
+    # the last table row, grid indices N-1..0, at the closed-form energy
+    for m in range(1, 10):
+        for n in range(1, m + 1):
+            geom = ChainGeometry(m, n)
+            table = momentum_table(geom)
+            ground = bethe_ground_state(geom)
+            assert ground.indices.tolist() == list(range(n - 1, -1, -1))
+            assert np.array_equal(ground.phases, table.phases[-1])
+            assert ground.energies == table.energies[-1]
+            assert ground.energies == pytest.approx(min(table.energies), abs=1e-12)
+            closed = n - sin(pi * n / geom.sites) / sin(pi / geom.sites)
+            assert ground_state_energy_closed_form(geom) == \
+                pytest.approx(closed, abs=1e-12)
+            assert ground.energies == pytest.approx(closed, abs=1e-12)
+    for m, n in [(3, 0), (3, 4)]:
+        with pytest.raises(ValueError):
+            bethe_ground_state(ChainGeometry(m, n))
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (5, 2)])
 def test_norm_squared_matches_vector_norm(m, n):
     geom = ChainGeometry(m, n)
-    for mset in enumerate_bethe_sets(geom):
-        vec = bethe_vector(mset)
-        assert norm_squared(mset) == pytest.approx(
+    for phases in momentum_table(geom).phases:
+        vec = bethe_vector(geom, phases)
+        assert norm_squared(geom, phases) == pytest.approx(
             float(np.vdot(vec, vec).real), rel=1e-10)
 
 
 def test_norm_squared_frozen_ground_value():
     # (M+1)^N / |V|^2 at M=4, N=2 ground momenta
     geom = ChainGeometry(4, 2)
-    assert norm_squared(bethe_ground_state(geom)) == pytest.approx(
+    assert norm_squared(geom, bethe_ground_state(geom).phases) == pytest.approx(
         18.090169943749475, rel=1e-12)
 
 
-def test_momenta_json():
-    doc = bethe_ground_state(ChainGeometry(4, 2)).to_json()
-    assert doc["I"] == [1, 0]
-    assert len(doc["theta"]) == 2
-    assert doc["energy"] == pytest.approx(
+def test_momenta_json(capsys):
+    # `chain-spectrum` prints every table row; the ground row is the last
+    assert main(["chain-spectrum", "--m", "4", "--n", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    table = momentum_table(ChainGeometry(4, 2))
+    assert [s["I"] for s in doc["sets"]] == table.indices.tolist()
+    assert [s["theta"] for s in doc["sets"]] == table.thetas.tolist()
+    assert doc["ground"] == doc["sets"][-1]
+    assert doc["ground"]["I"] == [1, 0]
+    assert doc["ground"]["energy"] == pytest.approx(
         ground_state_energy_closed_form(ChainGeometry(4, 2)))

@@ -150,6 +150,20 @@ def test_sweep_path_counts_stdout_pinned():
         "9b27d1d254df9d6b8fd9f36c15859dcaccf9adb557d09948810e6fe924c759d4"
 
 
+@pytest.mark.parametrize("m,n,digest", [
+    (9, 4, "3840d8b2cabe25f0c61a498a7d7453fea92d9b5981f39bcf25cb6cf3fa59392e"),
+    (5, 0, "ef5a86532265dd1f46b8e51cf01f70604d2a4c4b31aab184522e3731483910bf"),
+    (5, 6, "09363bde03a4efeba658c01dd7650f3ddf1d806c084767e06f2dccb00bdd94e6"),
+], ids=["9-4", "5-0", "5-6"])
+def test_chain_spectrum_stdout_pinned(m, n, digest):
+    # digests of the stdout printed when each momentum subset was its own
+    # object; the rows of the momentum table must print the same bytes, for
+    # the empty subset (N = 0) and the full ring (N = M + 1) too
+    out = run_cli(["chain-spectrum", "--m", str(m), "--n", str(n)])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
 def test_deterministic_output():
     argv = ["verify", "cauchy-binet", "--n", "3", "--trials", "5",
             "--seed", "11"]
@@ -186,7 +200,7 @@ def test_exit_code_cap_sector():
 
 
 def test_exit_code_failed_check():
-    # at t = 300 the three-walker propagator reaches exp(785.4), past the
+    # at t = 300 the three-walker minors can reach exp(900.0), past the
     # float maximum
     out = run_cli(["correlator", "--kind", "multi-particle", "--m", "9",
                    "--n", "3", "--j", "5,3,1", "--l", "6,3,0", "--t", "300"])

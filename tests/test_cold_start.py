@@ -18,9 +18,9 @@ import spinpaths
 # The names `spinpaths` re-exports, by the module that defined each one
 # when the package imported them all eagerly.
 EXPORTS = {
-    "chain": ["BetheMomenta", "ChainGeometry", "bethe_ground_state",
-              "bethe_vector", "build_sector_hamiltonian", "enumerate_bethe_sets",
-              "hopping_matrix", "hopping_power", "norm_squared", "sector_basis"],
+    "chain": ["ChainGeometry", "bethe_ground_state", "bethe_vector",
+              "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
+              "momentum_table", "norm_squared", "sector_basis"],
     "correlators": ["equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",
                     "persistence_spectral", "transition_amplitude",

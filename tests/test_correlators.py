@@ -174,11 +174,29 @@ def test_multi_particle_real_time_routes_agree(tau):
 
 
 def test_multi_particle_large_t_raises_float_overflow():
-    # the true value is about 1.6e339 = exp(780.8); the three largest
-    # one-walker exponents sum to 785.4, past the float maximum exp(709.78)
-    with pytest.raises(FloatOverflowError, match="785.4"):
+    # the true value is about 1.6e339 = exp(780.8); the minors are bounded
+    # by exp(3 * 300), past the float maximum exp(709.78)
+    with pytest.raises(FloatOverflowError, match="900.0"):
         multi_particle_g_detailed(ChainGeometry(9, 3), (5, 3, 1), (6, 3, 0),
                                   300)
+
+
+@pytest.mark.parametrize("route, args, bound", [
+    # in the first two the three largest one-walker exponents sum to less
+    # than 709.78, yet a 3x3 minor overflows on its rounding noise in `det`
+    (transition_amplitude_detailed,
+     (ChainGeometry(6, 3), (1.0, 0.5, 0.7), (0.5, 1.0, 0.3), 1, 300.0), "900.0"),
+    (multi_particle_g_detailed,
+     (ChainGeometry(9, 3), (5, 3, 1), (6, 3, 0), 270), "810.0"),
+    # four walkers on four sites: `exp` overflows on the largest exponent
+    (multi_particle_g_detailed,
+     (ChainGeometry(3, 4), (3, 2, 1, 0), (3, 2, 1, 0), 1500), "4242.6"),
+], ids=["transition-6-3", "multi-9-3", "multi-3-4"])
+def test_float_overflow_raised_before_numpy_overflows(route, args, bound):
+    # the suite turns numpy's overflow RuntimeWarning into an error, so the
+    # bound must fire before `exp` or `det` is reached
+    with pytest.raises(FloatOverflowError, match=bound):
+        route(*args)
 
 
 def test_multi_particle_nan_route_raises(monkeypatch):
@@ -399,7 +417,7 @@ def dense_evolution(matrix, scale):
 def test_persistence_exact_matches_dense_eigh(m, n):
     geom = ChainGeometry(m, n)
     ham = build_sector_hamiltonian(geom)
-    vec = schur_vector(geom, bethe_ground_state(geom).phases(),
+    vec = schur_vector(geom, bethe_ground_state(geom).phases,
                        schur_determinant)
     for shift in range(geom.k_cap + 1):
         part = vec * window(geom, shift)

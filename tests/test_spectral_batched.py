@@ -1,11 +1,14 @@
 """Batched momentum-subset sums against per-subset reference loops.
 
-The reference loops below walk `enumerate_bethe_sets` one subset at a
-time with scalar determinants, as the spectral routes did before they
-were batched over the cached momentum table.  Their Cauchy-Binet sums
-enumerate boxed shapes, so they share no code with the Jacobi-Trudi
-kernel the batched routes use.
+The reference loops below walk the momentum subsets one at a time with
+scalar determinants, as the spectral routes did before they were batched
+over the cached momentum table.  They quantise the momenta themselves,
+so they do not read the table.  Their Cauchy-Binet sums enumerate boxed
+shapes, so they share no code with the Jacobi-Trudi kernel the batched
+routes use.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,8 +17,6 @@ from spinpaths import chain, correlators
 from spinpaths.chain import (
     ChainGeometry,
     SectorCapError,
-    bethe_ground_state,
-    enumerate_bethe_sets,
     momentum_table,
     norm_squared,
 )
@@ -36,35 +37,48 @@ def close(got, want):
     return abs(got - want) <= REL_TOL * max(1.0, abs(want))
 
 
+def grid_thetas(geom, subset):
+    """theta_s = 2 pi/(M+1) (s - (N-1)/2) at the grid indices `subset`."""
+    s = np.array(subset, dtype=float)
+    return 2.0 * np.pi / geom.sites * (s - (geom.n - 1) / 2.0)
+
+
+def ref_momenta(geom):
+    """The thetas of every momentum subset, descending grid indices in
+    lexicographic order."""
+    for subset in combinations(range(geom.m, -1, -1), geom.n):
+        yield grid_thetas(geom, subset)
+
+
 def ref_persistence(geom, n, t):
-    ground = bethe_ground_state(geom)
-    gphases = ground.phases()
+    ground = grid_thetas(geom, range(geom.n - 1, -1, -1))
+    gphases = np.exp(1j * ground)
     total = 0.0 + 0.0j
-    for mset in enumerate_bethe_sets(geom):
-        phases = mset.phases()
+    for thetas in ref_momenta(geom):
+        phases = np.exp(1j * thetas)
         p = cauchy_binet_enum(np.conj(phases), gphases, geom.k_cap, n)
-        total += np.exp(-t * (mset.energy - ground.energy)) * \
+        total += np.exp(-t * (np.sum(np.cos(ground)) - np.sum(np.cos(thetas)))) * \
             abs(vandermonde(phases) * p) ** 2
-    return total / (norm_squared(ground) * geom.sites ** geom.n)
+    return total / (norm_squared(geom, gphases) * geom.sites ** geom.n)
 
 
 def ref_det_product_sum(geom, j, l, weight):
     acc = 0.0 + 0.0j
-    for mset in enumerate_bethe_sets(geom):
-        a = np.exp(1j * np.outer(mset.thetas, j))
-        b = np.exp(-1j * np.outer(mset.thetas, l))
-        w = weight(np.sum(np.cos(mset.thetas)))
+    for thetas in ref_momenta(geom):
+        a = np.exp(1j * np.outer(thetas, j))
+        b = np.exp(-1j * np.outer(thetas, l))
+        w = weight(np.sum(np.cos(thetas)))
         acc += w * np.linalg.det(a) * np.linalg.det(b)
     return acc / geom.sites ** geom.n
 
 
 def ref_transition(geom, u_sq, v_inv_sq, n, t):
     acc = 0.0 + 0.0j
-    for mset in enumerate_bethe_sets(geom):
-        phases = mset.phases()
+    for thetas in ref_momenta(geom):
+        phases = np.exp(1j * thetas)
         p_left = cauchy_binet_enum(v_inv_sq, phases, geom.k_cap, n)
         p_right = cauchy_binet_enum(np.conj(phases), u_sq, geom.k_cap, n)
-        acc += np.exp(t * np.sum(np.cos(mset.thetas))) * \
+        acc += np.exp(t * np.sum(np.cos(thetas))) * \
             abs(vandermonde(phases)) ** 2 * p_left * p_right
     return acc / geom.sites ** geom.n
 
@@ -72,10 +86,10 @@ def ref_transition(geom, u_sq, v_inv_sq, n, t):
 def ref_equality_lhs(geom, n, steps):
     ones = (1.0,) * geom.n
     acc = 0.0
-    for mset in enumerate_bethe_sets(geom):
-        phases = mset.phases()
+    for thetas in ref_momenta(geom):
+        phases = np.exp(1j * thetas)
         p = cauchy_binet_enum(ones, phases, geom.k_cap, n)
-        acc += (2.0 * np.sum(np.cos(mset.thetas))) ** steps * \
+        acc += (2.0 * np.sum(np.cos(thetas))) ** steps * \
             abs(vandermonde(phases) * p) ** 2
     return acc / geom.sites ** geom.n
 
@@ -174,12 +188,13 @@ def test_equality_of_sums_lhs_matches_loop(m, n):
 def test_table_rows_follow_enumeration(m, n):
     geom = ChainGeometry(m, n)
     table = momentum_table(geom)
-    sets = list(enumerate_bethe_sets(geom))
-    assert table.indices.shape == (len(sets), n)
-    for row, mset in enumerate(sets):
-        assert tuple(table.indices[row]) == mset.grid_indices
-        assert np.array_equal(table.thetas[row], mset.thetas)
-        assert abs(table.energies[row] - mset.energy) <= 1e-13
+    subsets = list(combinations(range(m, -1, -1), n))
+    assert table.indices.shape == (len(subsets), n)
+    for row, subset in enumerate(subsets):
+        thetas = grid_thetas(geom, subset)
+        assert tuple(table.indices[row]) == subset
+        assert np.array_equal(table.thetas[row], thetas)
+        assert abs(table.energies[row] - (n - np.sum(np.cos(thetas)))) <= 1e-13
     assert momentum_table(geom) is table
     with pytest.raises(ValueError):
         table.thetas[0, ...] = 0.0
