@@ -21,7 +21,7 @@ _EXPORTS = {
               "count_random_turns_paths", "enumerate_nests",
               "nest_partition_function", "watermelon_count"),
     "qpoly": ("QPolynomial", "macmahon_count", "macmahon_z", "q_binomial"),
-    "schur": ("cauchy_binet", "projection_average_q", "schur_count_at_one",
+    "schur": ("projection_average_q", "schur_count_at_one",
               "schur_determinant", "schur_evaluate", "vandermonde"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

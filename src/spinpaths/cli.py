@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from . import core, partitions, paths, qpoly, schur
+from . import checks, core, paths, qpoly, schur
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,10 +46,6 @@ def _parse_int_tuple(text: str | None, option: str) -> tuple[int, ...]:
 
 def _parse_complex_tuple(text: str) -> tuple[complex, ...]:
     return tuple(complex(p) for p in text.split(","))
-
-
-def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _emit(doc) -> None:
@@ -83,7 +79,7 @@ def cmd_schur(args) -> int:
         if len(x) != nvar:
             raise ValueError(f"--at needs {nvar} values")
         _emit({"shape": list(lam), "vars": nvar,
-               "value": _complex_json(schur.schur_evaluate(lam, x))})
+               "value": core.complex_json(schur.schur_evaluate(lam, x))})
     else:
         raise ValueError("choose one of --at-ones, --q-symbolic, --at")
     return EXIT_OK
@@ -129,29 +125,29 @@ def cmd_correlator(args) -> int:
         j, l = args.j_site, args.l_site
         value = correlators.one_particle_g(geom, j, l, t)
         doc = {"kind": args.kind, "m": args.m, "j": j, "l": l,
-               "t": _complex_json(t), "value": _complex_json(value),
+               "t": core.complex_json(t), "value": core.complex_json(value),
                "route_residuals": {}}
     elif args.kind == "laplace":
         j, l = args.j_site, args.l_site
         z = complex(args.z)
         value = correlators.laplace_generating_f(geom, j, l, z)
         doc = {"kind": args.kind, "m": args.m, "j": j, "l": l,
-               "z": _complex_json(z), "value": _complex_json(value),
+               "z": core.complex_json(z), "value": core.complex_json(value),
                "route_residuals": {}}
     elif args.kind == "multi-particle":
         j = _parse_int_tuple(args.j, "--j")
         l = _parse_int_tuple(args.l, "--l")
         res = correlators.multi_particle_g_detailed(geom, j, l, t)
         doc = {"kind": args.kind, "m": args.m, "n": args.n,
-               "j": list(j), "l": list(l), "t": _complex_json(t),
-               "value": _complex_json(res.value),
+               "j": list(j), "l": list(l), "t": core.complex_json(t),
+               "value": core.complex_json(res.value),
                "route_residuals": {k: float(v)
                                    for k, v in res.route_residuals.items()}}
     elif args.kind == "persistence":
         res = correlators.persistence_detailed(geom, args.string_n, t)
         doc = {"kind": args.kind, "m": args.m, "n": args.n,
-               "string_n": args.string_n, "t": _complex_json(t),
-               "value": _complex_json(res.value),
+               "string_n": args.string_n, "t": core.complex_json(t),
+               "value": core.complex_json(res.value),
                "route_residuals": {k: float(v)
                                    for k, v in res.route_residuals.items()}}
     else:
@@ -160,114 +156,10 @@ def cmd_correlator(args) -> int:
     return EXIT_OK
 
 
-def _verify_equality_of_sums(args) -> list[dict]:
-    from . import correlators
-    geom = core.ChainGeometry(args.m, args.n)
-    rep = correlators.equality_of_sums_report(geom, args.string_n, args.steps)
-    return [{"identity": "equality-of-sums",
-             "lhs": rep["lhs"], "rhs": str(rep["rhs"]),
-             "residual": rep["residual"], "pass": rep["pass"]}]
-
-
-def _verify_cauchy_binet(args) -> list[dict]:
-    import numpy as np
-    from . import correlators
-    rng = np.random.default_rng(args.seed)
-    out = []
-    for trial in range(args.trials):
-        x = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-        y = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-        if trial == 0 and args.n >= 1:
-            y = np.array(y)
-            y[0] = 1.0 / x[0]  # hit the removable singularity
-        a = schur.cauchy_binet_enum(x, y, args.length, args.string_n)
-        b = schur.cauchy_binet_closed(x, y, args.length, args.string_n)
-        resid = correlators.relative_residual(b, a)
-        out.append({"identity": "cauchy-binet", "trial": trial,
-                    "lhs": _complex_json(a), "rhs": _complex_json(b),
-                    "residual": float(resid), "pass": bool(resid < 1e-9)})
-    return out
-
-
-def _verify_persistence(args) -> list[dict]:
-    from . import correlators
-    geom = core.ChainGeometry(args.m, args.n)
-    t = complex(args.t)
-    sp = correlators.persistence_spectral(geom, args.string_n, t)
-    ex = correlators.persistence_exact(geom, args.string_n, t)
-    resid = correlators.relative_residual(sp, ex)
-    return [{"identity": "persistence",
-             "lhs": _complex_json(sp), "rhs": _complex_json(ex),
-             "residual": float(resid),
-             "pass": bool(resid < correlators.ROUTE_TOL_AMPLITUDE)}]
-
-
-def _verify_macmahon(args) -> list[dict]:
-    out = []
-    for n in range(1, args.n + 1):
-        for k in range(0, args.k + 1):
-            z = qpoly.macmahon_z(n, k)
-            count = qpoly.macmahon_count(n, k)
-            ok = z.at_one() == count
-            out.append({"identity": "macmahon", "n": n, "k": k,
-                        "lhs": str(z.at_one()), "rhs": str(count),
-                        "residual": 0.0 if ok else 1.0, "pass": ok})
-    return out
-
-
-def _verify_schur_dual(args) -> list[dict]:
-    import numpy as np
-    from . import correlators
-    rng = np.random.default_rng(args.seed)
-    out = []
-    for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
-        monomials = schur.schur_monomials(lam, args.n)
-        worst = 0.0
-        for _ in range(args.trials):
-            x = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-            d = schur.schur_determinant(lam, x)
-            e = schur.schur_from_monomials(monomials, x)
-            worst = max(worst, correlators.relative_residual(d, e))
-        out.append({"identity": "schur-dual", "shape": list(lam),
-                    "residual": float(worst), "pass": bool(worst < 1e-10)})
-    return out
-
-
-def _verify_q_chain(args) -> list[dict]:
-    out = []
-    for n_str in range(0, args.k + 1):
-        geom = core.ChainGeometry(args.n + args.k - 1, args.n)
-        d = geom.k_cap - n_str
-        mat = [[qpoly.q_binomial_extended(2 * args.n + i - 1, args.n + j - 1)
-                for j in range(1, d + 1)] for i in range(1, d + 1)]
-        det = qpoly.qpoly_matrix_det(mat)
-        shift = n_str * args.n ** 2 + (args.n * d * (1 - d)) // 2
-        lhs = schur.projection_average_q(args.n, geom.m, n_str)
-        mid = det.shifted(shift)
-        rhs = qpoly.macmahon_z(args.n, d).shifted(n_str * args.n ** 2)
-        ok = lhs == mid == rhs
-        out.append({"identity": "q-chain", "n": args.n, "string_n": n_str,
-                    "box": d, "residual": 0.0 if ok else 1.0, "pass": ok})
-    return out
-
-
-VERIFIERS = {
-    "equality-of-sums": _verify_equality_of_sums,
-    "cauchy-binet": _verify_cauchy_binet,
-    "persistence": _verify_persistence,
-    "macmahon": _verify_macmahon,
-    "schur-dual": _verify_schur_dual,
-    "q-chain": _verify_q_chain,
-}
-
-
 def cmd_verify(args) -> int:
-    reports = VERIFIERS[args.identity](args)
-    _emit({"identity": args.identity, "checks": reports,
-           "pass": all(r["pass"] for r in reports)})
-    if not all(r["pass"] for r in reports):
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    report = checks.run(args.identity, args)
+    _emit(report)
+    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 
 def _parse_range(text: str) -> list[int]:
@@ -327,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact XX-ring correlators and lattice-path combinatorics",
     )
     parser.add_argument("--config", help="JSON file holding {command, options}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; output is independent of its value")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("schur", help="evaluate a Schur polynomial")
@@ -369,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--string-n", type=int, default=0)
 
     p = sub.add_parser("verify", help="machine-check the package identities")
-    p.add_argument("identity", choices=sorted(VERIFIERS))
+    p.add_argument("identity", choices=sorted(checks.CHECKS))
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=3)

@@ -1,4 +1,5 @@
-"""The ring geometry and the typed errors the CLI maps to exit codes.
+"""The ring geometry, the typed errors the CLI maps to exit codes, and the
+pass rule of every check.
 
 Numpy-free, so the integer verbs can use them; `chain`, `correlators`
 and `schur` import these names back.
@@ -30,6 +31,28 @@ class IntegerRoundingError(RuntimeError):
 
 class FloatOverflowError(RuntimeError):
     """A result would leave the float range."""
+
+
+def relative_residual(value, reference) -> float:
+    """|value - reference| / max(1, |reference|): the residual of every route check."""
+    return abs(value - reference) / max(1.0, abs(reference))
+
+
+def within_bound(residual: float, bound: float) -> bool:
+    """The pass rule of every check: residual <= bound, so a NaN never passes."""
+    return bool(residual <= bound)
+
+
+def route_check(value, reference, bound: float, error: type[Exception]) -> float:
+    """The residual of `value` against `reference`; raises `error` past `bound`."""
+    resid = relative_residual(value, reference)
+    if not within_bound(resid, bound):
+        raise error(f"{value} against {reference}: residual {resid:.3e} > {bound:g}")
+    return resid
+
+
+def complex_json(z: complex) -> dict:
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ from .core import (
     FloatOverflowError,
     IntegerRoundingError,
     RouteMismatchError,
+    route_check,
+    within_bound,
 )
 from .kernels import det_product_sum, stacked_dets
 from .partitions import (
@@ -61,11 +63,6 @@ INTEGER_ROUNDING_TOL = 1e-6
 class CorrelatorResult:
     value: complex
     route_residuals: dict[str, float] = field(default_factory=dict)
-
-
-def relative_residual(value, reference) -> float:
-    """|value - reference| / max(1, |reference|): the residual of every route check."""
-    return abs(value - reference) / max(1.0, abs(reference))
 
 
 def _validate_sites(geom: ChainGeometry, *indices: int) -> None:
@@ -165,11 +162,8 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
 
     spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
 
-    resid = relative_residual(spectral, det_route)
-    if not resid <= ROUTE_TOL_DET_SPECTRAL:
-        raise RouteMismatchError(
-            f"determinant {det_route} vs spectral {spectral} (residual {resid:.3e})"
-        )
+    resid = route_check(spectral, det_route, ROUTE_TOL_DET_SPECTRAL,
+                        RouteMismatchError)
     return CorrelatorResult(det_route, {"det_vs_spectral": resid})
 
 
@@ -187,16 +181,11 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     # parities disagree; the float sum would only cancel to roundoff
     if geom.sites % 2 == 0 and (sum(l) - sum(j) - steps) % 2:
         return 0
-    # an overflowing sum is caught by the residual check below
+    # an overflowing sum is caught by the route check below
     with np.errstate(over="ignore", invalid="ignore"):
         val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
     nearest = np.round(val.real)
-    resid = relative_residual(val, nearest)
-    if not resid <= INTEGER_ROUNDING_TOL:
-        raise IntegerRoundingError(
-            f"trig sum {val} is {resid:.3e} away from an integer; "
-            "reduce the step count or chain size"
-        )
+    route_check(val, nearest, INTEGER_ROUNDING_TOL, IntegerRoundingError)
     return int(nearest)
 
 
@@ -235,11 +224,7 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
 
     spectral = _transition_spectral(geom, u_sq, v_inv_sq, n, t)
 
-    resid = relative_residual(spectral, direct)
-    if not resid <= ROUTE_TOL_AMPLITUDE:
-        raise RouteMismatchError(
-            f"boxed sum {direct} vs spectral {spectral} (residual {resid:.3e})"
-        )
+    resid = route_check(spectral, direct, ROUTE_TOL_AMPLITUDE, RouteMismatchError)
     return CorrelatorResult(direct, {"boxed_vs_spectral": resid})
 
 
@@ -339,7 +324,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
         "lhs": float(lhs),
         "rhs": rhs,
         "residual": float(residual),
-        "pass": bool(residual < INTEGER_ROUNDING_TOL * max(1, rhs)),
+        "pass": within_bound(residual, INTEGER_ROUNDING_TOL * max(1, rhs)),
     }
 
 
@@ -393,10 +378,6 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
 def persistence_detailed(geom: ChainGeometry, n: int, t: complex) -> CorrelatorResult:
     spectral = persistence_spectral(geom, n, t)
     exact = persistence_exact(geom, n, t)
-    resid = relative_residual(spectral, exact)
-    if not resid <= ROUTE_TOL_AMPLITUDE:
-        raise RouteMismatchError(
-            f"spectral {spectral} vs dense {exact} (residual {resid:.3e})"
-        )
+    resid = route_check(spectral, exact, ROUTE_TOL_AMPLITUDE, RouteMismatchError)
     return CorrelatorResult(spectral, {"spectral_vs_dense": resid})
 

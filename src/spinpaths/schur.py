@@ -214,26 +214,14 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
 
 
 def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
-                      length: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> complex:
+                      length: int, n: int) -> complex:
     """The same boxed sum by direct enumeration of partitions."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    nvar = len(x)
-    out = 0.0 + 0.0j
-    for lam in shifted_boxed_partitions(nvar, length - n, n):
-        out += schur_evaluate(lam, x, cap=cap) * schur_evaluate(lam, y, cap=cap)
-    return out
-
-
-def cauchy_binet(x: Sequence[complex], y: Sequence[complex],
-                 length: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> complex:
-    """Boxed Schur-product sum; closed form when valid, enumeration otherwise."""
-    try:
-        return cauchy_binet_closed(x, y, length, n)
-    except CoincidentArgumentsError:
-        return cauchy_binet_enum(x, y, length, n, cap=cap)
+    return sum((schur_evaluate(lam, x) * schur_evaluate(lam, y)
+                for lam in shifted_boxed_partitions(len(x), length - n, n)), 0j)
 
 
 def projection_average_q(n_vars: int, m_sites: int, n_string: int,

@@ -302,14 +302,14 @@ def test_12_cli_contract(capsys):
 
     # exit 1 is the only code not reachable from healthy inputs; drive the
     # dispatcher with a stubbed failing check to pin the contract
-    from spinpaths import cli as climod
+    from spinpaths import checks, cli as climod
 
-    original = climod.VERIFIERS["macmahon"]
+    original = checks.CHECKS["macmahon"]
     try:
-        climod.VERIFIERS["macmahon"] = lambda args: [
+        checks.CHECKS["macmahon"] = lambda args: [
             {"identity": "macmahon", "pass": False, "residual": 1.0}]
         code = climod.main(["verify", "macmahon"])
     finally:
-        climod.VERIFIERS["macmahon"] = original
+        checks.CHECKS["macmahon"] = original
     ok = ok and code == 1
     report(capsys, "12-cli-contract", ok)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spinpaths import schur
 from spinpaths.cli import main
 from spinpaths.paths import count_random_turns_paths
 
@@ -68,6 +69,18 @@ def test_correlator_persistence():
     assert doc["route_residuals"]["spectral_vs_dense"] < 1e-8
 
 
+# digests of the stdout printed when each identity was coded inside the
+# CLI; the registry must print the same bytes
+VERIFY_DIGESTS = {
+    "equality-of-sums": "d3cbce4b211eae306aa73d4b14ef37349f1dfa4fa731e21b27c091c84aaa0768",
+    "cauchy-binet": "d2400907c73d942d2df4518f0f131120c086bd1e190e281e83e0b8c8b0b05d09",
+    "persistence": "f789228a67f7907275c90add473e8d6769d6795d2bfb6a44c0b54d6bbf28d2e2",
+    "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
+    "schur-dual": "eceae4a0841159c6f367dd94325c68f1ca20e1da34ad7e0bbe5d22a91ae36e15",
+    "q-chain": "9ef9d4c8bb748f1fa392a583853bb730494be0c5ddab5d5c9a8954c50d3502d4",
+}
+
+
 @pytest.mark.parametrize("identity,extra", [
     ("equality-of-sums", ["--m", "4", "--n", "2", "--steps", "4"]),
     ("cauchy-binet", ["--n", "2", "--length", "4", "--trials", "5"]),
@@ -80,6 +93,29 @@ def test_verify_identities_pass(identity, extra):
     out = run_cli(["verify", identity, *extra])
     assert out.returncode == 0, out.stdout + out.stderr
     assert json.loads(out.stdout)["pass"] is True
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_DIGESTS[identity]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cauchy-binet", "--trials", "0"],
+    ["macmahon", "--n", "0"],
+    ["q-chain", "--k", "-1"],
+    ["schur-dual", "--trials", "0"],
+], ids=" ".join)
+def test_verify_comparing_nothing_is_bad_input(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "bad-input"
+
+
+def test_verify_schur_dual_nan_fails(monkeypatch, capsys):
+    monkeypatch.setattr(schur, "schur_determinant", lambda *args: complex("nan"))
+    assert main(["verify", "schur-dual", "--n", "2", "--length", "1",
+                 "--trials", "2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
 
 
 def test_sweep_csv():
@@ -171,12 +207,6 @@ def test_deterministic_output():
     b = run_cli(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
-
-
-def test_threads_flag_does_not_change_output():
-    base = run_cli(["chain-spectrum", "--m", "4", "--n", "2"])
-    alt = run_cli(["--threads", "4", "chain-spectrum", "--m", "4", "--n", "2"])
-    assert base.stdout == alt.stdout
 
 
 def test_exit_code_bad_input():
