@@ -21,9 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import ChainGeometry, SectorCapError
-from .kernels import stacked_dets
 from .partitions import StrictPartition, descending_subsets
-from .schur import vandermonde
+from .schur import schur_values, vandermonde
 
 DEFAULT_SECTOR_CAP = 50_000
 DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
@@ -221,15 +220,8 @@ def ground_state_energy_closed_form(geom: ChainGeometry) -> float:
 
 
 def bethe_vector(geom: ChainGeometry, phases: np.ndarray) -> np.ndarray:
-    """Sector amplitudes of the Bethe state with the (N,) `phases` of one
-    table row: Schur value of the shape of each basis state, as
-    det(x_j^{mu_k}) / (sign V(x)) with mu the basis tuple itself."""
-    mus = np.array(sector_basis(geom), dtype=float).reshape(geom.sector_dim, geom.n)
-    dets = stacked_dets(len(mus), lambda rows:
-                        phases[None, :, None] ** mus[rows, None, :])
-    # the staircase alternant det(x_j^{N-k}) carries the sign (-1)^{N(N-1)/2}
-    sign = -1.0 if (geom.n * (geom.n - 1) // 2) % 2 else 1.0
-    return dets / (sign * vandermonde(phases))
+    """Sector amplitudes of the Bethe state at the (N,) `phases` of one row."""
+    return schur_values(phases, sector_basis(geom))
 
 
 def norm_squared(geom: ChainGeometry, phases: np.ndarray) -> float:

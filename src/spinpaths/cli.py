@@ -49,7 +49,15 @@ def _parse_complex_tuple(text: str) -> tuple[complex, ...]:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # a non-finite float goes out as the string "NaN", "Infinity" or
+    # "-Infinity", never as a bare token, so stdout is RFC 8259 JSON; the
+    # round trip that does it runs only then, as it doubles the encoding cost
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        doc = json.loads(json.dumps(doc), parse_constant=str)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -174,6 +182,8 @@ def _parse_float_range(text: str) -> list[float]:
     """'start:step:stop' inclusive-ish grid, or a single float."""
     if ":" in text:
         start, step, stop = (float(p) for p in text.split(":"))
+        if step <= 0:
+            raise ValueError(f"step {step} in {text!r} must be positive")
         out = []
         v = start
         while v <= stop + 1e-12:

@@ -42,14 +42,13 @@ from .kernels import det_product_sum, stacked_dets
 from .partitions import (
     StrictPartition,
     lambda_to_mu,
-    mu_to_lambda,
     shifted_boxed_partitions,
 )
 from .paths import frontier_counts, random_turns_frontiers
 from .schur import (
     jacobi_trudi_rows,
     schur_count_at_one,
-    schur_evaluate,
+    schur_values,
     vandermonde,
 )
 
@@ -210,10 +209,9 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
         else [()]
     count = len(shapes)
-    mus = np.array([lambda_to_mu(lam, nvar) for lam in shapes],
-                   dtype=np.int64).reshape(count, nvar)
-    s_left = np.array([schur_evaluate(lam, v_inv_sq) for lam in shapes])
-    s_right = np.array([schur_evaluate(lam, u_sq) for lam in shapes])
+    mus = np.array([lambda_to_mu(lam, nvar) for lam in shapes], dtype=np.int64)
+    s_left = schur_values(v_inv_sq, mus)
+    s_right = schur_values(u_sq, mus)
 
     def pair_minors(rows):
         left, right = divmod(np.arange(rows.start, rows.stop), count)
@@ -266,12 +264,9 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     orbits = sector_orbits(geom)
     basis = sector_basis(geom)
     proj = np.array([1.0 if (not b or min(b) >= n) else 0.0 for b in basis])
-    left = np.array([schur_evaluate(mu_to_lambda(b) if b else (), v_inv_sq)
-                     for b in basis])
-    right = np.array([schur_evaluate(mu_to_lambda(b) if b else (), u_sq)
-                      for b in basis])
-    w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([np.conj(left * proj),
-                                                          right * proj]))
+    left = schur_values(v_inv_sq, basis) * proj
+    right = schur_values(u_sq, basis) * proj
+    w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([np.conj(left), right]))
     return complex((np.conj(lhs) * np.exp(t / 2.0 * w)) @ rhs)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
+from . import schur
 from .core import EnumerationCapError
 from .partitions import (
     Partition,
@@ -30,7 +31,6 @@ from .partitions import (
 )
 from .qpoly import QPolynomial
 from .schur import (
-    DEFAULT_ENUM_CAP,
     schur_count_at_one,
     ssyt,
     tableau_step_counts,
@@ -75,29 +75,26 @@ class PathNest:
         )
 
 
-def enumerate_nests(lam: Partition, n: int,
-                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[PathNest]:
+def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
     """One nest per SSYT of shape lam with entries <= n."""
     lam = check_partition(lam)
-    if schur_count_at_one(lam, n) > cap:
+    if schur_count_at_one(lam, n) > schur.DEFAULT_ENUM_CAP:
         raise EnumerationCapError("nest enumeration exceeds cap")
     for tab in ssyt(lam, n):
         yield PathNest("C", lam, tableau_step_counts(tab, n))
 
 
-def nest_partition_function(lam: Partition, n: int,
-                            cap: int = DEFAULT_ENUM_CAP) -> QPolynomial:
+def nest_partition_function(lam: Partition, n: int) -> QPolynomial:
     """Sum of q^{|lam| + volume} over nests; equals the Schur value at (q,..,q^n)."""
     w = weight(check_partition(lam))
     out: dict[int, int] = {}
-    for nest in enumerate_nests(lam, n, cap=cap):
+    for nest in enumerate_nests(lam, n):
         e = w + nest.volume
         out[e] = out.get(e, 0) + 1
     return QPolynomial(out)
 
 
-def conjugate_nest_partition_function(lam: Partition, n: int, m: int,
-                                      cap: int = DEFAULT_ENUM_CAP) -> QPolynomial:
+def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolynomial:
     """Partition function of the conjugate nests; equals Schur at (1, q, .., q^{n-1}).
 
     Weighted by q^{sum_j (j-1) l_j} over the same step-count data.
@@ -106,7 +103,7 @@ def conjugate_nest_partition_function(lam: Partition, n: int, m: int,
     if lam and lam[0] > m - n + 1:
         raise ValueError(f"shape {lam} does not fit the width bound {m - n + 1}")
     out: dict[int, int] = {}
-    for nest in enumerate_nests(lam, n, cap=cap):
+    for nest in enumerate_nests(lam, n):
         e = sum(j * l for j, l in enumerate(nest.step_counts))
         out[e] = out.get(e, 0) + 1
     return QPolynomial(out)

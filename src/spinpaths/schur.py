@@ -2,7 +2,7 @@
 
 The determinant (ratio-of-alternants) route needs pairwise distinct
 arguments; the tableau route is exact everywhere but enumerative.  Both
-are kept and cross-checked; `schur_evaluate` picks whichever is valid.
+are kept and cross-checked; `schur_values` picks the valid one per point.
 The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
 spectral routes take each boxed sum as one determinant (Cauchy-Binet).
 Only the numeric functions import numpy, so the integer verbs start
@@ -20,6 +20,7 @@ from .partitions import (
     Partition,
     check_partition,
     lambda_to_mu,
+    mu_to_lambda,
     shifted_boxed_partitions,
 )
 from .qpoly import QPolynomial
@@ -51,23 +52,32 @@ def _check_distinct(x: Sequence[complex]) -> None:
                 )
 
 
+def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarray:
+    """(R,) Schur values at x, one per row mu = lam + staircase of the (R, N)
+    `mus`: one batched alternant det(x_j^{mu_k}) / (sign V(x)) at distinct
+    x, else the count at 1^N or tableau enumeration, row by row."""
+    import numpy as np
+    from .kernels import stacked_dets
+    n = len(x)
+    mus = np.asarray(mus, dtype=float).reshape(len(mus), n)
+    try:
+        _check_distinct(x)
+    except CoincidentArgumentsError:
+        ones = all(abs(xi - 1.0) < 1e-15 for xi in x)
+        return np.array([schur_count_at_one(lam, n) if ones else
+                         schur_from_monomials(schur_monomials(lam, n), x)
+                         for lam in map(mu_to_lambda, mus)], dtype=complex)
+    xa = np.asarray(x, dtype=complex)
+    dets = stacked_dets(len(mus), lambda rows: xa[None, :, None] ** mus[rows, None, :])
+    # the staircase alternant det(x_j^{n-k}) carries the sign (-1)^{n(n-1)/2}
+    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
+    return dets / (sign * vandermonde(x))
+
+
 def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
     """det(x_j^{lam_k + N - k}) / Vandermonde(x); requires distinct x."""
-    import numpy as np
-    lam = check_partition(lam)
-    n = len(x)
-    if len(lam) > n:
-        raise ValueError(f"shape {lam} needs at least {len(lam)} variables")
     _check_distinct(x)
-    if n == 0:
-        return 1.0 + 0.0j
-    mu = lambda_to_mu(lam, n)
-    xa = np.asarray(x, dtype=complex)
-    mat = xa[:, None] ** np.asarray(mu, dtype=float)[None, :]
-    # the staircase alternant det(x_j^{n-k}) carries an extra sign
-    # (-1)^{n(n-1)/2} relative to the ordered product of differences
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return complex(np.linalg.det(mat) / (sign * vandermonde(x)))
+    return schur_evaluate(lam, x)
 
 
 def ssyt(lam: Partition, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -112,11 +122,11 @@ def tableau_step_counts(tab: tuple[tuple[int, ...], ...], n: int) -> tuple[int, 
     return tuple(counts)
 
 
-def schur_monomials(lam: Partition, n: int, cap: int = DEFAULT_ENUM_CAP) -> Counter:
+def schur_monomials(lam: Partition, n: int) -> Counter:
     """Exponent-vector multiset of the Schur polynomial in n variables."""
     bound = schur_count_at_one(lam, n)
-    if bound > cap:
-        raise EnumerationCapError(f"{bound} tableaux exceeds cap {cap}")
+    if bound > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{bound} tableaux exceeds cap {DEFAULT_ENUM_CAP}")
     out: Counter = Counter()
     for tab in ssyt(lam, n):
         out[tableau_step_counts(tab, n)] += 1
@@ -147,16 +157,9 @@ def schur_count_at_one(lam: Partition, n: int) -> int:
     return acc.numerator
 
 
-def schur_evaluate(lam: Partition, x: Sequence[complex],
-                   cap: int = DEFAULT_ENUM_CAP) -> complex:
+def schur_evaluate(lam: Partition, x: Sequence[complex]) -> complex:
     """Schur value at x; falls back to tableau enumeration at degenerate points."""
-    try:
-        return schur_determinant(lam, x)
-    except CoincidentArgumentsError:
-        pass
-    if all(abs(xi - 1.0) < 1e-15 for xi in x):
-        return complex(schur_count_at_one(lam, len(x)))
-    return schur_from_monomials(schur_monomials(lam, len(x), cap=cap), x)
+    return complex(schur_values(x, [lambda_to_mu(lam, len(x))])[0])
 
 
 def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
@@ -177,12 +180,11 @@ def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
     return out
 
 
-def schur_q_polynomial(lam: Partition, exponents: Sequence[int],
-                       cap: int = DEFAULT_ENUM_CAP) -> QPolynomial:
+def schur_q_polynomial(lam: Partition, exponents: Sequence[int]) -> QPolynomial:
     """Exact Schur value at x_j = q^{exponents[j]} as a polynomial in q."""
     n = len(exponents)
     out: dict[int, int] = {}
-    for expo, mult in schur_monomials(lam, n, cap=cap).items():
+    for expo, mult in schur_monomials(lam, n).items():
         e = sum(a * b for a, b in zip(expo, exponents))
         out[e] = out.get(e, 0) + mult
     return QPolynomial(out)
@@ -220,12 +222,14 @@ def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    return sum((schur_evaluate(lam, x) * schur_evaluate(lam, y)
-                for lam in shifted_boxed_partitions(len(x), length - n, n)), 0j)
+    mus = [lambda_to_mu(lam, len(x))
+           for lam in shifted_boxed_partitions(len(x), length - n, n)]
+    # multiplied as Python complexes: a numpy product can round differently
+    sx, sy = schur_values(x, mus).tolist(), schur_values(y, mus).tolist()
+    return sum((a * b for a, b in zip(sx, sy)), 0j)
 
 
-def projection_average_q(n_vars: int, m_sites: int, n_string: int,
-                         cap: int = DEFAULT_ENUM_CAP) -> QPolynomial:
+def projection_average_q(n_vars: int, m_sites: int, n_string: int) -> QPolynomial:
     """Exact q-weighted boxed sum S_lam(q,..,q^N) S_lam(1,..,q^{N-1}).
 
     Equals q^{n*N^2} * macmahon_z(N, K - n) with K = M - N + 1.
@@ -237,6 +241,5 @@ def projection_average_q(n_vars: int, m_sites: int, n_string: int,
     right = list(range(n_vars))
     out = QPolynomial.zero()
     for lam in shifted_boxed_partitions(n_vars, k_cap - n_string, n_string):
-        out = out + schur_q_polynomial(lam, left, cap=cap) * \
-            schur_q_polynomial(lam, right, cap=cap)
+        out = out + schur_q_polynomial(lam, left) * schur_q_polynomial(lam, right)
     return out

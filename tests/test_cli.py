@@ -109,13 +109,21 @@ def test_verify_comparing_nothing_is_bad_input(capsys, argv):
     assert json.loads(out.err)["error"] == "bad-input"
 
 
+def strict_json(text):
+    """RFC 8259 JSON: the bare tokens NaN and Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_verify_schur_dual_nan_fails(monkeypatch, capsys):
     monkeypatch.setattr(schur, "schur_determinant", lambda *args: complex("nan"))
     assert main(["verify", "schur-dual", "--n", "2", "--length", "1",
                  "--trials", "2"]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["pass"] is False
     assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
+    assert {c["residual"] for c in doc["checks"]} == {"NaN"}
 
 
 def test_sweep_csv():
@@ -157,6 +165,25 @@ def test_sweep_path_counts_negative_step_is_bad_input(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert json.loads(out.err)["error"] == "bad-input"
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("grid", ["0:0:1", "0:-0.1:1"])
+def test_sweep_persistence_nonpositive_step_is_bad_input(grid):
+    # such a step never reaches the stop, so the grid grew without bound;
+    # the memory cap and timeout make a regression fail instead of hang
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "sweep",
+                          "persistence", "--m", "4", "--n", "2",
+                          "--string-n", "0", "--t", grid],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "bad-input"
 
 
 @pytest.mark.parametrize("argv, missing", [

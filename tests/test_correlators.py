@@ -265,12 +265,31 @@ def random_params(n):
                  zip(RNG.uniform(0.4, 1.4, n), RNG.uniform(-0.4, 0.4, n)))
 
 
-@pytest.mark.parametrize("m,n,shift", [(3, 1, 0), (3, 1, 2), (4, 2, 0),
-                                       (4, 2, 1), (5, 2, 2)])
-def test_transition_amplitude_routes_and_dense_oracle(m, n, shift):
+def amplitude_params(kind, n):
+    """(u, v): random, or with coincident entries, which send both Schur
+    evaluations and the tableau side of the routes to their degenerate
+    branch."""
+    if kind == "u-ones":
+        return (1.0,) * n, random_params(n)
+    if kind == "u-repeated":
+        u = random_params(n)
+        return (u[0],) + u[:-1], random_params(n)
+    if kind == "both-ones":
+        return (1.0,) * n, (1.0,) * n
+    return random_params(n), random_params(n)
+
+
+@pytest.mark.parametrize("m,n,shift,kind", [
+    pytest.param(m, n, shift, "random", id=f"{m}-{n}-{shift}")
+    for m, n, shift in [(3, 1, 0), (3, 1, 2), (4, 2, 0), (4, 2, 1), (5, 2, 2)]
+] + [
+    pytest.param(m, n, shift, kind, id=f"{m}-{n}-{shift}-{kind}")
+    for m, n, shift in [(4, 2, 1), (5, 3, 0), (6, 3, 1)]
+    for kind in ("u-ones", "u-repeated", "both-ones")
+])
+def test_transition_amplitude_routes_and_dense_oracle(m, n, shift, kind):
     geom = ChainGeometry(m, n)
-    u = random_params(n)
-    v = random_params(n)
+    u, v = amplitude_params(kind, n)
     t = float(RNG.uniform(0.1, 1.0))
     res = transition_amplitude_detailed(geom, u, v, shift, t)
     assert res.route_residuals["boxed_vs_spectral"] <= 1e-8

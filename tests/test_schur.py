@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from spinpaths import schur
+from spinpaths.kernels import SUBSET_BLOCK
 from spinpaths.partitions import (
     boxed_partitions,
     lambda_to_mu,
     shifted_boxed_partitions,
 )
+from spinpaths.paths import enumerate_nests
 from spinpaths.qpoly import QPolynomial, macmahon_z
 from spinpaths.schur import (
     CoincidentArgumentsError,
@@ -20,6 +23,7 @@ from spinpaths.schur import (
     schur_from_monomials,
     schur_monomials,
     schur_q_polynomial,
+    schur_values,
     ssyt,
     vandermonde,
 )
@@ -99,9 +103,16 @@ def test_figure_weight_occurs():
     assert monomials[(4, 3, 3, 3)] >= 1
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(schur, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(EnumerationCapError):
-        schur_monomials((8, 6, 4, 2), 8, cap=10)
+        schur_monomials((8, 6, 4, 2), 8)
+    # 20 tableaux: under the default cap, over the patched one, so this
+    # raises only where the cap is read at call time
+    with pytest.raises(EnumerationCapError):
+        schur_monomials((2, 1), 4)
+    with pytest.raises(EnumerationCapError):
+        next(enumerate_nests((2, 1), 4))
 
 
 def test_schur_evaluate_at_ones():
@@ -123,6 +134,27 @@ def test_jacobi_trudi_minors_match_tableaux(x, box):
         want = schur_from_monomials(schur_monomials(lam, nvar), x)
         got = np.linalg.det(rows[:, list(lambda_to_mu(lam, nvar))])
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("x,tol", [
+    ((0.9 + 0.3j, -0.4 + 1.1j, 1.2 - 0.5j, 0.3 - 0.8j), 1e-10),  # distinct
+    ((0.7 - 0.2j, 1.3 + 0.4j, 0.7 - 0.2j, -0.5 + 0.1j), 0.0),    # partly coincident
+    ((1.0,) * 4, 0.0),                                          # all ones
+], ids=["distinct", "partly-coincident", "all-ones"])
+def test_schur_values_match_tableaux(x, tol):
+    # the 210 shapes of the 4 x 6 box fill more than one block of alternants
+    shapes = list(boxed_partitions(4, 6))
+    assert len(shapes) > SUBSET_BLOCK
+    got = schur_values(x, [lambda_to_mu(lam, 4) for lam in shapes])
+    assert got.shape == (len(shapes),)
+    for lam, value in zip(shapes, got):
+        want = schur_from_monomials(schur_monomials(lam, 4), x)
+        assert abs(value - want) <= tol * max(1.0, abs(want)), lam
+
+
+def test_schur_values_without_variables():
+    want = schur_from_monomials(schur_monomials((), 0), ())
+    assert schur_values((), [()]).tolist() == [want] == [1.0]
 
 
 def test_cauchy_binet_single_variable():
