@@ -9,7 +9,7 @@ from importlib import import_module
 _EXPORTS = {
     "chain": ("bethe_ground_state", "bethe_vector",
               "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
-              "momentum_table", "norm_squared", "sector_basis"),
+              "momentum_table", "sector_basis"),
     "core": ("ChainGeometry",),
     "correlators": ("equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",
@@ -19,7 +19,7 @@ _EXPORTS = {
                    "staircase"),
     "paths": ("PathNest", "conjugate_nest_partition_function",
               "count_random_turns_paths", "enumerate_nests",
-              "nest_partition_function", "watermelon_count"),
+              "nest_partition_function"),
     "qpoly": ("QPolynomial", "macmahon_count", "macmahon_z", "q_binomial"),
     "schur": ("projection_average_q", "schur_count_at_one",
               "schur_determinant", "schur_evaluate", "vandermonde"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ChainGeometry, SectorCapError
 from .partitions import StrictPartition, descending_subsets
-from .schur import schur_values, vandermonde
+from .schur import schur_values
 
 DEFAULT_SECTOR_CAP = 50_000
 DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
@@ -222,14 +222,3 @@ def ground_state_energy_closed_form(geom: ChainGeometry) -> float:
 def bethe_vector(geom: ChainGeometry, phases: np.ndarray) -> np.ndarray:
     """Sector amplitudes of the Bethe state at the (N,) `phases` of one row."""
     return schur_values(phases, sector_basis(geom))
-
-
-def norm_squared(geom: ChainGeometry, phases: np.ndarray) -> float:
-    """Squared norm of the Bethe state with the (N,) `phases` of one table
-    row: (M+1)^N over the squared Vandermonde modulus.
-
-    Equals the boxed sum of |Schur|^2 over the sector basis (the closed
-    form of the completeness sum), which is what `bethe_vector` would give
-    but without touching the full sector.
-    """
-    return float(geom.sites ** geom.n / abs(vandermonde(phases)) ** 2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import checks, core, paths, qpoly, schur
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
+FLOAT_GRID_CAP = 10 ** 6  # points of one start:step:stop grid
 
 
 # failed library checks, by the error name written to stderr
@@ -179,18 +181,28 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_float_range(text: str) -> list[float]:
-    """'start:step:stop' inclusive-ish grid, or a single float."""
-    if ":" in text:
-        start, step, stop = (float(p) for p in text.split(":"))
-        if step <= 0:
-            raise ValueError(f"step {step} in {text!r} must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
-    return [float(text)]
+    """'start:step:stop' inclusive-ish grid, or a single float; finite
+    values only, and at most FLOAT_GRID_CAP points."""
+    values = [float(p) for p in text.split(":")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{text!r} is not finite")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
+    if step <= 0:
+        raise ValueError(f"step {step} in {text!r} must be positive")
+    too_many = core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
+    if (stop - start) / step + 2 > FLOAT_GRID_CAP:
+        raise too_many
+    out = []
+    v = start
+    while v <= stop + 1e-12:
+        out.append(round(v, 12))
+        v += step
+        # a step below half the float spacing at v never moves v
+        if len(out) > FLOAT_GRID_CAP:
+            raise too_many
+    return out
 
 
 def cmd_sweep(args) -> int:

@@ -38,7 +38,7 @@ from .core import (
     route_check,
     within_bound,
 )
-from .kernels import det_product_sum, stacked_dets
+from .kernels import stacked_dets
 from .partitions import (
     StrictPartition,
     lambda_to_mu,
@@ -68,6 +68,11 @@ def _validate_sites(geom: ChainGeometry, *indices: int) -> None:
     for i in indices:
         if not 0 <= i <= geom.m:
             raise ValueError(f"site index {i} outside 0..{geom.m}")
+
+
+def _check_string_length(geom: ChainGeometry, n: int) -> None:
+    if not 0 <= n <= geom.k_cap:
+        raise ValueError(f"need 0 <= n <= {geom.k_cap}")
 
 
 def one_particle_matrix(geom: ChainGeometry, t: complex,
@@ -128,8 +133,15 @@ def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
 def _det_product_spectral(m: int, j, l, weight) -> complex:
     """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
     geom = ChainGeometry(m, len(j))
-    return det_product_sum(momentum_table(geom).thetas, np.array(j),
-                           np.array(l), _subset_weights(geom, weight))
+    thetas = momentum_table(geom).thetas
+
+    def alternants(mu):
+        # not phases ** mu: conj(phases) ** l turns (8,4,1)->(9,5,1) at M=11, K=22 wrong
+        return stacked_dets(len(thetas), lambda rows:
+                            np.exp(1j * thetas[rows, :, None] * mu))
+
+    return complex(_subset_weights(geom, weight) @
+                   (alternants(np.array(j)) * alternants(-np.array(l))))
 
 
 def _check_endpoints(geom: ChainGeometry, j, l) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -202,8 +214,7 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     v_inv_sq = tuple(complex(v) for v in v_inv_sq)
     if len(u_sq) != nvar or len(v_inv_sq) != nvar:
         raise ValueError(f"parameter vectors must have length {nvar}")
-    if not 0 <= n <= geom.k_cap:
-        raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+    _check_string_length(geom, n)
 
     gmat = one_particle_matrix(geom, t, nvar)
     shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
@@ -261,6 +272,7 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     """Exact-diagonalization oracle: the bilinear form of the projected
     Schur vectors around exp(-(t/2) * hopping part) = exp((t/2) A), A the
     sector adjacency, taken one translation-momentum block at a time."""
+    _check_string_length(geom, n)
     orbits = sector_orbits(geom)
     basis = sector_basis(geom)
     proj = np.array([1.0 if (not b or min(b) >= n) else 0.0 for b in basis])
@@ -297,8 +309,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     A failing comparison is reported, not raised.
     """
     nvar = geom.n
-    if not 0 <= n <= geom.k_cap:
-        raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+    _check_string_length(geom, n)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).phases, n)
@@ -327,8 +338,7 @@ def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
     """Normalized projected-evolution ratio, by the momentum-subset sum."""
     if not 1 <= geom.n <= geom.m:
         raise ValueError("need 1 <= N <= M")
-    if not 0 <= n <= geom.k_cap:
-        raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+    _check_string_length(geom, n)
     gaps, weights = _persistence_terms(geom, n)
     return complex(np.exp(-t * gaps) @ weights)
 
@@ -361,6 +371,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
     """
     if not 1 <= geom.n <= geom.m:
         raise ValueError("need 1 <= N <= M")
+    _check_string_length(geom, n)
     orbits = sector_orbits(geom)
     proj = np.array([1.0 if min(b) >= n else 0.0 for b in sector_basis(geom)])
     vec = bethe_vector(geom, bethe_ground_state(geom).phases)

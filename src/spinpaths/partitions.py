@@ -9,7 +9,6 @@ padded to their explicit length.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -93,10 +92,6 @@ def boxed_partitions(n: int, w: int) -> Iterator[Partition]:
             yield from rec(prefix + (p,), p, k - 1)
 
     yield from rec((), w, n)
-
-
-def boxed_partition_count(n: int, w: int) -> int:
-    return comb(n + w, n)
 
 
 def shifted_boxed_partitions(n: int, w: int, shift: int) -> Iterator[Partition]:

@@ -26,7 +26,6 @@ from .partitions import (
     StrictPartition,
     check_partition,
     check_strict_partition,
-    shifted_boxed_partitions,
     weight,
 )
 from .qpoly import QPolynomial
@@ -67,13 +66,6 @@ class PathNest:
             "step_counts": list(self.step_counts),
             "volume": str(self.volume),
         }
-
-    def render(self) -> str:
-        """Small ASCII picture: one line per column, '#' per north step."""
-        return "\n".join(
-            f"x{j + 1}: " + "#" * l for j, l in enumerate(self.step_counts)
-        )
-
 
 def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
     """One nest per SSYT of shape lam with entries <= n."""
@@ -226,14 +218,3 @@ def _configs(words: np.ndarray, ring: int, nwalk: int) -> list[tuple[int, ...]]:
     """Decode occupancy words into strictly decreasing position tuples."""
     cols = _occupancy(words, ring)[::-1].T.nonzero()[1].reshape(len(words), nwalk)
     return list(map(tuple, (ring - 1 - cols).tolist()))
-
-
-def watermelon_count(n: int, m: int, n_string: int) -> int:
-    """Squared-Schur count over the n_string-shifted box; watermelons at n_string=0."""
-    k_cap = m - n + 1
-    if not 0 <= n_string <= k_cap:
-        raise ValueError(f"need 0 <= n <= {k_cap}")
-    total = 0
-    for lam in shifted_boxed_partitions(n, k_cap - n_string, n_string):
-        total += schur_count_at_one(lam, n) ** 2
-    return total

@@ -34,10 +34,6 @@ class QPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "QPolynomial":
-        return cls({exponent: coeff})
-
-    @classmethod
     def one_minus_q_pow(cls, m: int) -> "QPolynomial":
         """1 - q^m."""
         if m == 0:
@@ -133,10 +129,6 @@ class QPolynomial:
         """Exponent -> decimal-string coefficient; lossless for big ints."""
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
 
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> "QPolynomial":
-        return cls({int(e): int(c) for e, c in data.items()})
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -161,13 +153,6 @@ class QPolynomial:
 def q_integer(n: int) -> QPolynomial:
     """[n] = 1 + q + ... + q^{n-1}."""
     return QPolynomial({e: 1 for e in range(n)})
-
-
-def q_factorial(n: int) -> QPolynomial:
-    out = QPolynomial.one()
-    for k in range(1, n + 1):
-        out = out * q_integer(k)
-    return out
 
 
 def q_binomial(big: int, small: int) -> QPolynomial:

@@ -17,13 +17,12 @@ from spinpaths.chain import (
     hopping_matrix,
     hopping_power,
     momentum_table,
-    norm_squared,
     sector_basis,
     sector_orbits,
 )
 from spinpaths.cli import main
 from spinpaths.partitions import mu_to_lambda
-from spinpaths.schur import schur_determinant
+from spinpaths.schur import schur_determinant, vandermonde
 
 
 def test_geometry_validation():
@@ -212,18 +211,12 @@ def test_ground_state():
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (5, 2)])
 def test_norm_squared_matches_vector_norm(m, n):
+    # the closed form (M+1)^N / |V|^2 that the persistence weights rely on
     geom = ChainGeometry(m, n)
     for phases in momentum_table(geom).phases:
         vec = bethe_vector(geom, phases)
-        assert norm_squared(geom, phases) == pytest.approx(
+        assert geom.sites ** n / abs(vandermonde(phases)) ** 2 == pytest.approx(
             float(np.vdot(vec, vec).real), rel=1e-10)
-
-
-def test_norm_squared_frozen_ground_value():
-    # (M+1)^N / |V|^2 at M=4, N=2 ground momenta
-    geom = ChainGeometry(4, 2)
-    assert norm_squared(geom, bethe_ground_state(geom).phases) == pytest.approx(
-        18.090169943749475, rel=1e-12)
 
 
 def test_momenta_json(capsys):

@@ -172,7 +172,15 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-@pytest.mark.parametrize("grid", ["0:0:1", "0:-0.1:1"])
+# the exit code of each --t grid: a non-finite value is bad input (2), and
+# a grid of more than 10^6 times is over the cap (3); the last grid's step
+# is below half the float spacing at 1e16, so it never moves its value
+GRIDS = {"0:0:1": 2, "0:-0.1:1": 2, "0:nan:1": 2, "nan:0.1:1": 2,
+         "0:0.1:nan": 2, "nan": 2, "inf": 2, "0:1e-9:1": 3,
+         "1e16:0.5:1.000000000000001e16": 3}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
 def test_sweep_persistence_nonpositive_step_is_bad_input(grid):
     # such a step never reaches the stop, so the grid grew without bound;
     # the memory cap and timeout make a regression fail instead of hang
@@ -181,9 +189,10 @@ def test_sweep_persistence_nonpositive_step_is_bad_input(grid):
                           "--string-n", "0", "--t", grid],
                          capture_output=True, text=True, timeout=60,
                          preexec_fn=_limit_memory)
-    assert out.returncode == 2
+    assert out.returncode == GRIDS[grid]
     assert out.stdout == ""
-    assert json.loads(out.stderr)["error"] == "bad-input"
+    assert json.loads(out.stderr)["error"] == \
+        {2: "bad-input", 3: "cap-exceeded"}[GRIDS[grid]]
 
 
 @pytest.mark.parametrize("argv, missing", [

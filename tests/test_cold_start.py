@@ -20,7 +20,7 @@ import spinpaths
 EXPORTS = {
     "chain": ["ChainGeometry", "bethe_ground_state", "bethe_vector",
               "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
-              "momentum_table", "norm_squared", "sector_basis"],
+              "momentum_table", "sector_basis"],
     "correlators": ["equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",
                     "persistence_spectral", "transition_amplitude",
@@ -29,7 +29,7 @@ EXPORTS = {
                    "staircase"],
     "paths": ["PathNest", "conjugate_nest_partition_function",
               "count_random_turns_paths", "enumerate_nests",
-              "nest_partition_function", "watermelon_count"],
+              "nest_partition_function"],
     "qpoly": ["QPolynomial", "macmahon_count", "macmahon_z", "q_binomial"],
     "schur": ["projection_average_q", "schur_count_at_one",
               "schur_determinant", "schur_evaluate", "vandermonde"],

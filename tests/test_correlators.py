@@ -321,6 +321,24 @@ def test_transition_amplitude_validation():
         transition_amplitude(geom, (1.0, 1.0), (1.0, 1.0), 9, 0.1)
 
 
+ONES = (1.0, 1.0, 1.0)
+STRING_ROUTES = {
+    "persistence_spectral": lambda geom, n: persistence_spectral(geom, n, 0.5),
+    "persistence_exact": lambda geom, n: persistence_exact(geom, n, 0.5),
+    "transition_amplitude": lambda geom, n: transition_amplitude(geom, ONES, ONES, n, 0.5),
+    "transition_amplitude_exact":
+        lambda geom, n: transition_amplitude_exact(geom, ONES, ONES, n, 0.5),
+}
+
+
+@pytest.mark.parametrize("route", STRING_ROUTES)
+@pytest.mark.parametrize("n", [-1, 5])
+def test_string_length_out_of_range_raises(route, n):
+    # k_cap = 4 at (6, 3); the oracles returned 1 and 0 here instead
+    with pytest.raises(ValueError, match="need 0 <= n <= 4"):
+        STRING_ROUTES[route](ChainGeometry(6, 3), n)
+
+
 # ------------------------------------------------------- counting identity
 
 @pytest.mark.parametrize("m,n,shift,steps", [(3, 1, 0, 4), (3, 1, 1, 3),

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from spinpaths.partitions import (
     boxed_partitions,
-    boxed_partition_count,
     check_partition,
     lambda_to_mu,
     mu_to_lambda,
@@ -54,7 +53,7 @@ def test_invalid_inputs():
 @pytest.mark.parametrize("n,w", [(1, 2), (2, 1), (2, 2), (3, 3), (4, 2)])
 def test_boxed_count(n, w):
     got = list(boxed_partitions(n, w))
-    assert len(got) == comb(n + w, n) == boxed_partition_count(n, w)
+    assert len(got) == comb(n + w, n)
     assert len(set(got)) == len(got)
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpaths.chain import ChainGeometry, hopping_power, sector_basis
-from spinpaths.partitions import boxed_partitions
 from spinpaths.paths import (
     PathNest,
     conjugate_nest_partition_function,
@@ -14,7 +13,6 @@ from spinpaths.paths import (
     nest_partition_function,
     random_turns_counts_from,
     random_turns_frontiers,
-    watermelon_count,
 )
 from spinpaths.qpoly import QPolynomial
 from spinpaths.schur import schur_count_at_one, schur_determinant, schur_q_polynomial
@@ -218,17 +216,8 @@ def test_series_matches_single_counts():
         count_random_turns_series((4, 0), (1, 0), [1], 3)
 
 
-def test_watermelon_examples():
-    assert watermelon_count(1, 1, 0) == 2
-    # full string: single rectangular shape with a unique tableau
-    assert watermelon_count(2, 3, 2) == 1
-    expected = sum(schur_count_at_one(lam, 2) ** 2 for lam in boxed_partitions(2, 2))
-    assert watermelon_count(2, 3, 0) == expected
-
-
 def test_nest_json_and_render():
     nest = next(iter(enumerate_nests((2, 1), 2)))
     doc = nest.to_json()
     assert doc["shape"] == [2, 1]
     assert isinstance(doc["volume"], str)
-    assert "#" in nest.render()

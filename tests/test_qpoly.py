@@ -10,7 +10,6 @@ from spinpaths.qpoly import (
     macmahon_z,
     q_binomial,
     q_binomial_extended,
-    q_factorial,
     q_integer,
     qpoly_matrix_det,
 )
@@ -68,7 +67,7 @@ def gaussian_recursion(big, small):
     if small in (0, big):
         return QPolynomial.one()
     return gaussian_recursion(big - 1, small - 1) + \
-        QPolynomial.monomial(small) * gaussian_recursion(big - 1, small)
+        QPolynomial({small: 1}) * gaussian_recursion(big - 1, small)
 
 
 @pytest.mark.parametrize("big", range(1, 8))
@@ -82,10 +81,6 @@ def test_q_binomial_symmetry(big):
     for small in range(big + 1):
         assert q_binomial(big, small) == q_binomial(big, big - small)
         assert q_binomial(big, small).at_one() == comb(big, small)
-
-
-def test_q_factorial():
-    assert q_factorial(3) == q_integer(1) * q_integer(2) * q_integer(3)
 
 
 def test_macmahon_trivial():
@@ -117,14 +112,9 @@ def test_q_one_collapse():
             assert macmahon_z(n, k).at_one() == macmahon_count(n, k)
 
 
-def test_json_round_trip():
-    p = q_binomial(6, 3)
-    assert QPolynomial.from_json(p.to_json()) == p
-
-
 def test_matrix_det():
     one = QPolynomial.one()
-    q = QPolynomial.monomial(1)
+    q = QPolynomial({1: 1})
     assert qpoly_matrix_det([]) == one
     assert qpoly_matrix_det([[q]]) == q
     assert qpoly_matrix_det([[one, q], [q, one]]) == one - q * q
