@@ -1,10 +1,10 @@
 """The identities `spinpaths verify` machine-checks, in one registry.
 
-Every check passes by `core.within_bound`, as the route checks do.  The
-numeric identities import numpy and `correlators` only when they run.
+Every check passes by `core.within_bound`, as the route checks do.  Each
+check imports what it uses when it runs, numpy and `correlators` included.
 """
 
-from . import core, partitions, qpoly, schur
+from . import core
 
 CAUCHY_BINET_TOL = 1e-9
 SCHUR_DUAL_TOL = 1e-10
@@ -25,6 +25,7 @@ def _equality_of_sums(args) -> list[dict]:
 
 def _cauchy_binet(args) -> list[dict]:
     import numpy as np
+    from . import schur
     rng = np.random.default_rng(args.seed)
     out = []
     for trial in range(args.trials):
@@ -51,6 +52,7 @@ def _persistence(args) -> list[dict]:
 
 
 def _macmahon(args) -> list[dict]:
+    from . import qpoly
     out = []
     for n in range(1, args.n + 1):
         for k in range(0, args.k + 1):
@@ -62,6 +64,7 @@ def _macmahon(args) -> list[dict]:
 
 def _schur_dual(args) -> list[dict]:
     import numpy as np
+    from . import partitions, schur
     rng = np.random.default_rng(args.seed)
     resids = {}  # per shape, one residual per trial
     for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
@@ -77,6 +80,7 @@ def _schur_dual(args) -> list[dict]:
 
 
 def _q_chain(args) -> list[dict]:
+    from . import qpoly, schur
     out = []
     for n_str in range(0, args.k + 1):
         geom = core.ChainGeometry(args.n + args.k - 1, args.n)

@@ -9,8 +9,8 @@ integers are emitted as decimal strings and complex values as
 {"re": .., "im": ..} objects, so output round-trips losslessly.
 Identical invocations produce byte-identical output.
 
-Only numpy-free modules load here; a verb that needs numpy, `chain` or
-`correlators` imports them inside the verb.
+Each verb imports only what it runs: this module loads `core` and `checks`,
+and any other module is imported inside the verb or branch that calls it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from . import checks, core, paths, qpoly, schur
+from . import checks, core
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -69,12 +69,14 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 
 def cmd_schur(args) -> int:
+    from . import schur
     lam = _parse_int_tuple(args.shape, "--shape")
     nvar = args.vars
     if args.at_ones:
         _emit({"shape": list(lam), "vars": nvar,
                "count": str(schur.schur_count_at_one(lam, nvar))})
     elif args.q_symbolic is not None:
+        from . import paths
         if args.q_symbolic == "qvec":
             poly = paths.nest_partition_function(lam, nvar)
         elif args.q_symbolic == "qvec-over-q":
@@ -96,6 +98,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import paths
     if args.count:
         start = _parse_int_tuple(args.start, "--start")
         end = _parse_int_tuple(args.end, "--end")
@@ -216,6 +219,7 @@ def cmd_sweep(args) -> int:
                 rows.append([args.m, args.n, n_str, t, repr(val.real)])
         _emit_csv(["m", "n", "string_n", "t", "value"], rows)
     elif args.subject == "path-counts":
+        from . import paths
         start = _parse_int_tuple(args.start, "--start")
         end = _parse_int_tuple(args.end, "--end") if args.end else start
         ks = _parse_range(args.steps)
@@ -225,6 +229,7 @@ def cmd_sweep(args) -> int:
                 for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)
     elif args.subject == "macmahon":
+        from . import qpoly
         rows = []
         for n in _parse_range(args.box_n):
             for k in _parse_range(args.box_k):

@@ -5,8 +5,7 @@ Numpy-free, so the integer verbs can use them; `chain`, `correlators`
 and `schur` import these names back.
 """
 
-from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 
 class SectorCapError(RuntimeError):
@@ -35,7 +34,10 @@ class FloatOverflowError(RuntimeError):
 
 def relative_residual(value, reference) -> float:
     """|value - reference| / max(1, |reference|): the residual of every route check."""
-    return abs(value - reference) / max(1.0, abs(reference))
+    try:
+        return abs(value - reference) / max(1.0, abs(reference))
+    except OverflowError:  # the modulus of a finite complex past the float range
+        return inf
 
 
 def within_bound(residual: float, bound: float) -> bool:
@@ -55,18 +57,45 @@ def complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-@dataclass(frozen=True)
-class ChainGeometry:
+class FrozenRecord:
+    """An immutable value: `__init__` sets each `__slots__` field once, and
+    equality, hash and repr go by the fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ChainGeometry(FrozenRecord):
     """Ring of m+1 sites holding n down spins."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, n: int):
+        if m < 1:
             raise ValueError("need at least a 2-site ring (m >= 1)")
-        if not 0 <= self.n <= self.m + 1:
-            raise ValueError(f"down-spin count {self.n} outside 0..{self.m + 1}")
+        if not 0 <= n <= m + 1:
+            raise ValueError(f"down-spin count {n} outside 0..{m + 1}")
+        self.m, self.n = m, n
 
     @property
     def sites(self) -> int:

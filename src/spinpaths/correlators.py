@@ -44,7 +44,6 @@ from .partitions import (
     lambda_to_mu,
     shifted_boxed_partitions,
 )
-from .paths import frontier_counts, random_turns_frontiers
 from .schur import (
     jacobi_trudi_rows,
     schur_count_at_one,
@@ -308,6 +307,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
 
     A failing comparison is reported, not raised.
     """
+    from .paths import frontier_counts, random_turns_frontiers
     nvar = geom.n
     _check_string_length(geom, n)
     if steps < 0:
@@ -340,7 +340,14 @@ def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
         raise ValueError("need 1 <= N <= M")
     _check_string_length(geom, n)
     gaps, weights = _persistence_terms(geom, n)
-    return complex(np.exp(-t * gaps) @ weights)
+    # each term is at most exp(max Re(-t gaps)), the sum sum(weights) times that
+    exponent = -t * gaps
+    log_max = exponent.real.max() + np.log(max(1.0, weights.sum()))
+    if log_max > FLOAT_LOG_MAX:
+        raise FloatOverflowError(
+            f"the persistence sum at t={t} can reach exp({log_max:.1f}), "
+            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
+    return complex(np.exp(exponent) @ weights)
 
 
 @lru_cache(maxsize=32)

@@ -15,12 +15,12 @@ the DP imports numpy, so the nest verbs start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import schur
-from .core import EnumerationCapError
+from .core import EnumerationCapError, FrozenRecord
 from .partitions import (
     Partition,
     StrictPartition,
@@ -41,23 +41,18 @@ if TYPE_CHECKING:
 _WORD_BITS = 62   # sites per int64 occupancy word; the sign bit is never set
 
 
-@dataclass(frozen=True)
-class PathNest:
+class PathNest(FrozenRecord):
     """One nest of mutually avoiding paths, encoded by its column step counts."""
 
-    kind: str                      # "C", "B" or "watermelon"
-    shape: Partition
-    step_counts: tuple[int, ...]   # l_1 .. l_N
-    volume: int = field(init=False)
+    __slots__ = ("kind", "shape", "step_counts", "volume")
 
-    def __post_init__(self):
-        n = len(self.step_counts)
-        object.__setattr__(
-            self, "volume",
-            sum((n - j - 1) * self.step_counts[j] for j in range(n)),
-        )
-        if self.kind == "C" and sum(self.step_counts) != weight(self.shape):
+    def __init__(self, kind: str, shape: Partition, step_counts: tuple[int, ...]):
+        # kind is "C", "B" or "watermelon"; step_counts is l_1 .. l_N
+        n = len(step_counts)
+        if kind == "C" and sum(step_counts) != weight(shape):
             raise ValueError("step counts do not add up to the shape weight")
+        self.kind, self.shape, self.step_counts = kind, shape, step_counts
+        self.volume = sum((n - j - 1) * step_counts[j] for j in range(n))
 
     def to_json(self) -> dict:
         return {
@@ -79,11 +74,7 @@ def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
 def nest_partition_function(lam: Partition, n: int) -> QPolynomial:
     """Sum of q^{|lam| + volume} over nests; equals the Schur value at (q,..,q^n)."""
     w = weight(check_partition(lam))
-    out: dict[int, int] = {}
-    for nest in enumerate_nests(lam, n):
-        e = w + nest.volume
-        out[e] = out.get(e, 0) + 1
-    return QPolynomial(out)
+    return QPolynomial(Counter(w + nest.volume for nest in enumerate_nests(lam, n)))
 
 
 def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolynomial:
@@ -94,11 +85,8 @@ def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolyno
     lam = check_partition(lam)
     if lam and lam[0] > m - n + 1:
         raise ValueError(f"shape {lam} does not fit the width bound {m - n + 1}")
-    out: dict[int, int] = {}
-    for nest in enumerate_nests(lam, n):
-        e = sum(j * l for j, l in enumerate(nest.step_counts))
-        out[e] = out.get(e, 0) + 1
-    return QPolynomial(out)
+    return QPolynomial(Counter(sum(j * l for j, l in enumerate(nest.step_counts))
+                               for nest in enumerate_nests(lam, n)))
 
 
 def count_random_turns_paths(start: StrictPartition, end: StrictPartition,

@@ -7,7 +7,6 @@ asserts a zero remainder so silent truncation is impossible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -193,12 +192,13 @@ def macmahon_count(n: int, k: int) -> int:
     """Number of plane partitions in an n x n x k box, by the product formula."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1, k >= 0")
-    acc = Fraction(1)
+    num = den = 1
     for j in range(1, n + 1):
         for l in range(1, n + 1):
-            acc *= Fraction(k + j + l - 1, j + l - 1)
-    assert acc.denominator == 1
-    return acc.numerator
+            num *= k + j + l - 1
+            den *= j + l - 1
+    assert num % den == 0
+    return num // den
 
 
 def qpoly_matrix_det(mat: list[list[QPolynomial]]) -> QPolynomial:

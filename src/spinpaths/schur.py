@@ -5,14 +5,13 @@ arguments; the tableau route is exact everywhere but enumerative.  Both
 are kept and cross-checked; `schur_values` picks the valid one per point.
 The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
 spectral routes take each boxed sum as one determinant (Cauchy-Binet).
-Only the numeric functions import numpy, so the integer verbs start
-without it.
+Only the numeric functions import numpy, and only the q-functions
+`qpoly`, so `schur --at-ones` starts without either.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import CoincidentArgumentsError, EnumerationCapError
@@ -23,10 +22,10 @@ from .partitions import (
     mu_to_lambda,
     shifted_boxed_partitions,
 )
-from .qpoly import QPolynomial
 
 if TYPE_CHECKING:
     import numpy as np
+    from .qpoly import QPolynomial
 
 SEPARATION_TOL = 1e-9
 DEFAULT_ENUM_CAP = 10_000_000
@@ -149,12 +148,13 @@ def schur_count_at_one(lam: Partition, n: int) -> int:
     if len(lam) > n:
         return 0
     mu = lambda_to_mu(lam, n)
-    acc = Fraction(1)
+    num = den = 1
     for j in range(n):
         for k in range(j + 1, n):
-            acc *= Fraction(mu[j] - mu[k], k - j)
-    assert acc.denominator == 1
-    return acc.numerator
+            num *= mu[j] - mu[k]
+            den *= k - j
+    assert num % den == 0
+    return num // den
 
 
 def schur_evaluate(lam: Partition, x: Sequence[complex]) -> complex:
@@ -182,6 +182,7 @@ def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
 
 def schur_q_polynomial(lam: Partition, exponents: Sequence[int]) -> QPolynomial:
     """Exact Schur value at x_j = q^{exponents[j]} as a polynomial in q."""
+    from .qpoly import QPolynomial
     n = len(exponents)
     out: dict[int, int] = {}
     for expo, mult in schur_monomials(lam, n).items():
@@ -234,6 +235,7 @@ def projection_average_q(n_vars: int, m_sites: int, n_string: int) -> QPolynomia
 
     Equals q^{n*N^2} * macmahon_z(N, K - n) with K = M - N + 1.
     """
+    from .qpoly import QPolynomial
     k_cap = m_sites - n_vars + 1
     if not 0 <= n_string <= k_cap:
         raise ValueError(f"need 0 <= n <= {k_cap}")

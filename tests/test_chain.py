@@ -36,6 +36,25 @@ def test_geometry_validation():
         ChainGeometry(3, 5)
 
 
+def test_geometry_is_an_immutable_value():
+    geom = ChainGeometry(4, 2)
+    assert geom == ChainGeometry(m=4, n=2)
+    assert geom != ChainGeometry(4, 1)
+    assert geom != (4, 2)
+    assert hash(geom) == hash(ChainGeometry(4, 2))
+    assert len({geom, ChainGeometry(4, 2), ChainGeometry(5, 2)}) == 2
+    assert repr(geom) == "ChainGeometry(m=4, n=2)"
+    with pytest.raises(AttributeError):
+        geom.m = 5
+    with pytest.raises(AttributeError):
+        del geom.n
+    with pytest.raises(AttributeError):
+        geom.extra = 1
+    assert (geom.m, geom.n) == (4, 2)
+    # the momentum table is cached by geometry: an equal geometry hits it
+    assert momentum_table(ChainGeometry(4, 2)) is momentum_table(geom)
+
+
 def test_sector_basis():
     basis = sector_basis(ChainGeometry(3, 2))
     assert len(basis) == 6

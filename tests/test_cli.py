@@ -277,6 +277,21 @@ def test_exit_code_failed_check():
     assert doc["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["correlator", "--kind", "persistence"],
+    ["sweep", "persistence"],
+], ids=" ".join)
+def test_persistence_past_the_float_range_is_float_overflow(argv):
+    # at t = -800 the largest gap, 2.93, gives exp(2341.6); the sweep printed
+    # inf with exit 0, and the correlator's route check raised OverflowError
+    out = run_cli(argv + ["--m", "4", "--n", "2", "--string-n", "1", "--t=-800"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    doc = json.loads(out.stderr.strip())
+    assert doc["error"] == "float-overflow"
+    assert "2341.6" in doc["detail"]
+
+
 def test_config_file_equivalent(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({

@@ -14,6 +14,7 @@ from spinpaths.chain import (
     sector_basis,
 )
 from spinpaths import correlators
+from spinpaths.core import relative_residual, within_bound
 from spinpaths.correlators import (
     FloatOverflowError,
     IntegerRoundingError,
@@ -191,12 +192,21 @@ def test_multi_particle_large_t_raises_float_overflow():
     # four walkers on four sites: `exp` overflows on the largest exponent
     (multi_particle_g_detailed,
      (ChainGeometry(3, 4), (3, 2, 1, 0), (3, 2, 1, 0), 1500), "4242.6"),
-], ids=["transition-6-3", "multi-9-3", "multi-3-4"])
+    # the largest gap 2.93 at t = -800; that subset's weight is rounding noise
+    (persistence_spectral, (ChainGeometry(4, 2), 1, -800.0), "2341.6"),
+], ids=["transition-6-3", "multi-9-3", "multi-3-4", "persistence-4-2"])
 def test_float_overflow_raised_before_numpy_overflows(route, args, bound):
     # the suite turns numpy's overflow RuntimeWarning into an error, so the
     # bound must fire before `exp` or `det` is reached
     with pytest.raises(FloatOverflowError, match=bound):
         route(*args)
+
+
+def test_residual_of_an_overflowing_modulus_fails_the_check():
+    # abs() of this finite complex is past the float range
+    resid = relative_residual(complex(1.7e308, 1.7e308), 0.77)
+    assert resid == float("inf")
+    assert not within_bound(resid, correlators.ROUTE_TOL_AMPLITUDE)
 
 
 def test_multi_particle_nan_route_raises(monkeypatch):

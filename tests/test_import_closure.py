@@ -1,0 +1,56 @@
+"""Each CLI verb imports only the modules it runs.
+
+Every case runs one verb in a fresh interpreter, because a module, once
+imported by any test, stays in this process's `sys.modules`.  Only module
+sets are checked, never timings.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+# standard-library modules that cost a start-up and that no integer verb needs
+HEAVY_STDLIB = {"dataclasses", "fractions", "decimal"}
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    """The modules in `sys.modules` after `spinpaths.cli.main(argv)` returns 0."""
+    script = ("import json, sys\n"
+              "from spinpaths.cli import main\n"
+              f"code = main({argv!r})\n"
+              "sys.stderr.write('\\n' + json.dumps([code, sorted(sys.modules)]) + '\\n')\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, modules = json.loads(out.stderr.strip().splitlines()[-1])
+    assert code == 0, out.stderr
+    return set(modules)
+
+
+def test_schur_at_ones_loads_only_what_it_runs():
+    modules = loaded_modules(["schur", "--shape", "2,1", "--vars", "3", "--at-ones"])
+    package = {m for m in modules if m.startswith("spinpaths.")}
+    assert package == {"spinpaths.cli", "spinpaths.core", "spinpaths.checks",
+                       "spinpaths.partitions", "spinpaths.schur"}
+    assert not modules & HEAVY_STDLIB
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "macmahon", "--n", "3", "--k", "2"],
+    ["schur", "--shape", "3,1", "--vars", "3", "--q-symbolic", "qvec"],
+], ids=" ".join)
+def test_integer_verbs_load_no_dataclasses_or_fractions(argv):
+    assert not loaded_modules(argv) & {"dataclasses", "fractions"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlator", "--kind", "multi-particle", "--m", "5", "--n", "2",
+     "--j", "3,1", "--l", "4,2", "--t", "0.5"],
+    ["sweep", "persistence", "--m", "4", "--n", "2", "--string-n", "0..1",
+     "--t", "0:0.5:1"],
+], ids=["correlator-multi-particle", "sweep-persistence"])
+def test_spectral_verbs_load_no_paths_or_qpoly(argv):
+    modules = loaded_modules(argv)
+    assert "spinpaths.correlators" in modules
+    assert not modules & {"spinpaths.paths", "spinpaths.qpoly"}

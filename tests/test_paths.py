@@ -47,6 +47,24 @@ def test_volume_definition():
         PathNest("C", (2, 1), (1, 1, 0))
 
 
+def test_nest_is_an_immutable_value():
+    nest = PathNest("C", (2, 1), (2, 1, 0))
+    assert nest == PathNest(kind="C", shape=(2, 1), step_counts=(2, 1, 0))
+    assert nest != PathNest("C", (2, 1), (1, 2, 0))
+    assert nest != PathNest("B", (2, 1), (2, 1, 0))
+    assert hash(nest) == hash(PathNest("C", (2, 1), (2, 1, 0)))
+    # 8 tableaux, two of them with the step counts (1, 1, 1)
+    assert len(set(enumerate_nests((2, 1), 3))) == 7
+    assert repr(nest) == \
+        "PathNest(kind='C', shape=(2, 1), step_counts=(2, 1, 0), volume=5)"
+    for field in ("kind", "shape", "step_counts", "volume"):
+        with pytest.raises(AttributeError):
+            setattr(nest, field, None)
+        with pytest.raises(AttributeError):
+            delattr(nest, field)
+    assert nest.volume == 5
+
+
 def test_nest_partition_function_examples():
     assert nest_partition_function((0,), 1) == QPolynomial.one()
     assert nest_partition_function((1,), 2) == QPolynomial({1: 1, 2: 1})

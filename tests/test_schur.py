@@ -86,8 +86,10 @@ def test_ssyt_single_box():
 
 
 def test_ssyt_count_matches_product_formula():
-    for lam in [(2, 1), (3, 2), (2, 2, 1), (4,)]:
-        for n in range(len(lam), 5):
+    # every shape in a 4 x 4 box, zero parts dropped, in 0 to 5 variables
+    for box_shape in boxed_partitions(4, 4):
+        lam = tuple(p for p in box_shape if p)
+        for n in range(6):
             assert len(list(ssyt(lam, n))) == schur_count_at_one(lam, n)
 
 
