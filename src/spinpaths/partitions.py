@@ -8,7 +8,7 @@ padded to their explicit length.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -83,15 +83,7 @@ def boxed_partitions(n: int, w: int) -> Iterator[Partition]:
     """
     if n < 1 or w < 0:
         raise ValueError("need n >= 1, w >= 0")
-
-    def rec(prefix: tuple[int, ...], bound: int, k: int) -> Iterator[Partition]:
-        if k == 0:
-            yield prefix
-            return
-        for p in range(bound, -1, -1):
-            yield from rec(prefix + (p,), p, k - 1)
-
-    yield from rec((), w, n)
+    return combinations_with_replacement(range(w, -1, -1), n)
 
 
 def shifted_boxed_partitions(n: int, w: int, shift: int) -> Iterator[Partition]:
@@ -102,5 +94,4 @@ def shifted_boxed_partitions(n: int, w: int, shift: int) -> Iterator[Partition]:
 
 def descending_subsets(top: int, n: int) -> Iterator[StrictPartition]:
     """All n-element subsets of {0..top} as descending tuples, lexicographic."""
-    for comb_ in combinations(range(top, -1, -1), n):
-        yield comb_
+    return combinations(range(top, -1, -1), n)

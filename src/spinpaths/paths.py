@@ -10,7 +10,8 @@ occupancy bits into int64 words (62 sites per word, so any ring size
 takes the same path) beside an object array of Python-int counts; each
 tick moves all rows at once in numpy.  One walk from weighted starts
 serves every step count and, by linearity, every start at once.  Only
-the DP imports numpy, so the nest verbs start without it.
+the DP imports numpy and only the nest partition functions `qpoly`, so
+the nest verbs start without numpy and the walker verbs without `qpoly`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .partitions import (
     check_strict_partition,
     weight,
 )
-from .qpoly import QPolynomial
 from .schur import (
     schur_count_at_one,
     ssyt,
@@ -37,6 +37,7 @@ from .schur import (
 
 if TYPE_CHECKING:
     import numpy as np
+    from .qpoly import QPolynomial
 
 _WORD_BITS = 62   # sites per int64 occupancy word; the sign bit is never set
 
@@ -73,6 +74,7 @@ def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
 
 def nest_partition_function(lam: Partition, n: int) -> QPolynomial:
     """Sum of q^{|lam| + volume} over nests; equals the Schur value at (q,..,q^n)."""
+    from .qpoly import QPolynomial
     w = weight(check_partition(lam))
     return QPolynomial(Counter(w + nest.volume for nest in enumerate_nests(lam, n)))
 
@@ -82,6 +84,7 @@ def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolyno
 
     Weighted by q^{sum_j (j-1) l_j} over the same step-count data.
     """
+    from .qpoly import QPolynomial
     lam = check_partition(lam)
     if lam and lam[0] > m - n + 1:
         raise ValueError(f"shape {lam} does not fit the width bound {m - n + 1}")

@@ -1,13 +1,16 @@
 """Exact polynomials in q with arbitrary-precision integer coefficients.
 
 Backs the q-binomials, the box generating function of plane partitions,
-and the path-nest partition functions.  All arithmetic is exact; division
-asserts a zero remainder so silent truncation is impossible.
+the hook-content Schur values and the path-nest partition functions, with
+one `q_product_ratio` and a fraction-free (Bareiss) determinant.  All
+arithmetic is exact; division raises on a nonzero remainder.
 """
 
 from __future__ import annotations
 
-from math import comb
+from collections import Counter
+from math import comb, prod
+from typing import Iterable
 
 
 class QPolynomial:
@@ -67,9 +70,6 @@ class QPolynomial:
             out[e] = out.get(e, 0) - c
         return QPolynomial(out)
 
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QPolynomial({e: c * other for e, c in self.coeffs.items()})
@@ -83,11 +83,8 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "QPolynomial":
-        """Multiply by q^k.  Negative k demands exact divisibility by q^{-k}."""
-        if k >= 0:
-            return QPolynomial({e + k: c for e, c in self.coeffs.items()})
-        if any(e + k < 0 for e in self.coeffs):
-            raise ValueError(f"not divisible by q^{-k}")
+        """Multiply by q^k.  Negative k demands exact divisibility by q^{-k}:
+        the constructor raises on the negative exponent otherwise."""
         return QPolynomial({e + k: c for e, c in self.coeffs.items()})
 
     def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
@@ -100,21 +97,15 @@ class QPolynomial:
         quot: dict[int, int] = {}
         while rem:
             deg_r = max(rem)
-            if deg_r < deg_o:
+            qc, r = divmod(rem[deg_r], lead)
+            if deg_r < deg_o or r:
                 raise ValueError("nonzero remainder in exact division")
-            head = rem[deg_r]
-            if head % lead:
-                raise ValueError("nonzero remainder in exact division")
-            qc = head // lead
             qe = deg_r - deg_o
             quot[qe] = qc
             for e, c in other.coeffs.items():
-                e2 = e + qe
-                nc = rem.get(e2, 0) - qc * c
+                nc = rem.pop(e + qe, 0) - qc * c
                 if nc:
-                    rem[e2] = nc
-                else:
-                    rem.pop(e2, None)
+                    rem[e + qe] = nc
         return QPolynomial(quot)
 
     def __call__(self, q) :
@@ -149,21 +140,23 @@ class QPolynomial:
         return f"QPolynomial({self.coeffs!r})"
 
 
-def q_integer(n: int) -> QPolynomial:
-    """[n] = 1 + q + ... + q^{n-1}."""
-    return QPolynomial({e: 1 for e in range(n)})
+def q_product_ratio(nums: Iterable[int], dens: Iterable[int]) -> QPolynomial:
+    """prod_a (1 - q^a) / prod_b (1 - q^b) for b > 0: equal exponents cancel,
+    then one `divide_exact`, which raises if the ratio is no polynomial."""
+    nums, dens = Counter(nums), Counter(dens)
+    num = den = QPolynomial.one()
+    for a in (nums - dens).elements():
+        num = num * QPolynomial.one_minus_q_pow(a)
+    for b in (dens - nums).elements():
+        den = den * QPolynomial.one_minus_q_pow(b)
+    return num.divide_exact(den)
 
 
 def q_binomial(big: int, small: int) -> QPolynomial:
     """Gaussian binomial coefficient [big choose small]."""
     if small < 0 or small > big:
         raise ValueError(f"need 0 <= {small} <= {big}")
-    num = QPolynomial.one()
-    den = QPolynomial.one()
-    for k in range(small):
-        num = num * q_integer(big - k)
-        den = den * q_integer(k + 1)
-    out = num.divide_exact(den)
+    out = q_product_ratio(range(big - small + 1, big + 1), range(1, small + 1))
     assert out.at_one() == comb(big, small)
     return out
 
@@ -179,38 +172,34 @@ def macmahon_z(n: int, k: int) -> QPolynomial:
     """Generating function of plane partitions in an n x n x k box."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1, k >= 0")
-    num = QPolynomial.one()
-    den = QPolynomial.one()
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            num = num * QPolynomial.one_minus_q_pow(k + j + l - 1)
-            den = den * QPolynomial.one_minus_q_pow(j + l - 1)
-    return num.divide_exact(den)
+    hooks = [j + l - 1 for j in range(1, n + 1) for l in range(1, n + 1)]
+    return q_product_ratio([k + h for h in hooks], hooks)
 
 
 def macmahon_count(n: int, k: int) -> int:
     """Number of plane partitions in an n x n x k box, by the product formula."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1, k >= 0")
-    num = den = 1
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            num *= k + j + l - 1
-            den *= j + l - 1
+    hooks = [j + l - 1 for j in range(1, n + 1) for l in range(1, n + 1)]
+    num, den = prod(k + h for h in hooks), prod(hooks)
     assert num % den == 0
     return num // den
 
 
 def qpoly_matrix_det(mat: list[list[QPolynomial]]) -> QPolynomial:
-    """Exact determinant of a small matrix of polynomials, by cofactor expansion."""
-    n = len(mat)
-    if n == 0:
-        return QPolynomial.one()
-    if n == 1:
-        return mat[0][0]
-    out = QPolynomial.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * qpoly_matrix_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+    """Exact determinant by fraction-free (Bareiss) elimination: each step
+    divides exactly by the previous pivot, and a zero pivot swaps in a lower
+    row with a nonzero entry in its column, flipping the sign."""
+    a = [list(row) for row in mat]
+    sign, prev = 1, QPolynomial.one()
+    for k in range(len(a) - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, len(a)) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return QPolynomial.zero()
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divide_exact(prev)
+        prev = a[k][k]
+    return a[-1][-1] * sign if a else QPolynomial.one()

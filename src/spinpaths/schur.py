@@ -5,8 +5,10 @@ arguments; the tableau route is exact everywhere but enumerative.  Both
 are kept and cross-checked; `schur_values` picks the valid one per point.
 The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
 spectral routes take each boxed sum as one determinant (Cauchy-Binet).
-Only the numeric functions import numpy, and only the q-functions
-`qpoly`, so `schur --at-ones` starts without either.
+Hook-content gives s_lam(1, q, .., q^{n-1}) with no tableaux.  Every
+entry point drops a shape's zero parts.  Only the numeric functions import
+numpy, and only the q-functions `qpoly`, so `schur --at-ones` starts
+without either.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ if TYPE_CHECKING:
 
 SEPARATION_TOL = 1e-9
 DEFAULT_ENUM_CAP = 10_000_000
+
+
+def _shape(lam: Partition) -> Partition:
+    """The shape rule of every Schur entry point: zero parts are dropped."""
+    return tuple(p for p in check_partition(lam) if p)
 
 
 def vandermonde(x: Sequence[complex]) -> complex:
@@ -84,8 +91,7 @@ def ssyt(lam: Partition, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
     Rows weakly increase, columns strictly increase.
     """
-    lam = check_partition(lam)
-    lam = tuple(p for p in lam if p > 0)
+    lam = _shape(lam)
     if len(lam) > n:
         return
 
@@ -144,7 +150,7 @@ def schur_from_monomials(monomials: Counter, x: Sequence[complex]) -> complex:
 
 def schur_count_at_one(lam: Partition, n: int) -> int:
     """Number of SSYT of shape lam with entries in 1..n, by the product formula."""
-    lam = check_partition(lam)
+    lam = _shape(lam)
     if len(lam) > n:
         return 0
     mu = lambda_to_mu(lam, n)
@@ -159,6 +165,9 @@ def schur_count_at_one(lam: Partition, n: int) -> int:
 
 def schur_evaluate(lam: Partition, x: Sequence[complex]) -> complex:
     """Schur value at x; falls back to tableau enumeration at degenerate points."""
+    lam = _shape(lam)
+    if len(lam) > len(x):
+        return 0j
     return complex(schur_values(x, [lambda_to_mu(lam, len(x))])[0])
 
 
@@ -180,15 +189,18 @@ def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
     return out
 
 
-def schur_q_polynomial(lam: Partition, exponents: Sequence[int]) -> QPolynomial:
-    """Exact Schur value at x_j = q^{exponents[j]} as a polynomial in q."""
-    from .qpoly import QPolynomial
-    n = len(exponents)
-    out: dict[int, int] = {}
-    for expo, mult in schur_monomials(lam, n).items():
-        e = sum(a * b for a, b in zip(expo, exponents))
-        out[e] = out.get(e, 0) + mult
-    return QPolynomial(out)
+def schur_q_polynomial(lam: Partition, n: int) -> QPolynomial:
+    """Exact s_lam(1, q, .., q^{n-1}) by the hook-content formula (Stanley,
+    EC2 §7.21): q^{sum_i (i-1) lam_i} prod_boxes (1 - q^{n+c}) / (1 - q^{hook})."""
+    from .qpoly import QPolynomial, q_product_ratio
+    lam = _shape(lam)
+    if len(lam) > n:
+        return QPolynomial.zero()
+    boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    cols = [sum(row > j for row in lam) for j in range(max(lam, default=0))]
+    ratio = q_product_ratio((n + j - i for i, j in boxes),
+                            (lam[i] - j + cols[j] - i - 1 for i, j in boxes))
+    return ratio.shifted(sum(i * row for i, row in enumerate(lam)))
 
 
 def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
@@ -231,7 +243,8 @@ def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
 
 
 def projection_average_q(n_vars: int, m_sites: int, n_string: int) -> QPolynomial:
-    """Exact q-weighted boxed sum S_lam(q,..,q^N) S_lam(1,..,q^{N-1}).
+    """Exact q-weighted boxed sum S_lam(q,..,q^N) S_lam(1,..,q^{N-1}), where
+    the first factor is q^{|lam|} times the second.
 
     Equals q^{n*N^2} * macmahon_z(N, K - n) with K = M - N + 1.
     """
@@ -239,9 +252,8 @@ def projection_average_q(n_vars: int, m_sites: int, n_string: int) -> QPolynomia
     k_cap = m_sites - n_vars + 1
     if not 0 <= n_string <= k_cap:
         raise ValueError(f"need 0 <= n <= {k_cap}")
-    left = list(range(1, n_vars + 1))
-    right = list(range(n_vars))
     out = QPolynomial.zero()
     for lam in shifted_boxed_partitions(n_vars, k_cap - n_string, n_string):
-        out = out + schur_q_polynomial(lam, left) * schur_q_polynomial(lam, right)
+        s = schur_q_polynomial(lam, n_vars)
+        out = out + (s * s).shifted(sum(lam))
     return out

@@ -37,6 +37,20 @@ def test_schur_q_symbolic():
     assert doc["polynomial"] == {"1": "1", "2": "1"}
 
 
+@pytest.mark.parametrize("shape,count", [("1,0,0", 2), ("1,1,1", 0)])
+def test_schur_modes_share_one_shape_rule(capsys, shape, count):
+    # zero parts are dropped in every mode; s_lam(1, q) at q = 1 and q = 2
+    def run(*mode):
+        assert main(["schur", "--shape", shape, "--vars", "2", *mode]) == 0
+        return json.loads(capsys.readouterr().out)
+    poly = run("--q-symbolic", "qvec-over-q")["polynomial"]
+    assert run("--at-ones")["count"] == str(count)
+    assert sum(int(c) for c in poly.values()) == count
+    value = sum(int(c) * 2 ** int(e) for e, c in poly.items())
+    at = run("--at", "1,2")["value"]
+    assert (at["re"], at["im"]) == (pytest.approx(value), pytest.approx(0.0, abs=1e-12))
+
+
 def test_paths_count_big_integer_as_string():
     out = run_cli(["paths", "--count", "--start", "0", "--end", "0",
                    "--steps", "200", "--m", "6"])
@@ -94,6 +108,15 @@ def test_verify_identities_pass(identity, extra):
     assert out.returncode == 0, out.stdout + out.stderr
     assert json.loads(out.stdout)["pass"] is True
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == VERIFY_DIGESTS[identity]
+
+
+def test_verify_q_chain_past_the_cofactor_sizes():
+    # a 10 x 10 q-binomial determinant: only a polynomial-time route ends in time
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", "q-chain",
+                          "--n", "2", "--k", "9"], capture_output=True, text=True,
+                         timeout=20)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["pass"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,3 +54,13 @@ def test_spectral_verbs_load_no_paths_or_qpoly(argv):
     modules = loaded_modules(argv)
     assert "spinpaths.correlators" in modules
     assert not modules & {"spinpaths.paths", "spinpaths.qpoly"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "--count", "--start", "2,0", "--end", "3,1", "--steps", "2", "--m", "4"],
+    ["sweep", "path-counts", "--m", "4", "--start", "2,0", "--steps", "0..3"],
+], ids=["paths-count", "sweep-path-counts"])
+def test_walker_verbs_load_no_qpoly(argv):
+    modules = loaded_modules(argv)
+    assert "spinpaths.paths" in modules
+    assert "spinpaths.qpoly" not in modules

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpaths.chain import ChainGeometry, hopping_power, sector_basis
+from spinpaths.partitions import boxed_partitions
 from spinpaths.paths import (
     PathNest,
     conjugate_nest_partition_function,
@@ -73,7 +74,7 @@ def test_nest_partition_function_examples():
 @pytest.mark.parametrize("lam,n", [((2, 1), 3), ((3, 2), 2), ((2, 2), 3)])
 def test_nest_partition_function_is_schur_at_q_powers(lam, n):
     poly = nest_partition_function(lam, n)
-    assert poly == schur_q_polynomial(lam, list(range(1, n + 1)))
+    assert poly == schur_q_polynomial(lam, n).shifted(sum(lam))
     q = 0.7
     point = [q ** j for j in range(1, n + 1)]
     assert poly(q) == pytest.approx(schur_determinant(lam, point).real, rel=1e-10)
@@ -87,7 +88,18 @@ def test_conjugate_partition_function_examples():
 @pytest.mark.parametrize("lam,n", [((1,), 2), ((2, 1), 3), ((2, 2), 3)])
 def test_conjugate_partition_function_is_schur_at_shifted_powers(lam, n):
     got = conjugate_nest_partition_function(lam, n, m=n + lam[0])
-    assert got == schur_q_polynomial(lam, list(range(n)))
+    assert got == schur_q_polynomial(lam, n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_nests_match_hook_content_over_a_box(n):
+    # the nests walk tableaux; schur_q_polynomial never does
+    for lam in boxed_partitions(4, 4):
+        hook_content = schur_q_polynomial(lam, n)
+        assert nest_partition_function(lam, n) == hook_content.shifted(sum(lam))
+        m = n + lam[0]
+        assert conjugate_nest_partition_function(lam, n, m) == hook_content
+        assert hook_content.at_one() == schur_count_at_one(lam, n)
 
 
 def test_conjugate_rejects_too_wide_shape():

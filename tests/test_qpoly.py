@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -10,7 +11,6 @@ from spinpaths.qpoly import (
     macmahon_z,
     q_binomial,
     q_binomial_extended,
-    q_integer,
     qpoly_matrix_det,
 )
 
@@ -41,7 +41,7 @@ def test_arithmetic_basics():
 def test_exact_division():
     num = QPolynomial({0: 1, 3: -1})          # 1 - q^3
     den = QPolynomial({0: 1, 1: -1})          # 1 - q
-    assert num.divide_exact(den) == q_integer(3)
+    assert num.divide_exact(den) == QPolynomial({0: 1, 1: 1, 2: 1})
     with pytest.raises(ValueError):
         QPolynomial({0: 1, 1: 1}).divide_exact(QPolynomial({0: 1, 1: -1}))
 
@@ -118,3 +118,41 @@ def test_matrix_det():
     assert qpoly_matrix_det([]) == one
     assert qpoly_matrix_det([[q]]) == q
     assert qpoly_matrix_det([[one, q], [q, one]]) == one - q * q
+
+
+def leibniz_det(mat):
+    """Sum over permutations of the signed products, the independent reference."""
+    out = QPolynomial.zero()
+    for perm in permutations(range(len(mat))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = QPolynomial.one()
+        for row, col in enumerate(perm):
+            term = term * mat[row][col]
+        out = out + term * (-1) ** inversions
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matrix_det_matches_leibniz_with_row_swaps(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 4
+
+    def entry():
+        if rng.random() < 0.3:
+            return QPolynomial.zero()
+        return QPolynomial({rng.randrange(4): rng.randint(-3, 3) for _ in range(3)})
+
+    mat = [[entry() for _ in range(n)] for _ in range(n)]
+    # a zero pivot in the first column forces the elimination to swap rows
+    mat[0][0] = QPolynomial.zero()
+    mat[1][0] = QPolynomial({0: 1, 2: -1})
+    if seed % 10 == 4:
+        mat[-1] = list(mat[0])  # a repeated row
+    if seed % 10 == 9:
+        for row in mat:  # a zero column: no row to swap in
+            row[0] = QPolynomial.zero()
+    det = qpoly_matrix_det(mat)
+    assert det == leibniz_det(mat)
+    if seed % 10 in (4, 9):
+        assert det.is_zero()

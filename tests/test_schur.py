@@ -195,8 +195,12 @@ def test_cauchy_binet_singular_entry():
 
 
 def test_schur_q_polynomial_known():
-    assert schur_q_polynomial((1,), [1, 2]) == QPolynomial({1: 1, 2: 1})
-    assert schur_q_polynomial((1,), [0, 1]) == QPolynomial({0: 1, 1: 1})
+    # s_lam(1, q, .., q^{n-1}); the zero parts of a shape are dropped
+    assert schur_q_polynomial((1,), 2) == QPolynomial({0: 1, 1: 1})
+    assert schur_q_polynomial((1, 0, 0), 2) == QPolynomial({0: 1, 1: 1})
+    assert schur_q_polynomial((2, 1), 3) == QPolynomial({1: 1, 2: 2, 3: 2, 4: 2, 5: 1})
+    assert schur_q_polynomial((1, 1, 1), 2).is_zero()
+    assert schur_q_polynomial((), 0) == QPolynomial.one()
 
 
 @pytest.mark.parametrize("nvar,m,shift", [(1, 1, 0), (1, 3, 2), (2, 3, 0),
