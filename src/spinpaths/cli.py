@@ -102,7 +102,7 @@ def cmd_paths(args) -> int:
     if args.count:
         start = _parse_int_tuple(args.start, "--start")
         end = _parse_int_tuple(args.end, "--end")
-        n = paths.count_random_turns_paths(start, end, args.steps, args.m)
+        (n,) = paths.walker_counts(start, end, [args.steps], args.m)
         _emit({"start": list(start), "end": list(end), "steps": args.steps,
                "m": args.m, "count": str(n)})
     elif args.nests:
@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
         end = _parse_int_tuple(args.end, "--end") if args.end else start
         ks = _parse_range(args.steps)
         # an empty range prints the header alone, whatever the endpoints
-        counts = paths.count_random_turns_series(start, end, ks, args.m) if ks else []
+        counts = paths.walker_counts(start, end, ks, args.m) if ks else []
         rows = [[args.m, "|".join(map(str, start)), "|".join(map(str, end)), k, c]
                 for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)

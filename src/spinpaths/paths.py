@@ -1,23 +1,31 @@
-"""Nests of self-avoiding lattice paths and the vicious-walker enumerator.
+"""Nests of self-avoiding lattice paths and the vicious-walker counts.
 
 Each SSYT row maps to one path; the step count l_j on vertical line j is
 the multiplicity of letter j in the tableau, and the nest volume is
-sum_j (N - j) * l_j.  The random-turns walker count is an exact
-big-integer dynamic program over ring configurations and serves as the
-independent oracle for every path-counting formula in the package.  It
-keeps only the frontier, the configurations reached so far, packed as
-occupancy bits into int64 words (62 sites per word, so any ring size
-takes the same path) beside an object array of Python-int counts; each
-tick moves all rows at once in numpy.  One walk from weighted starts
-serves every step count and, by linearity, every start at once.  Only
-the DP imports numpy and only the nest partition functions `qpoly`, so
-the nest verbs start without numpy and the walker verbs without `qpoly`.
+sum_j (N - j) * l_j.
+
+The random-turns walker count has two exact routes, and `walker_counts`
+runs the one with the smaller a-priori operation count:
+  - LGV (Lindstrom-Gessel-Viennot; Fisher's vicious walkers): the count
+    is K! [t^K] det G(t), G holding the one-walker exponential generating
+    functions of the ring with seam sign (-1)^(N-1), in plain Python ints;
+  - the frontier DP over ring configurations, packed as occupancy bits
+    into int64 words (62 sites per word) beside an object array of
+    Python-int counts, each tick moving all rows at once in numpy.  One
+    walk from weighted starts serves every step count and, by linearity,
+    every start at once.  It is the independent oracle for every
+    path-counting formula in the package (`count_random_turns_paths`).
+Only the DP imports numpy and only the nest partition functions `qpoly`,
+so the nest verbs start without numpy and the walker verbs without
+`qpoly`, and without numpy whenever LGV is the cheaper route.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
+from math import comb
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import schur
@@ -105,16 +113,111 @@ def count_random_turns_paths(start: StrictPartition, end: StrictPartition,
     return random_turns_counts_from(start, steps, m).get(end, 0)
 
 
-def count_random_turns_series(start: StrictPartition, end: StrictPartition,
-                              steps: Sequence[int], m: int) -> list[int]:
-    """`count_random_turns_paths` at each step count in `steps`, from one walk."""
+def walker_counts(start: StrictPartition, end: StrictPartition,
+                  steps: Sequence[int], m: int) -> list[int]:
+    """`count_random_turns_paths` at each step count in `steps`, from one pass.
+
+    Runs the cheaper exact route (`_takes_lgv`), refusing before anything
+    is allocated when both routes are over `schur.DEFAULT_ENUM_CAP`.
+    """
     start, end = _check_endpoints(start, end, m)
     if any(k < 0 for k in steps):
         raise ValueError("steps must be non-negative")
-    walk = random_turns_frontiers({start: 1}, m)
-    series = [frontier_counts(frontier, [end])[0]
-              for frontier in islice(walk, max(steps, default=-1) + 1)]
+    if not steps:
+        return []
+    kmax = max(steps)
+    if _takes_lgv(len(start), m, kmax):
+        series = _lgv_series(start, end, kmax, m)
+    else:
+        # read the frontier only at the wanted ticks: a read costs one pass
+        # over its rows
+        wanted = set(steps)
+        walk = enumerate(islice(random_turns_frontiers({start: 1}, m), kmax + 1))
+        series = {k: frontier_counts(frontier, [end])[0] for k, frontier in walk
+                  if k in wanted}
     return [series[k] for k in steps]
+
+
+def _takes_lgv(n: int, m: int, kmax: int) -> bool:
+    """Whether LGV is the cheaper route for n walkers on m+1 sites up to kmax ticks.
+
+    A-priori operation counts: LGV takes C(n,i)(n-i) EGF products from the
+    i-column minors, (kmax+1)(kmax+2)/2 terms each, after n(m+1)(kmax+1)
+    power-row entries; the DP takes 2n moves per frontier row per tick, over
+    at most C(m+1,n) rows.  Counts grow to `words` machine words, which a DP
+    move adds but an LGV term multiplies, so a term weighs `words` moves.
+    Raises EnumerationCapError when both counts are over the cap; the DP
+    may run past it when LGV is within it but slower.
+    """
+    terms = sum(comb(n, i) * (n - i) for i in range(1, n)) * (kmax + 1) * (kmax + 2) // 2
+    rows = n * (m + 1) * (kmax + 1)
+    dp = kmax * comb(m + 1, n) * 2 * n
+    if min(terms + rows, dp) > schur.DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{min(terms + rows, dp)} walker operations "
+                                  f"exceed cap {schur.DEFAULT_ENUM_CAP}")
+    words = 1 + kmax * (2 * n).bit_length() // 64
+    return terms * words + rows <= dp
+
+
+def ring_power_rows(site: int, m: int, seam: int = 1) -> Iterator[list[int]]:
+    """Row `site` of A^0, A^1, A^2, ... for the adjacency A of the (m+1)-site ring.
+
+    The seam bond between sites m and 0 carries `seam`; on the 2-site ring
+    it doubles the bond (1 + seam), and the 1-site ring has no bond.
+    """
+    row = [0] * (m + 1)
+    row[site] = 1
+    while True:
+        yield row
+        row = list(map(add, [seam * row[-1]] + row[:-1],
+                       row[1:] + [seam * row[0]])) if m else [0]
+
+
+def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
+                m: int) -> list[int]:
+    """k! [t^k] det G(t) for k = 0..kmax, G[i][j] the EGF of start[i] -> end[j].
+
+    Walkers that never meet keep their cyclic order, so a family that winds
+    takes a cyclic shift of the ends, of sign (-1)^(N-1) per crossing of the
+    seam; the seam sign (-1)^(N-1) cancels it.  The minors of the first i
+    rows are memoised by their column bitmask, each with its parity: an
+    even ring is bipartite, so G[i][j] vanishes off k = start[i] - end[j]
+    (mod 2), and a product only sums the terms of matching parity.  It holds
+    the N^2 one-walker series, the minors of two adjacent rows and one row
+    of binomials.
+    """
+    if not start:
+        return [1] + [0] * kmax
+    seam = 1 if len(start) % 2 else -1
+    stride = 1 + m % 2
+    grid = [[[] for _ in end] for _ in start]
+    for a, series in zip(start, grid):
+        for row in islice(ring_power_rows(a, m, seam), kmax + 1):
+            for s, b in zip(series, end):
+                s.append(row[b])
+    minors = {1 << j: ((start[0] - b) % stride, g)
+              for j, (b, g) in enumerate(zip(end, grid[0]))}
+    for a, series in zip(start[1:], grid[1:]):
+        grown, products = {}, []
+        for mask, (p, minor) in minors.items():
+            for j, (b, g) in enumerate(zip(end, series)):
+                if not mask >> j & 1:
+                    q = (p + a - b) % stride
+                    acc = grown.setdefault(mask | 1 << j, (q, [0] * (kmax + 1)))[1]
+                    sign = -1 if bin(mask >> j).count("1") % 2 else 1
+                    products.append((acc, sign, p, q, minor[p::stride], g))
+        # c_n = sum_k C(n,k) a_k b_{n-k}, the product of two EGFs, taken n by n
+        # so that one row of Pascal's triangle is held at a time
+        binom = [1]
+        for n in range(kmax + 1):
+            by_parity = [binom[p::stride] for p in range(stride)]
+            for acc, sign, p, q, tail, g in products:
+                if (n - q) % stride == 0:
+                    acc[n] += sign * sum(map(mul, map(mul, by_parity[p], tail),
+                                             g[n - p::-stride]))
+            binom = list(map(add, [0] + binom, binom + [0]))
+        minors = grown
+    return minors[(1 << len(start)) - 1][1]
 
 
 def random_turns_counts_from(start: StrictPartition, steps: int,

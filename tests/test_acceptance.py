@@ -35,7 +35,7 @@ from spinpaths.partitions import (
     lambda_to_mu,
     mu_to_lambda,
 )
-from spinpaths.paths import count_random_turns_paths, enumerate_nests
+from spinpaths.paths import _lgv_series, count_random_turns_paths, enumerate_nests
 from spinpaths.qpoly import (
     macmahon_count,
     macmahon_z,
@@ -164,10 +164,11 @@ def test_06_box_counting(capsys):
 
 def test_07_path_count_triple(capsys):
     """Hop-matrix power == exact walker DP == rounded trigonometric sum,
-    M <= 6, N <= 3, up to 8 steps."""
+    M <= 6, N <= 3, up to 8 steps; and the LGV determinant == the DP at
+    N = 1, 2, 3 over every step count up to 8."""
     ok = True
     for m in range(1, 7):
-        # single walker: all three routes entrywise
+        # single walker: all four routes entrywise
         for k in range(0, 9):
             power = hopping_power(m, k)
             geom = ChainGeometry(m, 1)
@@ -178,7 +179,9 @@ def test_07_path_count_triple(capsys):
                         ok = False
                     if trig_path_count(geom, (j,), (l,), k) != dp:
                         ok = False
-        # more walkers: DP vs trigonometric sum on sampled endpoint pairs
+                    if _lgv_series((j,), (l,), k, m)[k] != dp:
+                        ok = False
+        # more walkers: DP vs trigonometric sum and LGV on sampled endpoint pairs
         for n in (2, 3):
             if n > m:
                 continue
@@ -190,6 +193,8 @@ def test_07_path_count_triple(capsys):
                     l = basis[RNG.integers(len(basis))]
                     dp = count_random_turns_paths(j, l, k, m)
                     if trig_path_count(geom, j, l, k) != dp:
+                        ok = False
+                    if _lgv_series(j, l, k, m)[k] != dp:
                         ok = False
     report(capsys, "07-path-count-triple", ok)
 

@@ -82,6 +82,15 @@ def test_hopping_power_exact_integers():
     assert isinstance(p[0, 0], int)
 
 
+def test_hopping_power_needs_a_ring_and_a_non_negative_power():
+    assert hopping_power(1, 3).tolist() == [[0, 8], [8, 0]]   # the doubled bond
+    assert hopping_power(3, 0).tolist() == np.identity(4, dtype=int).tolist()
+    with pytest.raises(ValueError):
+        hopping_power(0, 2)
+    with pytest.raises(ValueError):
+        hopping_power(3, -1)
+
+
 def test_hamiltonian_symmetric_and_row_structure():
     geom = ChainGeometry(4, 2)
     ham = build_sector_hamiltonian(geom)

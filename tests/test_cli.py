@@ -245,6 +245,37 @@ def test_sweep_path_counts_stdout_pinned():
         "9b27d1d254df9d6b8fd9f36c15859dcaccf9adb557d09948810e6fe924c759d4"
 
 
+def test_paths_count_stdout_pinned():
+    # the benchmark's paths-count-17-5 input at seed 11; the digest is of
+    # the stdout the frontier DP printed, and the LGV route must print the
+    # same bytes
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "paths", "--count",
+                          "--start", "17,13,11,6,1", "--end", "16,14,4,3,1",
+                          "--steps", "26", "--m", "17"], capture_output=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == \
+        "ef7df74b3a30e94fa0b1070980dc8d0c21fa3442d52dfc02bd080ed5103fd675"
+
+
+@pytest.mark.parametrize("verb", [
+    ["paths", "--count", "--end", "38,36,34,32,30,28,26,24,22,20,18,16,14,12,10,8,6,4,2,0",
+     "--steps", "40"],
+    ["sweep", "path-counts", "--steps", "0..40"],
+], ids=["paths-count", "sweep-path-counts"])
+def test_walker_verbs_over_the_cap_exit_3(verb):
+    # 20 walkers on 40 sites: the DP's frontier ran out of memory under a
+    # 1 GB address-space limit, with a traceback; both routes are over the
+    # cap, so the verb refuses before allocating
+    sites = ",".join(map(str, range(38, -1, -2)))
+    argv = [*verb[:2], "--m", "39", "--start", sites, *verb[2:]]
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", *argv],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
 @pytest.mark.parametrize("m,n,digest", [
     (9, 4, "3840d8b2cabe25f0c61a498a7d7453fea92d9b5981f39bcf25cb6cf3fa59392e"),
     (5, 0, "ef5a86532265dd1f46b8e51cf01f70604d2a4c4b31aab184522e3731483910bf"),

@@ -56,6 +56,10 @@ NUMPY_FREE_VERBS = [
     ["verify", "macmahon", "--n", "2", "--k", "2"],
     ["verify", "q-chain", "--n", "2", "--k", "2"],
     ["sweep", "macmahon", "--box-n", "1..2", "--box-k", "0..2"],
+    # walker counts where LGV is the cheaper route, the benchmark's sizes
+    ["paths", "--count", "--start", "17,13,11,6,1", "--end", "16,14,4,3,1",
+     "--steps", "26", "--m", "17"],
+    ["sweep", "path-counts", "--m", "11", "--start", "8,6,2", "--steps", "0..24"],
 ]
 
 
@@ -101,6 +105,14 @@ def test_bad_input_loads_no_numpy():
 
 def test_probe_sees_a_numeric_verb_load_numpy():
     argv = ["chain-spectrum", "--m", "3", "--n", "1"]
+    assert probe(_main(argv)) == {"code": 0, "numpy": True}
+
+
+def test_walker_count_takes_the_dp_on_a_small_ring_at_long_times():
+    # LGV would take about 250k multiplications of 24-word counts here,
+    # against 30k DP moves, so the DP runs and loads numpy
+    argv = ["paths", "--count", "--start", "3,0", "--end", "4,1", "--steps", "500",
+            "--m", "5"]
     assert probe(_main(argv)) == {"code": 0, "numpy": True}
 
 

@@ -1,19 +1,26 @@
+import tracemalloc
+from itertools import islice
+from random import Random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpaths.chain import ChainGeometry, hopping_power, sector_basis
-from spinpaths.partitions import boxed_partitions
+from spinpaths import paths
+from spinpaths.core import EnumerationCapError
+from spinpaths.partitions import boxed_partitions, descending_subsets
 from spinpaths.paths import (
     PathNest,
     conjugate_nest_partition_function,
     count_random_turns_paths,
-    count_random_turns_series,
     enumerate_nests,
     frontier_counts,
     nest_partition_function,
     random_turns_counts_from,
     random_turns_frontiers,
+    ring_power_rows,
+    walker_counts,
 )
 from spinpaths.qpoly import QPolynomial
 from spinpaths.schur import schur_count_at_one, schur_determinant, schur_q_polynomial
@@ -235,15 +242,111 @@ def test_weighted_frontiers_match_sector_adjacency_powers(m, starts, steps):
 
 def test_series_matches_single_counts():
     ks = [0, 2, 3, 7, 10]
-    got = count_random_turns_series((5, 2, 0), (4, 2, 1), ks, 6)
+    got = walker_counts((5, 2, 0), (4, 2, 1), ks, 6)
     assert got == [count_random_turns_paths((5, 2, 0), (4, 2, 1), k, 6) for k in ks]
-    assert count_random_turns_series((1, 0), (1, 0), [], 3) == []
+    assert walker_counts((1, 0), (1, 0), [], 3) == []
     with pytest.raises(ValueError):
-        count_random_turns_series((1, 0), (1, 0), [2, -1], 3)
+        walker_counts((1, 0), (1, 0), [2, -1], 3)
     with pytest.raises(ValueError):
-        count_random_turns_series((1, 0), (2,), [1], 3)
+        walker_counts((1, 0), (2,), [1], 3)
     with pytest.raises(ValueError):
-        count_random_turns_series((4, 0), (1, 0), [1], 3)
+        walker_counts((4, 0), (1, 0), [1], 3)
+
+
+def _dp_series(start, ends, kmax, m):
+    """The DP's count at each end, for k = 0..kmax: {end: [count_0, ..]}."""
+    walk = islice(random_turns_frontiers({start: 1}, m), kmax + 1)
+    rows = [frontier_counts(frontier, ends) for frontier in walk]
+    return {end: [row[i] for row in rows] for i, end in enumerate(ends)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_lgv_equals_dp_on_every_pair(m):
+    # every N from 0 to M + 1, every start and end, every K <= 10
+    for n in range(m + 2):
+        configs = list(descending_subsets(m, n))
+        for start in configs:
+            dp = _dp_series(start, configs, 10, m)
+            for end in configs:
+                assert paths._lgv_series(start, end, 10, m) == dp[end], (start, end)
+
+
+def test_lgv_equals_dp_on_sampled_pairs():
+    rng = Random(14)
+    for _ in range(120):
+        m = rng.randint(6, 11)
+        n = rng.randint(0, m + 1)
+        start, end = (tuple(sorted(rng.sample(range(m + 1), n), reverse=True))
+                      for _ in range(2))
+        kmax = rng.randint(0, 12)
+        assert paths._lgv_series(start, end, kmax, m) == \
+            _dp_series(start, [end], kmax, m)[end], (m, start, end, kmax)
+
+
+@pytest.mark.parametrize("m,start,end,steps", [
+    # the trigonometric sum is off here by 14, 491,520 and 13,811,084,768
+    (11, (8, 4, 1), (9, 5, 1), 24),
+    (11, (8, 4, 1), (9, 5, 1), 30),
+    (19, (15, 11, 7, 3, 0), (16, 11, 7, 3, 0), 29),
+    (15, (12, 8, 4, 0), (13, 9, 5, 1), 30),
+    (11, (8, 4, 1), (9, 5, 2), 16),      # zero by parity on the even ring
+    (1, (0,), (1,), 7),                  # the doubled bond
+    (1, (1, 0), (1, 0), 4),              # the full 2-site ring never moves
+    (3, (3, 2, 1, 0), (3, 2, 1, 0), 5),  # N = M + 1
+    (4, (), (), 3),                      # no walkers
+    (6, (5, 2, 0), (6, 3, 1), 0),
+])
+def test_lgv_equals_dp_at_the_named_inputs(m, start, end, steps):
+    lgv = paths._lgv_series(start, end, steps, m)
+    assert lgv == _dp_series(start, [end], steps, m)[end]
+    assert walker_counts(start, end, [steps], m) == [lgv[-1]]
+
+
+def test_lgv_holds_one_row_of_binomials():
+    # the whole Pascal triangle to K = 400 takes about 5 MB of Python ints;
+    # the minors, the series and one row of binomials about 0.2 MB
+    tracemalloc.start()
+    try:
+        paths._lgv_series((200, 0), (201, 1), 400, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_twisted_power_rows_are_powers_of_the_twisted_adjacency():
+    for m in (1, 2, 3, 6):
+        for seam in (1, -1):
+            adj = np.zeros((m + 1, m + 1), dtype=object)
+            for p in range(m + 1):
+                adj[p, (p + 1) % (m + 1)] += seam if p == m else 1
+                adj[(p + 1) % (m + 1), p] += seam if p == m else 1
+            for site in range(m + 1):
+                want = np.identity(m + 1, dtype=object)[site]
+                for row in islice(ring_power_rows(site, m, seam), 9):
+                    assert row == want.tolist()
+                    want = want @ adj
+
+
+def test_route_choice_by_operation_count():
+    assert paths._takes_lgv(5, 17, 26)       # 59k weighted terms against 2.2M moves
+    assert paths._takes_lgv(3, 11, 24)
+    assert not paths._takes_lgv(2, 5, 500)   # 24-word counts on a 6-site ring
+    # 9.5M LGV terms against 15M DP moves, but each term multiplies 32-word
+    # counts: LGV took 7.0 s and the DP 1.0 s on a 2-vCPU VM
+    assert not paths._takes_lgv(5, 14, 500)
+    assert not paths._takes_lgv(2, 5, 0)     # K = 0: the DP does nothing
+    assert paths._takes_lgv(0, 9, 40)        # no walkers: neither route has work
+
+
+def test_walker_counts_refuse_past_the_cap_before_allocating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a route ran past the cap")
+    monkeypatch.setattr(paths, "_lgv_series", unreachable)
+    monkeypatch.setattr(paths, "random_turns_frontiers", unreachable)
+    sites = tuple(range(38, -1, -2))
+    with pytest.raises(EnumerationCapError):
+        walker_counts(sites, sites, [40], 39)
 
 
 def test_nest_json_and_render():
