@@ -5,10 +5,14 @@ Conventions pinned here and relied on everywhere else:
   - hopping matrix entries delta_{|n-m|,1} + delta_{|n-m|,M}, so the
     2-site ring carries a doubled bond;
   - sector basis states are the descending down-spin coordinate tuples,
-    listed in ascending lexicographic order of those tuples;
+    listed in ascending lexicographic order of those tuples, so a state's
+    index is the combinatorial-number-system rank of its sites;
   - momentum grid theta_s = 2*pi/(M+1) * (s - (N-1)/2) for s = 0..M, which
     satisfies exp(i(M+1)theta) = (-1)^(N-1) for every integer s; a Bethe
-    state is one N-subset of the grid, a row of `momentum_table`.
+    state is one N-subset of the grid, a row of `momentum_table`;
+  - the exact oracles diagonalize the sector adjacency one momentum block
+    at a time, each real symmetric in the basis fixed by RK, R the
+    reflection p -> -p and K complex conjugation (`SectorOrbits.blocks`).
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import pi, sin
+from math import comb, pi, sin
 from typing import Iterator
 
 import numpy as np
 
 from .core import ChainGeometry, SectorCapError
+from .kernels import subset_rows
 from .partitions import StrictPartition, descending_subsets
 from .schur import schur_values
 
@@ -32,6 +37,19 @@ DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
     """Descending coordinate tuples, ascending lexicographic order."""
     return list(descending_subsets(geom.m, geom.n))[::-1]
+
+
+@lru_cache(maxsize=8)
+def sector_sites(geom: ChainGeometry) -> np.ndarray:
+    """`sector_basis(geom)` as one read-only (D, N) int64 array, cached and
+    shared: row i holds the down-spin sites of basis state i, descending.
+    The sector cap is checked first."""
+    if geom.sector_dim > DEFAULT_SECTOR_CAP:
+        raise SectorCapError(
+            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
+    rows = subset_rows(geom.m, geom.n)
+    rows.flags.writeable = False
+    return rows[::-1]
 
 
 def hopping_matrix(m: int) -> np.ndarray:
@@ -105,8 +123,10 @@ class SectorOrbits:
 
     `orbit[r, j]` is the basis index of T^j(rep_r) for j = 0..M, and
     `period[r]` is the orbit length p_r.  Basis state i is
-    T^shift[i](rep_{rep[i]}).  `hops` lists the walker hops out of each
-    representative as (orbit row, basis index of the target) pairs.
+    T^shift[i](rep_{rep[i]}), shift[i] < p_{rep[i]}.  `hops` lists the
+    walker hops out of each representative as (orbit row, basis index of
+    the target) pairs.  The reflection R (p -> -p mod M+1) maps rep_r to
+    T^mirror_shift[r](rep_{mirror[r]}).
     """
 
     orbit: np.ndarray
@@ -114,6 +134,8 @@ class SectorOrbits:
     rep: np.ndarray
     shift: np.ndarray
     hops: np.ndarray
+    mirror: np.ndarray
+    mirror_shift: np.ndarray
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Bloch coordinates of sector vectors x (..., d) as (..., R, M+1):
@@ -124,12 +146,19 @@ class SectorOrbits:
         return np.fft.fft(x[..., self.orbit], axis=-1) * \
             (np.sqrt(self.period)[:, None] / ring)
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(k, rows, A_k) per momentum k = 0..(M+1)//2: the sector adjacency
-        (the hop count between states) on the Bloch states |r, k> of the
-        orbit rows `rows`, those with k p_r = 0 mod M+1.  A hop rep_r -> s
-        adds w^{-k shift(s)} sqrt(p_r/p_rep(s)) at [rep(s), r].  The block
-        of momentum -k has the same rows and is the complex conjugate."""
+    def blocks(self) -> Iterator[tuple[int, tuple, np.ndarray]]:
+        """(k, (rows, partner, coef), A_k) per momentum k = 0..(M+1)//2: the
+        sector adjacency (the hop count between states) as a real symmetric
+        matrix on the Bloch states |r, k> of the orbit rows `rows`, those
+        with k p_r = 0 mod M+1, in the basis fixed by RK, K the complex
+        conjugation: RK|r, k> = w^{-dk}|r', k> for R(rep_r) = T^d(rep_r').
+        Basis vector c is coef[0, c]|rows[c], k> + coef[1, c]|rows[partner[c]], k>,
+        the phase exp(-i pi d k/(M+1)) times (1, 0) if r' = r, (1, 1)/sqrt 2
+        if r < r' and (i, -i)/sqrt 2 if r > r'.  At -k the conjugate
+        coefficients on |., -k> give the same block.  A hop rep_r -> s adds
+        w^{-k shift(s)} sqrt(p_r/p_rep(s)) at [rep(s), r] of the Bloch block,
+        which is never formed: each hop goes through the basis entries of its
+        row and column."""
         ring = self.orbit.shape[1]
         src, dst = self.hops.T
         to = self.rep[dst]
@@ -138,41 +167,67 @@ class SectorOrbits:
         for k in range(ring // 2 + 1):
             allowed = k * self.period % ring == 0
             rows = np.flatnonzero(allowed)
-            pos[rows] = np.arange(len(rows))
+            size = len(rows)
+            pos[rows] = own = np.arange(size)
+            partner = pos[self.mirror[rows]]
+            g = np.select([partner == own, own < partner], [1, np.sqrt(0.5)],
+                          1j * np.sqrt(0.5))
+            coef = np.exp(-1j * pi * k * self.mirror_shift[rows] / ring) * \
+                np.array([g, np.conj(g) * (partner != own)])
             keep = allowed[src] & allowed[to]
-            block = np.zeros((len(rows), len(rows)), dtype=complex)
-            np.add.at(block, (pos[to[keep]], pos[src[keep]]),
-                      amp[keep] * np.exp(-2j * pi * k * self.shift[dst[keep]] / ring))
-            yield k, rows, block
+            a, b = pos[to[keep]], pos[src[keep]]
+            hop = amp[keep] * np.exp(-2j * pi * k * self.shift[dst[keep]] / ring)
+            # row x of the basis matrix holds coef[0, x] in column x and
+            # coef[1, partner[x]] in column partner[x]
+            col = np.array([own, partner])
+            val = np.array([coef[0], coef[1, partner]])
+            terms = np.conj(val[:, None, a]) * hop * val[None, :, b]
+            at = col[:, None, a] * size + col[None, :, b]
+            block = np.bincount(at.ravel(), terms.real.ravel(), size * size)
+            yield k, (rows, partner, coef), block.reshape(size, size)
+
+
+def _ranker(m: int, n: int):
+    """rank(sites): the basis index of the state on the sites (..., N) mod
+    M+1, in any order: sorted descending, sum_i C(c_i, N - i).  Column i only
+    holds N-1-i .. M-i, where C(c, N - i) <= C(M+1, N) fits int64."""
+    cols = np.arange(n)
+    table = np.array([[comb(c + n - 1 - i, n - i) for c in range(m - n + 2)]
+                      for i in range(n)], dtype=np.int64).reshape(n, m - n + 2)
+
+    def rank(sites: np.ndarray) -> np.ndarray:
+        desc = np.sort(sites % (m + 1), axis=-1)[..., ::-1]
+        return table[cols, desc - (n - 1 - cols)].sum(axis=-1)
+    return rank
 
 
 def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
-    """Translation orbits of `sector_basis(geom)`; each representative is
-    the lowest basis index of its orbit.  The sector cap is checked first."""
-    if geom.sector_dim > DEFAULT_SECTOR_CAP:
-        raise SectorCapError(
-            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
-    basis = sector_basis(geom)
-    index = {b: i for i, b in enumerate(basis)}
-    ring, dim = geom.sites, len(basis)
-    step = np.array([index[tuple(sorted(((p + 1) % ring for p in b), reverse=True))]
-                     for b in basis], dtype=np.int64)
-    powers = np.empty((ring, dim), dtype=np.int64)  # powers[j, i]: T^j(state i)
-    powers[0] = np.arange(dim)
-    for j in range(1, ring):
-        powers[j] = step[powers[j - 1]]
-    lowest = powers.min(axis=0)
-    reps = np.flatnonzero(lowest == powers[0])
-    row = np.empty(dim, dtype=np.int64)
-    row[reps] = np.arange(len(reps))
-    orbit = np.ascontiguousarray(powers[:, reps].T)
-    # T^j(i) = rep  <=>  i = T^(ring - j)(rep)
-    shift = (ring - powers.argmin(axis=0)) % ring
+    """Translation orbits of the sector basis, by rank arithmetic on
+    `sector_sites(geom)`; each representative is the lowest basis index of
+    its orbit.  The sector cap is checked first."""
+    sites = sector_sites(geom)
+    ring, dim = geom.sites, len(sites)
+    rank = _ranker(geom.m, geom.n)
+    # lowest[i] is the lowest index among T^j(i), j < span; jump is T^span
+    lowest, jump, span = np.arange(dim), rank(sites + 1), 1
+    while span < ring:
+        lowest, jump, span = np.minimum(lowest, lowest[jump]), jump[jump], 2 * span
+    reps = np.flatnonzero(lowest == np.arange(dim))
+    rep_sites = sites[reps]
+    orbit = rank(rep_sites[:, None, :] + np.arange(ring)[:, None])
     period = ring // np.count_nonzero(orbit == reps[:, None], axis=1)
-    hops = np.array([(r, index[s]) for r, i in enumerate(reps)
-                     for s in _hop_targets(basis[i], ring)],
-                    dtype=np.int64).reshape(-1, 2)
-    return SectorOrbits(orbit, period, row[lowest], shift, hops)
+    r, j = np.nonzero(np.arange(ring) < period[:, None])
+    rep, shift = np.empty((2, dim), dtype=np.int64)
+    rep[orbit[r, j]], shift[orbit[r, j]] = r, j
+    # walker w of rep r moves by +1 then -1, in the order of `_hop_targets`
+    target = (rep_sites[:, :, None] + np.array([1, -1])) % ring
+    free = ~np.any(target[..., None] == rep_sites[:, None, None, :], axis=-1)
+    moved = np.where(np.eye(geom.n, dtype=bool)[:, None, :], target[..., None],
+                     rep_sites[:, None, None, :])
+    hops = np.column_stack([np.nonzero(free)[0], rank(moved[free])])
+    mirrored = rank(-rep_sites)
+    return SectorOrbits(orbit, period, rep, shift, hops,
+                        rep[mirrored], shift[mirrored])
 
 
 @dataclass(frozen=True)
@@ -192,12 +247,9 @@ class MomentumTable:
 @lru_cache(maxsize=8)
 def momentum_table(geom: ChainGeometry) -> MomentumTable:
     """The subset table of `geom`, cached and shared; the cap is checked first."""
-    if geom.sector_dim > DEFAULT_SECTOR_CAP:
-        raise SectorCapError(
-            f"momentum-subset count {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
-    count, n = geom.sector_dim, geom.n
-    indices = np.fromiter((i for c in descending_subsets(geom.m, n) for i in c),
-                          dtype=np.int64, count=count * n).reshape(count, n)
+    n = geom.n
+    # the N-subsets of the grid 0..M, in `descending_subsets` order
+    indices = sector_sites(geom)[::-1]
     thetas = 2.0 * pi / geom.sites * (indices - (n - 1) / 2.0)
     table = MomentumTable(indices, thetas, np.exp(1j * thetas),
                           n - np.sum(np.cos(thetas), axis=1))
@@ -222,4 +274,4 @@ def ground_state_energy_closed_form(geom: ChainGeometry) -> float:
 
 def bethe_vector(geom: ChainGeometry, phases: np.ndarray) -> np.ndarray:
     """Sector amplitudes of the Bethe state at the (N,) `phases` of one row."""
-    return schur_values(phases, sector_basis(geom))
+    return schur_values(phases, sector_sites(geom))

@@ -10,7 +10,9 @@ detailed variants report the cross-route residuals.  The determinants
 take the one-walker propagator from one `eigh` of the twisted hop
 matrix, which shares nothing with the analytic momenta of the spectral
 sums.  The diagonalization oracles never form the sector matrix: they
-split it into translation-momentum blocks and take one `eigh` per block.
+split it into translation-momentum blocks, each real symmetric in the
+basis fixed by RK (reflection times complex conjugation), and take one
+real `eigh` per pair of momenta k, -k.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .chain import (
     bethe_vector,
     hopping_matrix,
     momentum_table,
-    sector_basis,
     sector_orbits,
+    sector_sites,
 )
 from .core import (
     ChainGeometry,
@@ -38,12 +40,8 @@ from .core import (
     route_check,
     within_bound,
 )
-from .kernels import stacked_dets
-from .partitions import (
-    StrictPartition,
-    lambda_to_mu,
-    shifted_boxed_partitions,
-)
+from .kernels import stacked_dets, subset_rows
+from .partitions import StrictPartition, mu_to_lambda
 from .schur import (
     jacobi_trudi_rows,
     schur_count_at_one,
@@ -216,10 +214,9 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     _check_string_length(geom, n)
 
     gmat = one_particle_matrix(geom, t, nvar)
-    shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
-        else [()]
-    count = len(shapes)
-    mus = np.array([lambda_to_mu(lam, nvar) for lam in shapes], dtype=np.int64)
+    # mu = lam + staircase over the boxed shapes: the N-subsets of n..M
+    mus = n + subset_rows(geom.m - n, nvar)
+    count = len(mus)
     s_left = schur_values(v_inv_sq, mus)
     s_right = schur_values(u_sq, mus)
 
@@ -273,10 +270,10 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     sector adjacency, taken one translation-momentum block at a time."""
     _check_string_length(geom, n)
     orbits = sector_orbits(geom)
-    basis = sector_basis(geom)
-    proj = np.array([1.0 if (not b or min(b) >= n) else 0.0 for b in basis])
-    left = schur_values(v_inv_sq, basis) * proj
-    right = schur_values(u_sq, basis) * proj
+    sites = sector_sites(geom)
+    proj = np.all(sites >= n, axis=1)
+    left = schur_values(v_inv_sq, sites) * proj
+    right = schur_values(u_sq, sites) * proj
     w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([np.conj(left), right]))
     return complex((np.conj(lhs) * np.exp(t / 2.0 * w)) @ rhs)
 
@@ -287,18 +284,21 @@ def _adjacency_spectrum(orbits: SectorOrbits,
     row of `vectors` in its eigenbasis, so that conj(a) @ exp(c A) @ b is
     sum(conj(a_w) exp(c w) b_w).  A commutes with the ring translation, so
     each momentum block is diagonalized on its own and then dropped: no
-    sector-sized matrix is formed.  Blocks k and -k share one `eigh`.
+    sector-sized matrix is formed.  Each block is real symmetric in its
+    RK-fixed basis (`SectorOrbits.blocks`), and blocks k and -k share one
+    real `eigh`.
     """
     bloch = orbits.coordinates(vectors)
     spectrum, coords = [], []
     ring = orbits.orbit.shape[1]
-    for k, rows, block in orbits.blocks():
+    for k, (rows, partner, coef), block in orbits.blocks():
         w, vecs = np.linalg.eigh(block)
-        # block -k is conj(block k): same eigenvalues, conjugate eigenvectors;
-        # the coordinates are V^H x = x @ conj(V)
-        for q, conj_vecs in {k: vecs.conj(), -k % ring: vecs}.items():
+        # <c|x> in the basis of block k, then of block -k unless -k = k
+        for q, c in [(k, coef.conj()), (-k % ring, coef)][:1 + (0 < 2 * k < ring)]:
+            x = bloch[:, rows, q]
+            x = c[0] * x + c[1] * x[:, partner]
             spectrum.append(w)
-            coords.append(bloch[:, rows, q] @ conj_vecs)
+            coords.append(x.real @ vecs + 1j * (x.imag @ vecs))
     return np.concatenate(spectrum), np.concatenate(coords, axis=1)
 
 
@@ -315,10 +315,8 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).phases, n)
     lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
 
-    shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
-        else [()]
-    counts = [schur_count_at_one(lam, nvar) for lam in shapes]
-    mus = [lambda_to_mu(lam, nvar) for lam in shapes]
+    mus = list(map(tuple, (n + subset_rows(geom.m - n, nvar)).tolist()))
+    counts = [schur_count_at_one(mu_to_lambda(mu), nvar) for mu in mus]
     # sum_{l,r} s_l s_r walks(mu_r -> mu_l) is, by linearity, one walk from
     # the count-weighted starts read off at every mu_l
     walk = random_turns_frontiers(dict(zip(mus, counts)), geom.m)
@@ -380,7 +378,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
         raise ValueError("need 1 <= N <= M")
     _check_string_length(geom, n)
     orbits = sector_orbits(geom)
-    proj = np.array([1.0 if min(b) >= n else 0.0 for b in sector_basis(geom)])
+    proj = np.all(sector_sites(geom) >= n, axis=1)
     vec = bethe_vector(geom, bethe_ground_state(geom).phases)
     w, coords = _adjacency_spectrum(orbits, np.array([vec * proj, vec]))
     exponent = t / 2.0 * w

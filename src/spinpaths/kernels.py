@@ -8,9 +8,21 @@ so peak memory does not grow with the subset count.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import comb
+
 import numpy as np
 
+from .partitions import descending_subsets
+
 SUBSET_BLOCK = 128
+
+
+def subset_rows(top: int, n: int) -> np.ndarray:
+    """`descending_subsets(top, n)` as one (C(top+1, n), n) int64 array."""
+    count = comb(top + 1, n)
+    return np.fromiter(chain.from_iterable(descending_subsets(top, n)),
+                       dtype=np.int64, count=count * n).reshape(count, n)
 
 
 def stacked_dets(count: int, build) -> np.ndarray:

@@ -163,14 +163,14 @@ def ring_power_rows(site: int, m: int, seam: int = 1) -> Iterator[list[int]]:
     """Row `site` of A^0, A^1, A^2, ... for the adjacency A of the (m+1)-site ring.
 
     The seam bond between sites m and 0 carries `seam`; on the 2-site ring
-    it doubles the bond (1 + seam), and the 1-site ring has no bond.
+    it doubles the bond (1 + seam).  Needs m >= 1.
     """
     row = [0] * (m + 1)
     row[site] = 1
     while True:
         yield row
         row = list(map(add, [seam * row[-1]] + row[:-1],
-                       row[1:] + [seam * row[0]])) if m else [0]
+                       row[1:] + [seam * row[0]]))
 
 
 def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
@@ -275,6 +275,8 @@ def frontier_counts(frontier: tuple[np.ndarray, np.ndarray],
 
 
 def _check_config(config: StrictPartition, m: int) -> StrictPartition:
+    if m < 1:
+        raise ValueError("need at least a 2-site ring (m >= 1)")
     config = check_strict_partition(config)
     if config and config[0] > m:
         raise ValueError(f"positions exceed the largest site index {m}")

@@ -235,8 +235,9 @@ def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    mus = [lambda_to_mu(lam, len(x))
-           for lam in shifted_boxed_partitions(len(x), length - n, n)]
+    from .kernels import subset_rows
+    # mu = lam + staircase over the boxed shapes, in their order
+    mus = n + subset_rows(length - n + len(x) - 1, len(x))
     # multiplied as Python complexes: a numpy product can round differently
     sx, sy = schur_values(x, mus).tolist(), schur_values(y, mus).tolist()
     return sum((a * b for a, b in zip(sx, sy)), 0j)

@@ -5,7 +5,7 @@ from math import comb, pi, sin
 import numpy as np
 import pytest
 
-from spinpaths import chain
+from spinpaths import chain, correlators
 from spinpaths.chain import (
     ChainGeometry,
     SectorCapError,
@@ -215,6 +215,126 @@ def test_sector_orbits_and_momentum_blocks(m, n):
         spectrum += list(w) * (1 if k == -k % ring else 2)
     dense = np.linalg.eigvalsh(-build_sector_hopping(geom))
     assert np.allclose(np.sort(spectrum), dense, atol=1e-10)
+
+
+def tuple_orbits(geom):
+    """The orbit table by tuples and an index dict, state by state."""
+    basis = sector_basis(geom)
+    index = {b: i for i, b in enumerate(basis)}
+    ring = geom.sites
+    rows = [[index[translate(b, j, ring)] for j in range(ring)]
+            for b in basis]
+    orbit = [row for i, row in enumerate(rows) if min(row) == i]
+    period = [next(p for p in range(1, ring + 1) if row[p % ring] == row[0])
+              for row in orbit]
+    rep, shift = [0] * len(basis), [0] * len(basis)
+    for r, row in enumerate(orbit):
+        for j in range(period[r]):
+            rep[row[j]], shift[row[j]] = r, j
+    hops = [(r, index[s]) for r, row in enumerate(orbit)
+            for s in chain._hop_targets(basis[row[0]], ring)]
+    mirrored = [index[tuple(sorted(((-p) % ring for p in basis[row[0]]),
+                                   reverse=True))] for row in orbit]
+    return [orbit, period, rep, shift, hops,
+            [rep[i] for i in mirrored], [shift[i] for i in mirrored]]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (3, 0), (3, 4), (4, 2),
+                                 (5, 2), (6, 3), (7, 4), (8, 3), (9, 4),
+                                 (99, 2)])
+def test_rank_built_orbits_equal_tuple_construction(m, n):
+    # (99, 2) is a 100-site ring, past any 64-bit occupancy mask
+    geom = ChainGeometry(m, n)
+    orb = sector_orbits(geom)
+    got = [orb.orbit, orb.period, orb.rep, orb.shift, orb.hops, orb.mirror,
+           orb.mirror_shift]
+    for field, (have, want) in enumerate(zip(got, tuple_orbits(geom))):
+        assert have.tolist() == np.array(want).reshape(have.shape).tolist(), field
+
+
+def complex_blocks(orb):
+    """The Hermitian Bloch block of each momentum k = 0..(M+1)//2, entry by
+    entry: a hop rep_r -> s adds w^{-k shift(s)} sqrt(p_r/p_rep(s))."""
+    ring = orb.orbit.shape[1]
+    for k in range(ring // 2 + 1):
+        rows = [r for r, p in enumerate(orb.period) if k * p % ring == 0]
+        pos = {r: i for i, r in enumerate(rows)}
+        block = np.zeros((len(rows), len(rows)), dtype=complex)
+        for src, dst in orb.hops:
+            to = orb.rep[dst]
+            if src in pos and to in pos:
+                block[pos[to], pos[src]] += np.sqrt(orb.period[src] / orb.period[to]) \
+                    * np.exp(-2j * pi * k * orb.shift[dst] / ring)
+        yield k, rows, block
+
+
+def complex_bilinear(orb, x, y, c):
+    """x^H exp(cA) y through one complex `eigh` per block pair k, -k."""
+    ring = orb.orbit.shape[1]
+    bx, by = orb.coordinates(np.array([x, y]))
+    total = 0j
+    for k, rows, block in complex_blocks(orb):
+        w, vecs = np.linalg.eigh(block)
+        for q, v in {k: vecs, -k % ring: vecs.conj()}.items():
+            total += np.conj(bx[rows, q] @ v.conj()) * np.exp(c * w) @ (by[rows, q] @ v.conj())
+    return total
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (3, 0), (3, 4), (4, 2),
+                                 (5, 2), (6, 3), (7, 3), (7, 4), (9, 4)])
+def test_real_blocks_match_complex_blocks(m, n):
+    geom = ChainGeometry(m, n)
+    orb = sector_orbits(geom)
+    ring = geom.sites
+    for (k, (rows, partner, coef), block), (_, want_rows, want) in \
+            zip(orb.blocks(), complex_blocks(orb)):
+        assert rows.tolist() == want_rows
+        assert np.isrealobj(block) and np.allclose(block, block.T, atol=1e-14)
+        # partner is an involution, and each basis vector has norm 1
+        assert np.array_equal(partner[partner], np.arange(len(rows)))
+        assert np.allclose(np.sum(np.abs(coef) ** 2, axis=0), 1.0)
+        assert np.allclose(np.linalg.eigvalsh(block), np.linalg.eigvalsh(want),
+                           rtol=0, atol=1e-12), k
+    rng = np.random.default_rng(m * 100 + n)
+    for c in (0.7, -0.4 + 1.1j, 2.3j):
+        x, y = rng.normal(size=(2, geom.sector_dim, 2)) @ np.array([1, 1j])
+        w, (cx, cy) = correlators._adjacency_spectrum(orb, np.array([x, y]))
+        got = (np.conj(cx) * np.exp(c * w)) @ cy
+        want = complex_bilinear(orb, x, y, c)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (ring, c)
+
+
+def test_orbits_cover_self_mirror_and_mirror_pairs():
+    # on the 7-site ring {3, 1, 0} reflects to {6, 4, 0}, a translate of
+    # {3, 2, 0} and not of itself; {2, 1, 0} reflects onto its own orbit
+    orb = sector_orbits(ChainGeometry(6, 3))
+    rows = np.arange(len(orb.period))
+    assert np.any(orb.mirror == rows) and np.any(orb.mirror != rows)
+
+
+# persistence_exact and transition_amplitude_exact as the complex-block
+# oracle gave them: (m, n, string n, t, persistence, amplitude)
+ORACLE_VALUES = [
+    (9, 4, 1, 0.7, 0.4624371149837584 + 0j,
+     -690.9615468678327 + 1633.9026554412098j),
+    (11, 5, 2, 0.4 + 0.9j, 0.12699087785332475 - 0.08705425905178059j,
+     811.0645504908471 + 69.13272371706782j),
+    (13, 5, 1, 1.3, 0.46735565451004435 + 0j,
+     -20508706.91133806 - 16412489.736329798j),
+    (12, 4, 2, -0.6 + 0.3j, 0.5800993917832244 - 0.14166836474835673j,
+     -17.069534552693653 - 7.820382975693362j),
+]
+
+
+@pytest.mark.parametrize("m,n,ns,t,persistence,amplitude", ORACLE_VALUES)
+def test_oracles_keep_their_values(m, n, ns, t, persistence, amplitude):
+    geom = ChainGeometry(m, n)
+    u = tuple(0.3 + 0.2 * k + 0.1j * (k % 2) for k in range(n))
+    v = tuple(1.1 - 0.15 * k + 0.05j * k for k in range(n))
+    got = correlators.persistence_exact(geom, ns, t)
+    assert abs(got - persistence) <= 1e-12 * abs(persistence)
+    got = correlators.transition_amplitude_exact(geom, u, v, ns, t)
+    assert abs(got - amplitude) <= 1e-12 * abs(amplitude)
 
 
 def test_ground_state():

@@ -305,6 +305,20 @@ def test_exit_code_bad_input():
     assert json.loads(out.stderr.strip())["error"] == "bad-input"
 
 
+@pytest.mark.parametrize("argv", [
+    ["paths", "--count", "--m", "0", "--steps", "1", "--start", "0", "--end", "0"],
+    ["paths", "--count", "--m", "-1", "--steps", "1", "--start", "", "--end", ""],
+    ["sweep", "path-counts", "--m", "0", "--start", "0", "--steps", "0..2"],
+    ["sweep", "path-counts", "--m", "-1", "--start", "", "--steps", "1"],
+], ids=" ".join)
+def test_walker_verbs_refuse_rings_under_two_sites(argv):
+    # every other verb refuses m < 1 through ChainGeometry
+    out = run_cli(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert json.loads(out.stderr.strip())["error"] == "bad-input"
+
+
 def test_exit_code_cap():
     out = run_cli(["chain-spectrum", "--m", "40", "--n", "20"])
     # enumerating C(41,20) momentum sets is capped, not attempted
