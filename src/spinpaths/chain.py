@@ -138,53 +138,68 @@ class SectorOrbits:
     mirror_shift: np.ndarray
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Bloch coordinates of sector vectors x (..., d) as (..., R, M+1):
-        entry [r, k] is <r, k|x>, with the orthonormal Bloch states
-        |r, k> = sqrt(p_r)/(M+1) sum_j w^{jk} T^j|rep_r>, w = exp(2 pi i/(M+1)).
-        Entries with k p_r != 0 mod M+1 are zero and belong to no block."""
+        """Coordinates of sector vectors x (..., d) as (..., R, M+1): entry
+        [r, k] is <e|x> for the basis vector e of orbit row r at momentum k
+        (`_basis`), over the Bloch states |r, k> = sqrt(p_r)/(M+1) sum_j
+        w^{jk} T^j|rep_r>, w = exp(2 pi i/(M+1)).  Entries with
+        k p_r != 0 mod M+1 are zero and belong to no block."""
         ring = self.orbit.shape[1]
-        return np.fft.fft(x[..., self.orbit], axis=-1) * \
+        bloch = np.fft.fft(x[..., self.orbit], axis=-1) * \
             (np.sqrt(self.period)[:, None] / ring)
+        coef = np.conj(self._basis())
+        return coef[0] * bloch + coef[1] * bloch[..., self.mirror, :]
 
-    def blocks(self) -> Iterator[tuple[int, tuple, np.ndarray]]:
-        """(k, (rows, partner, coef), A_k) per momentum k = 0..(M+1)//2: the
-        sector adjacency (the hop count between states) as a real symmetric
-        matrix on the Bloch states |r, k> of the orbit rows `rows`, those
-        with k p_r = 0 mod M+1, in the basis fixed by RK, K the complex
-        conjugation: RK|r, k> = w^{-dk}|r', k> for R(rep_r) = T^d(rep_r').
-        Basis vector c is coef[0, c]|rows[c], k> + coef[1, c]|rows[partner[c]], k>,
-        the phase exp(-i pi d k/(M+1)) times (1, 0) if r' = r, (1, 1)/sqrt 2
-        if r < r' and (i, -i)/sqrt 2 if r > r'.  At -k the conjugate
-        coefficients on |., -k> give the same block.  A hop rep_r -> s adds
-        w^{-k shift(s)} sqrt(p_r/p_rep(s)) at [rep(s), r] of the Bloch block,
-        which is never formed: each hop goes through the basis entries of its
-        row and column."""
+    def _basis(self) -> np.ndarray:
+        """(2, R, M+1): the basis vector of orbit row r at momentum k is
+        c[0, r, k]|r, k> + c[1, r, k]|r', k>, r' = mirror[r].  RK, K the
+        complex conjugation, maps |r, k> to w^{-dk}|r', k>, d = mirror_shift[r],
+        and squares to 1.  For k <= (M+1)//2, c is the phase exp(-i pi d k/(M+1))
+        times (1, 0) if r' = r, (1, 1)/sqrt 2 if r < r' and (i, -i)/sqrt 2 if
+        r > r', so each vector is fixed by RK; momentum -k takes the conjugate."""
         ring = self.orbit.shape[1]
+        own = np.arange(len(self.period))
+        g = np.select([self.mirror == own, own < self.mirror], [1, np.sqrt(0.5)],
+                      1j * np.sqrt(0.5))
+        k = np.arange(ring)
+        upper = k > ring // 2
+        k = np.where(upper, ring - k, k)
+        coef = np.exp(-1j * pi * np.outer(self.mirror_shift, k) / ring) * \
+            np.array([g, np.conj(g) * (self.mirror != own)])[:, :, None]
+        return np.where(upper, np.conj(coef), coef)
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(k, rows, A_k) per momentum k = 0..(M+1)//2: the sector adjacency
+        (the hop count between states) on the orbit rows `rows`, those with
+        k p_r = 0 mod M+1, as a real symmetric matrix in the RK-fixed basis
+        of `_basis`, which at momentum -k gives the same matrix.  A
+        hop rep_r -> s adds w^{-k shift(s)} sqrt(p_r/p_rep(s)) at [rep(s), r]
+        of the Bloch block, which is never formed: each hop goes through the
+        two basis entries of its row and of its column."""
+        ring = self.orbit.shape[1]
+        coef = self._basis()
+        ks = np.arange(ring // 2 + 1)
+        allowed = ks[:, None] * self.period % ring == 0
+        pos = np.cumsum(allowed, axis=1) - 1
         src, dst = self.hops.T
         to = self.rep[dst]
-        amp = np.sqrt(self.period[src] / self.period[to])
-        pos = np.empty(len(self.period), dtype=np.int64)
-        for k in range(ring // 2 + 1):
-            allowed = k * self.period % ring == 0
-            rows = np.flatnonzero(allowed)
-            size = len(rows)
-            pos[rows] = own = np.arange(size)
-            partner = pos[self.mirror[rows]]
-            g = np.select([partner == own, own < partner], [1, np.sqrt(0.5)],
-                          1j * np.sqrt(0.5))
-            coef = np.exp(-1j * pi * k * self.mirror_shift[rows] / ring) * \
-                np.array([g, np.conj(g) * (partner != own)])
-            keep = allowed[src] & allowed[to]
-            a, b = pos[to[keep]], pos[src[keep]]
-            hop = amp[keep] * np.exp(-2j * pi * k * self.shift[dst[keep]] / ring)
-            # row x of the basis matrix holds coef[0, x] in column x and
-            # coef[1, partner[x]] in column partner[x]
-            col = np.array([own, partner])
-            val = np.array([coef[0], coef[1, partner]])
-            terms = np.conj(val[:, None, a]) * hop * val[None, :, b]
-            at = col[:, None, a] * size + col[None, :, b]
-            block = np.bincount(at.ravel(), terms.real.ravel(), size * size)
-            yield k, (rows, partner, coef), block.reshape(size, size)
+        k, h = np.nonzero(allowed[:, src] & allowed[:, to])
+        hop = np.sqrt(self.period[src[h]] / self.period[to[h]]) * \
+            np.exp(-2j * pi * k * self.shift[dst[h]] / ring)
+
+        def entries(x):
+            # row x of the basis matrix: coef[0, x] in column x, and
+            # coef[1, x'] in column x' = mirror[x]
+            cols = np.array([x, self.mirror[x]])
+            return pos[k, cols], coef[[[0], [1]], cols, k]
+        (left, lval), (right, rval) = entries(to[h]), entries(src[h])
+        terms = (np.conj(lval)[:, None] * hop * rval[None]).real
+        bounds = np.searchsorted(k, np.arange(len(ks) + 1))
+        for q in ks:
+            rows = np.flatnonzero(allowed[q])
+            span = slice(bounds[q], bounds[q + 1])
+            at = left[:, None, span] * len(rows) + right[None, :, span]
+            block = np.bincount(at.ravel(), terms[..., span].ravel(), len(rows) ** 2)
+            yield q, rows, block.reshape(len(rows), len(rows))
 
 
 def _ranker(m: int, n: int):

@@ -288,15 +288,13 @@ def _adjacency_spectrum(orbits: SectorOrbits,
     RK-fixed basis (`SectorOrbits.blocks`), and blocks k and -k share one
     real `eigh`.
     """
-    bloch = orbits.coordinates(vectors)
+    block_coords = orbits.coordinates(vectors)
     spectrum, coords = [], []
     ring = orbits.orbit.shape[1]
-    for k, (rows, partner, coef), block in orbits.blocks():
+    for k, rows, block in orbits.blocks():
         w, vecs = np.linalg.eigh(block)
-        # <c|x> in the basis of block k, then of block -k unless -k = k
-        for q, c in [(k, coef.conj()), (-k % ring, coef)][:1 + (0 < 2 * k < ring)]:
-            x = bloch[:, rows, q]
-            x = c[0] * x + c[1] * x[:, partner]
+        for q in {k, -k % ring}:
+            x = block_coords[:, rows, q]
             spectrum.append(w)
             coords.append(x.real @ vecs + 1j * (x.imag @ vecs))
     return np.concatenate(spectrum), np.concatenate(coords, axis=1)
