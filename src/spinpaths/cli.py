@@ -223,8 +223,9 @@ def cmd_sweep(args) -> int:
         start = _parse_int_tuple(args.start, "--start")
         end = _parse_int_tuple(args.end, "--end") if args.end else start
         ks = _parse_range(args.steps)
-        # an empty range prints the header alone, whatever the endpoints
-        counts = paths.walker_counts(start, end, ks, args.m) if ks else []
+        # an empty range prints the header alone, once the ring and
+        # endpoints pass
+        counts = paths.walker_counts(start, end, ks, args.m)
         rows = [[args.m, "|".join(map(str, start)), "|".join(map(str, end)), k, c]
                 for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)

@@ -310,6 +310,7 @@ def test_exit_code_bad_input():
     ["paths", "--count", "--m", "-1", "--steps", "1", "--start", "", "--end", ""],
     ["sweep", "path-counts", "--m", "0", "--start", "0", "--steps", "0..2"],
     ["sweep", "path-counts", "--m", "-1", "--start", "", "--steps", "1"],
+    ["sweep", "path-counts", "--m", "0", "--start", "0", "--steps", "2..1"],
 ], ids=" ".join)
 def test_walker_verbs_refuse_rings_under_two_sites(argv):
     # every other verb refuses m < 1 through ChainGeometry
