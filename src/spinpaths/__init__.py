@@ -8,8 +8,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "chain": ("bethe_ground_state", "bethe_vector",
-              "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
-              "momentum_table", "sector_basis"),
+              "build_sector_hamiltonian", "hopping_matrix", "momentum_table",
+              "sector_basis"),
     "core": ("ChainGeometry",),
     "correlators": ("equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import comb, pi, sin
 from typing import Iterator
 
@@ -61,17 +60,6 @@ def hopping_matrix(m: int) -> np.ndarray:
             d = abs(a - b)
             delta[a, b] = int(d == 1) + int(d == m)
     return delta
-
-
-def hopping_power(m: int, k: int) -> np.ndarray:
-    """Exact integer Delta^k, one `paths.ring_power_rows` row per site (object dtype)."""
-    from .paths import ring_power_rows
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if m < 1:
-        raise ValueError("need at least a 2-site ring (m >= 1)")
-    return np.array([next(islice(ring_power_rows(j, m), k, None))
-                     for j in range(m + 1)], dtype=object)
 
 
 def _hop_targets(config: StrictPartition, ring: int) -> Iterator[StrictPartition]:

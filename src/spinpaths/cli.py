@@ -134,37 +134,28 @@ def cmd_correlator(args) -> int:
     from . import correlators
     geom = core.ChainGeometry(args.m, args.n)
     t = complex(args.t)
+    doc = {"kind": args.kind, "m": args.m}
     if args.kind == "one-particle":
         j, l = args.j_site, args.l_site
-        value = correlators.one_particle_g(geom, j, l, t)
-        doc = {"kind": args.kind, "m": args.m, "j": j, "l": l,
-               "t": core.complex_json(t), "value": core.complex_json(value),
-               "route_residuals": {}}
+        res = correlators.multi_particle_g_detailed(geom, (j,), (l,), t)
+        doc.update(j=j, l=l, t=core.complex_json(t))
     elif args.kind == "laplace":
         j, l = args.j_site, args.l_site
         z = complex(args.z)
-        value = correlators.laplace_generating_f(geom, j, l, z)
-        doc = {"kind": args.kind, "m": args.m, "j": j, "l": l,
-               "z": core.complex_json(z), "value": core.complex_json(value),
-               "route_residuals": {}}
+        res = correlators.CorrelatorResult(correlators.laplace_generating_f(geom, j, l, z))
+        doc.update(j=j, l=l, z=core.complex_json(z))
     elif args.kind == "multi-particle":
         j = _parse_int_tuple(args.j, "--j")
         l = _parse_int_tuple(args.l, "--l")
         res = correlators.multi_particle_g_detailed(geom, j, l, t)
-        doc = {"kind": args.kind, "m": args.m, "n": args.n,
-               "j": list(j), "l": list(l), "t": core.complex_json(t),
-               "value": core.complex_json(res.value),
-               "route_residuals": {k: float(v)
-                                   for k, v in res.route_residuals.items()}}
+        doc.update(n=args.n, j=list(j), l=list(l), t=core.complex_json(t))
     elif args.kind == "persistence":
         res = correlators.persistence_detailed(geom, args.string_n, t)
-        doc = {"kind": args.kind, "m": args.m, "n": args.n,
-               "string_n": args.string_n, "t": core.complex_json(t),
-               "value": core.complex_json(res.value),
-               "route_residuals": {k: float(v)
-                                   for k, v in res.route_residuals.items()}}
+        doc.update(n=args.n, string_n=args.string_n, t=core.complex_json(t))
     else:
         raise ValueError(f"unknown correlator kind {args.kind}")
+    doc["value"] = core.complex_json(res.value)
+    doc["route_residuals"] = {k: float(v) for k, v in res.route_residuals.items()}
     _emit(doc)
     return EXIT_OK
 
@@ -184,8 +175,9 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_float_range(text: str) -> list[float]:
-    """'start:step:stop' inclusive-ish grid, or a single float; finite
-    values only, and at most FLOAT_GRID_CAP points."""
+    """'start:step:stop' inclusive grid, start + i*step rounded to 12
+    decimals, or a single float; finite values only, and at most
+    FLOAT_GRID_CAP points."""
     values = [float(p) for p in text.split(":")]
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{text!r} is not finite")
@@ -194,18 +186,12 @@ def _parse_float_range(text: str) -> list[float]:
     start, step, stop = values
     if step <= 0:
         raise ValueError(f"step {step} in {text!r} must be positive")
-    too_many = core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
-    if (stop - start) / step + 2 > FLOAT_GRID_CAP:
-        raise too_many
-    out = []
-    v = start
-    while v <= stop + 1e-12:
-        out.append(round(v, 12))
-        v += step
-        # a step below half the float spacing at v never moves v
-        if len(out) > FLOAT_GRID_CAP:
-            raise too_many
-    return out
+    # the span may be inf; a step below half the float spacing at start
+    # never moves the grid
+    span = (stop + 1e-12 - start) / step
+    if span >= FLOAT_GRID_CAP or start + step == start:
+        raise core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
+    return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
 
 
 def cmd_sweep(args) -> int:

@@ -61,12 +61,6 @@ class CorrelatorResult:
     route_residuals: dict[str, float] = field(default_factory=dict)
 
 
-def _validate_sites(geom: ChainGeometry, *indices: int) -> None:
-    for i in indices:
-        if not 0 <= i <= geom.m:
-            raise ValueError(f"site index {i} outside 0..{geom.m}")
-
-
 def _check_string_length(geom: ChainGeometry, n: int) -> None:
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
@@ -103,14 +97,14 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
 
 
 def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
-    """Exponential generating function of single-walker ring walks."""
-    _validate_sites(geom, j, m)
-    return complex(one_particle_matrix(geom, t)[j, m])
+    """Exponential generating function of single-walker ring walks: the
+    one-walker case of `multi_particle_g`, checked against its spectral sum."""
+    return multi_particle_g(ChainGeometry(geom.m, 1), (j,), (m,), t)
 
 
 def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> complex:
     """Ordinary generating function sum_K z^K (Delta^K)_{jm}, via a linear solve."""
-    _validate_sites(geom, j, m)
+    _check_endpoints(geom, (j,), (m,))
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
     size = geom.sites
@@ -332,8 +326,6 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
 
 def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
     """Normalized projected-evolution ratio, by the momentum-subset sum."""
-    if not 1 <= geom.n <= geom.m:
-        raise ValueError("need 1 <= N <= M")
     _check_string_length(geom, n)
     gaps, weights = _persistence_terms(geom, n)
     # each term is at most exp(max Re(-t gaps)), the sum sum(weights) times that
@@ -372,12 +364,11 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
     keeps both forms finite at large real t.  The Bethe vector and its
     projection are taken one translation-momentum block at a time.
     """
-    if not 1 <= geom.n <= geom.m:
-        raise ValueError("need 1 <= N <= M")
     _check_string_length(geom, n)
+    ground = bethe_ground_state(geom)
     orbits = sector_orbits(geom)
     proj = np.all(sector_sites(geom) >= n, axis=1)
-    vec = bethe_vector(geom, bethe_ground_state(geom).phases)
+    vec = bethe_vector(geom, ground.phases)
     w, coords = _adjacency_spectrum(orbits, np.array([vec * proj, vec]))
     exponent = t / 2.0 * w
     num, den = np.abs(coords) ** 2 @ np.exp(exponent - np.max(exponent.real))

@@ -19,7 +19,6 @@ from spinpaths.chain import (
     bethe_ground_state,
     build_sector_hamiltonian,
     ground_state_energy_closed_form,
-    hopping_power,
     momentum_table,
     sector_basis,
 )
@@ -35,7 +34,12 @@ from spinpaths.partitions import (
     lambda_to_mu,
     mu_to_lambda,
 )
-from spinpaths.paths import _lgv_series, count_random_turns_paths, enumerate_nests
+from spinpaths.paths import (
+    _lgv_series,
+    count_random_turns_paths,
+    enumerate_nests,
+    ring_power_rows,
+)
 from spinpaths.qpoly import (
     macmahon_count,
     macmahon_z,
@@ -169,13 +173,12 @@ def test_07_path_count_triple(capsys):
     ok = True
     for m in range(1, 7):
         # single walker: all four routes entrywise
-        for k in range(0, 9):
-            power = hopping_power(m, k)
-            geom = ChainGeometry(m, 1)
-            for j in range(m + 1):
+        geom = ChainGeometry(m, 1)
+        for j in range(m + 1):
+            for k, power in zip(range(9), ring_power_rows(j, m)):
                 for l in range(m + 1):
                     dp = count_random_turns_paths((j,), (l,), k, m)
-                    if power[j, l] != dp:
+                    if power[l] != dp:
                         ok = False
                     if trig_path_count(geom, (j,), (l,), k) != dp:
                         ok = False

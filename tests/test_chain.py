@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, pi, sin
 
 import numpy as np
@@ -15,13 +15,13 @@ from spinpaths.chain import (
     build_sector_hopping,
     ground_state_energy_closed_form,
     hopping_matrix,
-    hopping_power,
     momentum_table,
     sector_basis,
     sector_orbits,
 )
 from spinpaths.cli import main
 from spinpaths.partitions import mu_to_lambda
+from spinpaths.paths import ring_power_rows
 from spinpaths.schur import schur_determinant, vandermonde
 
 
@@ -75,20 +75,21 @@ def test_hopping_matrix_shapes():
     assert hopping_matrix(1).tolist() == [[0, 2], [2, 0]]
 
 
-def test_hopping_power_exact_integers():
-    p = hopping_power(4, 6)
+def ring_power(m, k):
+    """Delta^k as exact integers, one `ring_power_rows` row per site."""
+    return [next(islice(ring_power_rows(j, m), k, None)) for j in range(m + 1)]
+
+
+def test_ring_power_rows_exact_integers():
+    p = ring_power(4, 6)
     expected = np.linalg.matrix_power(hopping_matrix(4).astype(float), 6)
     assert np.array_equal(np.array(p, dtype=float), expected)
-    assert isinstance(p[0, 0], int)
+    assert isinstance(p[0][0], int)
 
 
-def test_hopping_power_needs_a_ring_and_a_non_negative_power():
-    assert hopping_power(1, 3).tolist() == [[0, 8], [8, 0]]   # the doubled bond
-    assert hopping_power(3, 0).tolist() == np.identity(4, dtype=int).tolist()
-    with pytest.raises(ValueError):
-        hopping_power(0, 2)
-    with pytest.raises(ValueError):
-        hopping_power(3, -1)
+def test_ring_power_rows_doubled_bond_and_zeroth_power():
+    assert ring_power(1, 3) == [[0, 8], [8, 0]]   # the doubled bond
+    assert ring_power(3, 0) == np.identity(4, dtype=int).tolist()
 
 
 def test_hamiltonian_symmetric_and_row_structure():

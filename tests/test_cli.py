@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from spinpaths import schur
-from spinpaths.cli import main
+from spinpaths import correlators, schur
+from spinpaths.chain import ChainGeometry, hopping_matrix
+from spinpaths.cli import _parse_float_range, main
 from spinpaths.paths import count_random_turns_paths
 
 
@@ -81,6 +82,57 @@ def test_correlator_persistence():
     doc = json.loads(out.stdout)
     assert 0.0 < doc["value"]["re"] < 1.0
     assert doc["route_residuals"]["spectral_vs_dense"] < 1e-8
+
+
+# digests of the stdout printed when each kind built its own output dict;
+# the one builder over `CorrelatorResult` must print the same bytes
+CORRELATOR_DIGESTS = {
+    "multi-particle": ("3d27cdc6d73388622f00e0dadb62197b969daed4a2abba53794f8d10c08691fd",
+                       ["--m", "9", "--n", "3", "--j", "5,3,1", "--l", "6,3,0",
+                        "--t", "0.7"]),
+    "persistence": ("a16addfd6157279be4e2af4a5e628cf63bc150e73f8d27cf2e46b3a95a689dba",
+                    ["--m", "4", "--n", "2", "--string-n", "1", "--t", "0.5"]),
+    "laplace": ("09f4070bab86fc9b175f1a7f52cdb040334458d04062a52880858dd83bbcfc3d",
+                ["--m", "5", "--j-site", "0", "--l-site", "2", "--z", "0.2"]),
+}
+
+
+@pytest.mark.parametrize("kind", CORRELATOR_DIGESTS)
+def test_correlator_stdout_pinned(kind):
+    digest, extra = CORRELATOR_DIGESTS[kind]
+    out = run_cli(["correlator", "--kind", kind, *extra])
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+ONE_PARTICLE = ["correlator", "--kind", "one-particle", "--m", "5",
+                "--j-site", "0", "--l-site", "2", "--t", "0.7"]
+
+
+def test_one_particle_is_the_one_walker_determinant(capsys):
+    # the 1 x 1 determinant may move the last bit of the matrix entry
+    assert main(ONE_PARTICLE) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = correlators.one_particle_matrix(ChainGeometry(5, 1), 0.7)[0, 2]
+    value = complex(doc["value"]["re"], doc["value"]["im"])
+    assert value == pytest.approx(complex(want), rel=1e-15, abs=0)
+    assert doc["route_residuals"]["det_vs_spectral"] < 1e-9
+
+
+def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
+    # without the bond between sites M and 0 the ring is an open chain: the
+    # determinant route changes (0.06443 to 0.06315), the momentum sum does not
+    def open_chain(m):
+        delta = hopping_matrix(m)
+        delta[0, m] -= 1
+        delta[m, 0] -= 1
+        return delta
+
+    monkeypatch.setattr(correlators, "hopping_matrix", open_chain)
+    assert main(ONE_PARTICLE) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "route-mismatch"
 
 
 # digests of the stdout printed when each identity was coded inside the
@@ -216,6 +268,15 @@ def test_sweep_persistence_nonpositive_step_is_bad_input(grid):
     assert out.stdout == ""
     assert json.loads(out.stderr)["error"] == \
         {2: "bad-input", 3: "cap-exceeded"}[GRIDS[grid]]
+
+
+def test_float_grid_does_not_drift():
+    # the grid was built by repeated addition: it ended at 99.999000000113,
+    # 100,000 points, and 1.0 was never reached on a 1e-5 step
+    grid = _parse_float_range("0:0.001:100")
+    assert len(grid) == 100_001 and grid[-1] == 100.0
+    assert grid == [round(i * 0.001, 12) for i in range(100_001)]
+    assert _parse_float_range("0:0.00001:1")[-1] == 1.0
 
 
 @pytest.mark.parametrize("argv, missing", [

@@ -19,8 +19,8 @@ import spinpaths
 # when the package imported them all eagerly.
 EXPORTS = {
     "chain": ["ChainGeometry", "bethe_ground_state", "bethe_vector",
-              "build_sector_hamiltonian", "hopping_matrix", "hopping_power",
-              "momentum_table", "sector_basis"],
+              "build_sector_hamiltonian", "hopping_matrix", "momentum_table",
+              "sector_basis"],
     "correlators": ["equality_of_sums_report", "laplace_generating_f",
                     "multi_particle_g", "one_particle_g", "persistence_exact",
                     "persistence_spectral", "transition_amplitude",

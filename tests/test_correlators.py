@@ -119,14 +119,26 @@ def test_one_particle_g_entry_and_validation():
         one_particle_g(geom, 5, 0, 0.1)
 
 
+def test_transition_amplitude_keeps_its_digits_at_large_complex_t():
+    # the Gram form det(JT(v)[:, S] G_SS JT(u)[:, S]^T), S = n..M, which
+    # would replace the pair minors, is 2.1e-8 off the spectral route here,
+    # past ROUTE_TOL_AMPLITUDE; the pair minors are 2.3e-11 off both routes
+    geom = ChainGeometry(9, 4)
+    u = (1.3 + 0.2j, -0.7 + 1.1j, 0.4 - 1.5j, -1.2 - 0.3j)
+    v = (0.9 - 0.8j, 1.4 + 0.6j, -0.5 + 0.9j, -1.1 - 1.0j)
+    res = transition_amplitude_detailed(geom, u, v, 3, 29 + 24j)
+    exact = transition_amplitude_exact(geom, u, v, 3, 29 + 24j)
+    assert relative_residual(res.value, exact) <= 1e-9
+
+
 def test_laplace_generating_function_matches_power_series():
     geom = ChainGeometry(4, 1)
-    from spinpaths.chain import hopping_power
+    from spinpaths.paths import ring_power_rows
 
     z = 0.21
     for j, l in [(0, 0), (2, 4), (3, 1)]:
-        series = sum(z ** k * int(hopping_power(geom.m, k)[j, l])
-                     for k in range(80))
+        series = sum(z ** k * row[l]
+                     for k, row in zip(range(80), ring_power_rows(j, geom.m)))
         assert laplace_generating_f(geom, j, l, z) == pytest.approx(series,
                                                                     rel=1e-10)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinpaths.chain import ChainGeometry, hopping_power, sector_basis
+from spinpaths.chain import ChainGeometry, sector_basis
 from spinpaths import paths
 from spinpaths.core import EnumerationCapError
 from spinpaths.partitions import boxed_partitions, descending_subsets
@@ -136,11 +136,10 @@ def test_walker_count_mismatch():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_single_walker_matches_hop_matrix_power(m):
-    for k in range(0, 8):
-        power = hopping_power(m, k)
-        for j in range(m + 1):
+    for j in range(m + 1):
+        for k, row in zip(range(8), paths.ring_power_rows(j, m)):
             for l in range(m + 1):
-                assert power[j, l] == count_random_turns_paths((l,), (j,), k, m)
+                assert row[l] == count_random_turns_paths((l,), (j,), k, m)
 
 
 @settings(max_examples=25, deadline=None)
