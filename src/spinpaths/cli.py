@@ -132,7 +132,9 @@ def cmd_chain_spectrum(args) -> int:
 
 def cmd_correlator(args) -> int:
     from . import correlators
-    geom = core.ChainGeometry(args.m, args.n)
+    # one-particle and laplace are one-walker kinds and do not read --n
+    walkers = 1 if args.kind in ("one-particle", "laplace") else args.n
+    geom = core.ChainGeometry(args.m, walkers)
     t = complex(args.t)
     doc = {"kind": args.kind, "m": args.m}
     if args.kind == "one-particle":

@@ -4,15 +4,16 @@ Time convention, pinned once: the hopping generating functions are series
 in t/2 (they weight a K-step walk by (t/2)^K / K!), and the persistence
 ratio uses Euclidean evolution exp(-t * H) with the full sector
 Hamiltonian.  t may be complex; real time is t = i tau.  Every spectral
-formula here has an independent second route (determinant, walker
-count, or exact diagonalization in the spin-configuration basis) and the
-detailed variants report the cross-route residuals.  The determinants
-take the one-walker propagator from one `eigh` of the twisted hop
-matrix, which shares nothing with the analytic momenta of the spectral
-sums.  The diagonalization oracles never form the sector matrix: they
-split it into translation-momentum blocks, each real symmetric in the
-basis fixed by RK (reflection times complex conjugation), and take one
-real `eigh` per pair of momenta k, -k.
+formula here has a second route and the detailed variants report the
+cross-route residuals: a determinant of the one-walker propagator (one
+`eigh` of the twisted hop matrix, sharing nothing with the analytic
+momenta), a walker count, or, for persistence and the transition
+amplitude, exact diagonalization in the spin-configuration basis.  The
+diagonalization oracles never form the sector matrix: they split it into
+translation-momentum blocks, each real symmetric in the basis fixed by RK
+(reflection times complex conjugation), and take one real `eigh` per pair
+of momenta k, -k.  The spectral persistence sum and both amplitude sums
+share one overflow guard, `_exp_sum`.
 """
 
 from __future__ import annotations
@@ -196,9 +197,9 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     """Projected evolution amplitude between two Schur-parametrized states.
 
     `u_sq` and `v_inv_sq` are the spectral-parameter vectors the two
-    states' Schur amplitudes are evaluated at.  Route one sums boxed shape
-    pairs against the walker generating function; route two is the
-    momentum-subset spectral sum with two boxed Cauchy-Binet kernels.
+    states' Schur amplitudes are evaluated at.  The value is the
+    momentum-subset spectral sum with two boxed Cauchy-Binet kernels,
+    checked against the block-diagonalization oracle.
     """
     nvar = geom.n
     u_sq = tuple(complex(v) for v in u_sq)
@@ -206,25 +207,10 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
     if len(u_sq) != nvar or len(v_inv_sq) != nvar:
         raise ValueError(f"parameter vectors must have length {nvar}")
     _check_string_length(geom, n)
-
-    gmat = one_particle_matrix(geom, t, nvar)
-    # mu = lam + staircase over the boxed shapes: the N-subsets of n..M
-    mus = n + subset_rows(geom.m - n, nvar)
-    count = len(mus)
-    s_left = schur_values(v_inv_sq, mus)
-    s_right = schur_values(u_sq, mus)
-
-    def pair_minors(rows):
-        left, right = divmod(np.arange(rows.start, rows.stop), count)
-        return gmat[mus[left, :, None], mus[right, None, :]]
-
-    dets = stacked_dets(count * count, pair_minors).reshape(count, count)
-    direct = complex(s_left @ dets @ s_right)
-
     spectral = _transition_spectral(geom, u_sq, v_inv_sq, n, t)
-
-    resid = route_check(spectral, direct, ROUTE_TOL_AMPLITUDE, RouteMismatchError)
-    return CorrelatorResult(direct, {"boxed_vs_spectral": resid})
+    exact = transition_amplitude_exact(geom, u_sq, v_inv_sq, n, t)
+    resid = route_check(spectral, exact, ROUTE_TOL_AMPLITUDE, RouteMismatchError)
+    return CorrelatorResult(spectral, {"spectral_vs_dense": resid})
 
 
 def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
@@ -234,10 +220,25 @@ def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
     V(p) CB(v, p) is the boxed sum of s_lam(v) det(p^mu): one Jacobi-Trudi
     determinant per subset, at coincident parameters too.
     """
-    phases = momentum_table(geom).phases
-    weights = _subset_weights(geom, lambda c: np.exp(t * c))
-    return complex(weights @ (_boxed_dets(geom, v_inv_sq, phases, n) *
-                              _boxed_dets(geom, u_sq, np.conj(phases), n)))
+    table = momentum_table(geom)
+    weights = (_boxed_dets(geom, v_inv_sq, table.phases, n) *
+               _boxed_dets(geom, u_sq, np.conj(table.phases), n)) / geom.sites ** geom.n
+    return _exp_sum(t * np.sum(np.cos(table.thetas), axis=1), weights,
+                    "amplitude sum", t)
+
+
+def _exp_sum(exponent: np.ndarray, weights: np.ndarray, what: str,
+             t: complex) -> complex:
+    """exp(exponent) @ weights.  Each term is at most exp(max Re(exponent))
+    times its |weight|, so `FloatOverflowError` is raised, before `exp`
+    runs, when max Re(exponent) + log max(1, sum |weights|) leaves the
+    float range."""
+    log_max = exponent.real.max() + np.log(max(1.0, np.abs(weights).sum()))
+    if log_max > FLOAT_LOG_MAX:
+        raise FloatOverflowError(
+            f"the {what} at t={t} can reach exp({log_max:.1f}), "
+            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
+    return complex(np.exp(exponent) @ weights)
 
 
 def _boxed_dets(geom: ChainGeometry, x, phases: np.ndarray, n: int) -> np.ndarray:
@@ -266,10 +267,12 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     orbits = sector_orbits(geom)
     sites = sector_sites(geom)
     proj = np.all(sites >= n, axis=1)
-    left = schur_values(v_inv_sq, sites) * proj
-    right = schur_values(u_sq, sites) * proj
-    w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([np.conj(left), right]))
-    return complex((np.conj(lhs) * np.exp(t / 2.0 * w)) @ rhs)
+    # at repeated parameters each row is a tableau enumeration: skip the rest
+    left, right = np.zeros((2, len(sites)), dtype=complex)
+    left[proj] = np.conj(schur_values(v_inv_sq, sites[proj]))
+    right[proj] = schur_values(u_sq, sites[proj])
+    w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([left, right]))
+    return _exp_sum(t / 2.0 * w, np.conj(lhs) * rhs, "amplitude oracle", t)
 
 
 def _adjacency_spectrum(orbits: SectorOrbits,
@@ -328,14 +331,7 @@ def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
     """Normalized projected-evolution ratio, by the momentum-subset sum."""
     _check_string_length(geom, n)
     gaps, weights = _persistence_terms(geom, n)
-    # each term is at most exp(max Re(-t gaps)), the sum sum(weights) times that
-    exponent = -t * gaps
-    log_max = exponent.real.max() + np.log(max(1.0, weights.sum()))
-    if log_max > FLOAT_LOG_MAX:
-        raise FloatOverflowError(
-            f"the persistence sum at t={t} can reach exp({log_max:.1f}), "
-            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
-    return complex(np.exp(exponent) @ weights)
+    return _exp_sum(-t * gaps, weights, "persistence sum", t)
 
 
 @lru_cache(maxsize=32)

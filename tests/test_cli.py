@@ -109,6 +109,18 @@ ONE_PARTICLE = ["correlator", "--kind", "one-particle", "--m", "5",
                 "--j-site", "0", "--l-site", "2", "--t", "0.7"]
 
 
+@pytest.mark.parametrize("argv", [
+    ONE_PARTICLE,
+    ["correlator", "--kind", "laplace", *CORRELATOR_DIGESTS["laplace"][1]],
+], ids=["one-particle", "laplace"])
+def test_one_walker_kinds_ignore_n(argv):
+    # neither kind reads --n; a down-spin count past the ring exited 2
+    plain = run_cli(argv)
+    with_n = run_cli(argv + ["--n", "9"])
+    assert (plain.returncode, with_n.returncode) == (0, 0), with_n.stderr
+    assert with_n.stdout == plain.stdout
+
+
 def test_one_particle_is_the_one_walker_determinant(capsys):
     # the 1 x 1 determinant may move the last bit of the matrix entry
     assert main(ONE_PARTICLE) == 0

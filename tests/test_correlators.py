@@ -35,7 +35,12 @@ from spinpaths.correlators import (
 )
 from spinpaths.partitions import lambda_to_mu, mu_to_lambda, shifted_boxed_partitions
 from spinpaths.paths import count_random_turns_paths, random_turns_counts_from
-from spinpaths.schur import schur_count_at_one, schur_determinant, schur_evaluate
+from spinpaths.schur import (
+    schur_count_at_one,
+    schur_determinant,
+    schur_evaluate,
+    schur_values,
+)
 
 RNG = np.random.default_rng(515)
 
@@ -120,9 +125,9 @@ def test_one_particle_g_entry_and_validation():
 
 
 def test_transition_amplitude_keeps_its_digits_at_large_complex_t():
-    # the Gram form det(JT(v)[:, S] G_SS JT(u)[:, S]^T), S = n..M, which
-    # would replace the pair minors, is 2.1e-8 off the spectral route here,
-    # past ROUTE_TOL_AMPLITUDE; the pair minors are 2.3e-11 off both routes
+    # the Gram form det(JT(v)[:, S] G_SS JT(u)[:, S]^T), S = n..M, is 2.1e-8
+    # off the spectral route here, past ROUTE_TOL_AMPLITUDE; the spectral
+    # route is 1.1e-13 off the block oracle
     geom = ChainGeometry(9, 4)
     u = (1.3 + 0.2j, -0.7 + 1.1j, 0.4 - 1.5j, -1.2 - 0.3j)
     v = (0.9 - 0.8j, 1.4 + 0.6j, -0.5 + 0.9j, -1.1 - 1.0j)
@@ -195,10 +200,11 @@ def test_multi_particle_large_t_raises_float_overflow():
 
 
 @pytest.mark.parametrize("route, args, bound", [
-    # in the first two the three largest one-walker exponents sum to less
-    # than 709.78, yet a 3x3 minor overflows on its rounding noise in `det`
+    # the largest exponent t sum cos plus the log of the summed |weights|
     (transition_amplitude_detailed,
-     (ChainGeometry(6, 3), (1.0, 0.5, 0.7), (0.5, 1.0, 0.3), 1, 300.0), "900.0"),
+     (ChainGeometry(6, 3), (1.0, 0.5, 0.7), (0.5, 1.0, 0.3), 1, 320.0), "719.9"),
+    # the three largest one-walker exponents sum to less than 709.78, yet
+    # a 3x3 minor overflows on its rounding noise in `det`
     (multi_particle_g_detailed,
      (ChainGeometry(9, 3), (5, 3, 1), (6, 3, 0), 270), "810.0"),
     # four walkers on four sites: `exp` overflows on the largest exponent
@@ -314,7 +320,7 @@ def test_transition_amplitude_routes_and_dense_oracle(m, n, shift, kind):
     u, v = amplitude_params(kind, n)
     t = float(RNG.uniform(0.1, 1.0))
     res = transition_amplitude_detailed(geom, u, v, shift, t)
-    assert res.route_residuals["boxed_vs_spectral"] <= 1e-8
+    assert res.route_residuals["spectral_vs_dense"] <= 1e-8
     exact = transition_amplitude_exact(geom, u, v, shift, t)
     assert abs(res.value - exact) <= 1e-8 * max(1.0, abs(exact))
 
@@ -333,6 +339,39 @@ def test_transition_amplitude_large_t_raises_float_overflow():
     with pytest.raises(FloatOverflowError):
         transition_amplitude_detailed(ChainGeometry(4, 2), (1.0, 0.5),
                                       (0.5, 1.0), 1, 1000.0)
+
+
+def test_transition_amplitude_exact_large_t_raises_float_overflow():
+    # the largest sector adjacency eigenvalue is 4 cos(pi/5), so at t = 1000
+    # the oracle's terms reach exp(1618.0); it returned nan+nanj
+    with pytest.raises(FloatOverflowError, match="1618.6"):
+        transition_amplitude_exact(ChainGeometry(4, 2), (1.0, 0.5), (0.5, 1.0),
+                                   1, 1000.0)
+
+
+def test_transition_amplitude_finite_below_the_float_range():
+    # 4.816e292 at t = 300: the amplitude sum's own bound, exp(674.9), is
+    # what decides, not a three-walker Hadamard bound exp(900.0)
+    geom, u, v = ChainGeometry(6, 3), (1.0, 0.5, 0.7), (0.5, 1.0, 0.3)
+    res = transition_amplitude_detailed(geom, u, v, 1, 300.0)
+    assert np.isfinite(res.value)
+    exact = transition_amplitude_exact(geom, u, v, 1, 300.0)
+    assert relative_residual(res.value, exact) <= 1e-12
+
+
+def test_transition_oracle_evaluates_only_projected_rows(monkeypatch):
+    # at (6,3), n = 1 the projected rows are the C(6,3) = 20 triples in
+    # 1..6, of the C(7,3) = 35 sector rows
+    rows = []
+
+    def recording(x, mus):
+        rows.append(len(mus))
+        return schur_values(x, mus)
+
+    monkeypatch.setattr(correlators, "schur_values", recording)
+    transition_amplitude_exact(ChainGeometry(6, 3), (1.0, 0.5, 0.7),
+                               (0.5, 1.0, 0.3), 1, 0.4)
+    assert rows == [20, 20]
 
 
 def test_transition_amplitude_validation():
