@@ -17,20 +17,19 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, sin
 from typing import Iterator
 
 import numpy as np
 
-from .core import ChainGeometry, SectorCapError
+from .core import ChainGeometry, FrozenRecord, SectorCapError
 from .kernels import subset_rows
 from .partitions import StrictPartition, descending_subsets
 from .schur import schur_values
 
 DEFAULT_SECTOR_CAP = 50_000
-DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense float sector matrix
+DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector or one-walker matrix
 
 
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
@@ -52,13 +51,13 @@ def sector_sites(geom: ChainGeometry) -> np.ndarray:
 
 
 def hopping_matrix(m: int) -> np.ndarray:
-    """Adjacency matrix of the ring, with the doubled bond at m = 1."""
-    size = m + 1
-    delta = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(size):
-            d = abs(a - b)
-            delta[a, b] = int(d == 1) + int(d == m)
+    """Adjacency matrix of the ring: one bond from each site s to s+1 mod
+    M+1, so at m = 1 the two bonds double up."""
+    sites = np.arange(m + 1)
+    step = (sites + 1) % (m + 1)
+    delta = np.zeros((m + 1, m + 1), dtype=np.int64)
+    delta[sites, step] += 1
+    delta[step, sites] += 1
     return delta
 
 
@@ -105,8 +104,7 @@ def build_sector_hopping(geom: ChainGeometry) -> np.ndarray:
     return 2.0 * (ham - geom.n * np.identity(ham.shape[0]))
 
 
-@dataclass(frozen=True)
-class SectorOrbits:
+class SectorOrbits(FrozenRecord):
     """The sector basis split into orbits of the one-site translation T.
 
     `orbit[r, j]` is the basis index of T^j(rep_r) for j = 0..M, and
@@ -117,13 +115,8 @@ class SectorOrbits:
     T^mirror_shift[r](rep_{mirror[r]}).
     """
 
-    orbit: np.ndarray
-    period: np.ndarray
-    rep: np.ndarray
-    shift: np.ndarray
-    hops: np.ndarray
-    mirror: np.ndarray
-    mirror_shift: np.ndarray
+    __slots__ = ("orbit", "period", "rep", "shift", "hops", "mirror",
+                 "mirror_shift")
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of sector vectors x (..., d) as (..., R, M+1): entry
@@ -233,42 +226,56 @@ def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
                         rep[mirrored], shift[mirrored])
 
 
-@dataclass(frozen=True)
-class MomentumTable:
+class MomentumTable(FrozenRecord):
     """Every Bethe state of a geometry, one row per momentum subset: (S, N)
-    grid indices s (descending, in the order of `descending_subsets`),
-    thetas and phases exp(i theta), and (S,) energies N - sum cos theta.
-    The ground state is the last row.  Read-only, because one cached table
-    is shared."""
+    grid indices s (descending, in the order of `descending_subsets`) and
+    (S,) sums of cos theta, over the (M+1,) grid thetas and phases
+    exp(i theta).  The per-subset `thetas` and `phases` are gathered from
+    the grid, and the energies are N minus the cosine sums.  The ground
+    state is the last row.  Read-only, because one cached table is
+    shared."""
 
-    indices: np.ndarray
-    thetas: np.ndarray
-    phases: np.ndarray
-    energies: np.ndarray
+    __slots__ = ("indices", "grid_thetas", "grid_phases", "cos_sums")
+
+    def _rows(self, grid: np.ndarray) -> np.ndarray:
+        rows = grid[self.indices]
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return self._rows(self.grid_thetas)
+
+    @property
+    def phases(self) -> np.ndarray:
+        return self._rows(self.grid_phases)
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.indices.shape[-1] - self.cos_sums
 
 
 @lru_cache(maxsize=8)
 def momentum_table(geom: ChainGeometry) -> MomentumTable:
     """The subset table of `geom`, cached and shared; the cap is checked first."""
-    n = geom.n
     # the N-subsets of the grid 0..M, in `descending_subsets` order
     indices = sector_sites(geom)[::-1]
-    thetas = 2.0 * pi / geom.sites * (indices - (n - 1) / 2.0)
-    table = MomentumTable(indices, thetas, np.exp(1j * thetas),
-                          n - np.sum(np.cos(thetas), axis=1))
-    for arr in vars(table).values():
+    grid = 2.0 * pi / geom.sites * (np.arange(geom.sites) - (geom.n - 1) / 2.0)
+    table = MomentumTable(indices, grid, np.exp(1j * grid),
+                          np.sum(np.cos(grid)[indices], axis=1))
+    for arr in table._values():
         arr.flags.writeable = False
     return table
 
 
 def bethe_ground_state(geom: ChainGeometry) -> MomentumTable:
     """The lowest-energy row of `momentum_table(geom)`, grid indices
-    N-1, ..., 1, 0: its last row, as (N,) arrays and a scalar energy."""
+    N-1, ..., 1, 0: its last row, as (N,) indices and a scalar energy."""
     if not 1 <= geom.n <= geom.m:
         raise ValueError("ground state defined for 1 <= N <= M")
     table = momentum_table(geom)
-    return MomentumTable(table.indices[-1], table.thetas[-1],
-                         table.phases[-1], table.energies[-1])
+    return MomentumTable(table.indices[-1], table.grid_thetas,
+                         table.grid_phases, table.cos_sums[-1])
 
 
 def ground_state_energy_closed_form(geom: ChainGeometry) -> float:

@@ -58,10 +58,16 @@ def complex_json(z: complex) -> dict:
 
 
 class FrozenRecord:
-    """An immutable value: `__init__` sets each `__slots__` field once, and
-    equality, hash and repr go by the fields."""
+    """An immutable value: `__init__` sets each `__slots__` field once, by
+    default from the positional arguments in slot order, and equality, hash
+    and repr go by the fields.  A dataclass would do the same, at a
+    start-up cost on every import."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -18,13 +18,13 @@ share one overflow guard, `_exp_sum`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .chain import (
+    DENSE_BYTES_CAP,
     SectorOrbits,
     bethe_ground_state,
     bethe_vector,
@@ -36,12 +36,14 @@ from .chain import (
 from .core import (
     ChainGeometry,
     FloatOverflowError,
+    FrozenRecord,
     IntegerRoundingError,
     RouteMismatchError,
+    SectorCapError,
     route_check,
     within_bound,
 )
-from .kernels import stacked_dets, subset_rows
+from .kernels import power_stacks, stacked_dets, subset_rows
 from .partitions import StrictPartition, mu_to_lambda
 from .schur import (
     jacobi_trudi_rows,
@@ -56,15 +58,28 @@ ROUTE_TOL_AMPLITUDE = 1e-8
 INTEGER_ROUNDING_TOL = 1e-6
 
 
-@dataclass
-class CorrelatorResult:
-    value: complex
-    route_residuals: dict[str, float] = field(default_factory=dict)
+class CorrelatorResult(FrozenRecord):
+    """A correlator value and the residual of each route check behind it."""
+
+    __slots__ = ("value", "route_residuals")
+
+    def __init__(self, value: complex, route_residuals: dict[str, float] | None = None):
+        super().__init__(value, route_residuals or {})
 
 
 def _check_string_length(geom: ChainGeometry, n: int) -> None:
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
+
+
+def _ring_hops(geom: ChainGeometry) -> np.ndarray:
+    """The ring hop matrix as floats, once the complex (M+1)^2 matrix built
+    from it fits `DENSE_BYTES_CAP`."""
+    nbytes = geom.sites ** 2 * 16
+    if nbytes > DENSE_BYTES_CAP:
+        raise SectorCapError(
+            f"dense one-walker matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
+    return hopping_matrix(geom.m).astype(float)
 
 
 def one_particle_matrix(geom: ChainGeometry, t: complex,
@@ -80,11 +95,12 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     2-norm at most exp(max Re(t) w / 2), so by Hadamard's inequality every
     entry and every nvar x nvar minor is bounded by exp(nvar max Re(t) w / 2);
     `FloatOverflowError` is raised when that bound leaves the float range,
-    before `exp` or `det` could overflow.
+    before `exp` or `det` could overflow.  `SectorCapError` is raised before
+    anything is allocated when the matrix is over `DENSE_BYTES_CAP`.
     """
     # sign the wrap-around bond; on the 2-site ring it is the second copy
     # of the doubled bond
-    delta = hopping_matrix(geom.m).astype(float)
+    delta = _ring_hops(geom)
     if nvar % 2 == 0:
         delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
     w, vecs = np.linalg.eigh(delta)
@@ -109,7 +125,7 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
     size = geom.sites
-    delta = hopping_matrix(geom.m).astype(float)
+    delta = _ring_hops(geom)
     rhs = np.zeros(size, dtype=complex)
     rhs[m] = 1.0
     sol = np.linalg.solve(np.identity(size) - z * delta, rhs)
@@ -118,19 +134,19 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
 
 def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
     """weight(sum_a cos theta_{s,a}) / (M+1)^N per momentum subset s."""
-    cos_sums = np.sum(np.cos(momentum_table(geom).thetas), axis=1)
-    return weight(cos_sums) / geom.sites ** geom.n
+    return weight(momentum_table(geom).cos_sums) / geom.sites ** geom.n
 
 
 def _det_product_spectral(m: int, j, l, weight) -> complex:
     """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
     geom = ChainGeometry(m, len(j))
-    thetas = momentum_table(geom).thetas
+    table = momentum_table(geom)
 
     def alternants(mu):
         # not phases ** mu: conj(phases) ** l turns (8,4,1)->(9,5,1) at M=11, K=22 wrong
-        return stacked_dets(len(thetas), lambda rows:
-                            np.exp(1j * thetas[rows, :, None] * mu))
+        build = power_stacks(table.grid_thetas, mu, table.indices,
+                             lambda theta, k: np.exp(1j * theta * k))
+        return stacked_dets(table.indices, lambda rows: build(rows).swapaxes(1, 2))
 
     return complex(_subset_weights(geom, weight) @
                    (alternants(np.array(j)) * alternants(-np.array(l))))
@@ -221,9 +237,9 @@ def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
     determinant per subset, at coincident parameters too.
     """
     table = momentum_table(geom)
-    weights = (_boxed_dets(geom, v_inv_sq, table.phases, n) *
-               _boxed_dets(geom, u_sq, np.conj(table.phases), n)) / geom.sites ** geom.n
-    return _exp_sum(t * np.sum(np.cos(table.thetas), axis=1), weights,
+    weights = (_boxed_dets(geom, v_inv_sq, table.grid_phases, n) *
+               _boxed_dets(geom, u_sq, np.conj(table.grid_phases), n)) / geom.sites ** geom.n
+    return _exp_sum(t * table.cos_sums, weights,
                     "amplitude sum", t)
 
 
@@ -241,16 +257,18 @@ def _exp_sum(exponent: np.ndarray, weights: np.ndarray, what: str,
     return complex(np.exp(exponent) @ weights)
 
 
-def _boxed_dets(geom: ChainGeometry, x, phases: np.ndarray, n: int) -> np.ndarray:
-    """sum_lam s_lam(x) det(p_s^mu) over the boxed shapes, per row p_s: by
+def _boxed_dets(geom: ChainGeometry, x, grid: np.ndarray, n: int) -> np.ndarray:
+    """sum_lam s_lam(x) det(p_s^mu) over the boxed shapes, per momentum
+    subset s, p_s the points of the (M+1,) `grid` at its indices: by
     Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
     for m < K-n+N.  Rows over m = n..K+N-1 instead would lose digits.
     """
     width = geom.k_cap - n + geom.n
     rows_jt = jacobi_trudi_rows(x, width)
-    dets = stacked_dets(len(phases), lambda rows:
-                        rows_jt @ phases[rows, None, :] ** np.arange(width)[:, None])
-    return (np.prod(x) * np.prod(phases, axis=1)) ** n * dets
+    indices = momentum_table(geom).indices
+    build = power_stacks(grid, np.arange(width), indices)
+    dets = stacked_dets(indices, lambda rows: rows_jt @ build(rows))
+    return (np.prod(x) * np.prod(grid[indices], axis=1)) ** n * dets
 
 
 def transition_amplitude(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -307,7 +325,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     _check_string_length(geom, n)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).phases, n)
+    boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).grid_phases, n)
     lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
 
     mus = list(map(tuple, (n + subset_rows(geom.m - n, nvar)).tolist()))
@@ -345,7 +363,7 @@ def _persistence_terms(geom: ChainGeometry,
     """
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
-    boxed = _boxed_dets(geom, ground.phases, np.conj(table.phases), n)
+    boxed = _boxed_dets(geom, ground.phases, np.conj(table.grid_phases), n)
     gaps = table.energies - ground.energies
     weights = np.abs(boxed * vandermonde(ground.phases)) ** 2 / float(geom.sites) ** (2 * geom.n)
     gaps.flags.writeable = weights.flags.writeable = False

@@ -63,7 +63,7 @@ def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarr
     `mus`: one batched alternant det(x_j^{mu_k}) / (sign V(x)) at distinct
     x, else the count at 1^N or tableau enumeration, row by row."""
     import numpy as np
-    from .kernels import stacked_dets
+    from .kernels import power_stacks, stacked_dets
     n = len(x)
     mus = np.asarray(mus, dtype=float).reshape(len(mus), n)
     try:
@@ -73,8 +73,12 @@ def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarr
         return np.array([schur_count_at_one(lam, n) if ones else
                          schur_from_monomials(schur_monomials(lam, n), x)
                          for lam in map(mu_to_lambda, mus)], dtype=complex)
-    xa = np.asarray(x, dtype=complex)
-    dets = stacked_dets(len(mus), lambda rows: xa[None, :, None] ** mus[rows, None, :])
+    # each distinct exponent once: entry (j, k) is x_j ** mu_k
+    exponents, inverse = np.unique(mus, return_inverse=True)
+    inverse = inverse.reshape(mus.shape)
+    build = power_stacks(exponents, np.asarray(x, dtype=complex), inverse,
+                         lambda mu, xj: xj ** mu)
+    dets = stacked_dets(inverse, build)
     # the staircase alternant det(x_j^{n-k}) carries the sign (-1)^{n(n-1)/2}
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
     return dets / (sign * vandermonde(x))

@@ -75,6 +75,16 @@ def test_hopping_matrix_shapes():
     assert hopping_matrix(1).tolist() == [[0, 2], [2, 0]]
 
 
+def test_hopping_matrix_is_the_ring_adjacency():
+    # each site hops to its two neighbours; the 2-site ring's two bonds
+    # join the same pair of sites
+    for m in range(1, 8):
+        want = [[int(abs(a - b) == 1) + int(abs(a - b) == m) for b in range(m + 1)]
+                for a in range(m + 1)]
+        got = hopping_matrix(m)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 def ring_power(m, k):
     """Delta^k as exact integers, one `ring_power_rows` row per site."""
     return [next(islice(ring_power_rows(j, m), k, None)) for j in range(m + 1)]

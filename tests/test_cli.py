@@ -349,6 +349,23 @@ def test_walker_verbs_over_the_cap_exit_3(verb):
     assert json.loads(out.stderr)["error"] == "cap-exceeded"
 
 
+@pytest.mark.parametrize("kind", [
+    ["one-particle", "--j-site", "0", "--l-site", "2", "--t", "0.7"],
+    ["laplace", "--j-site", "0", "--l-site", "2", "--z", "0.2"],
+    ["multi-particle", "--n", "1", "--j", "0", "--l", "2", "--t", "0.7"],
+], ids=lambda kind: kind[0])
+def test_dense_one_walker_matrix_over_the_cap_exit_3(kind):
+    # the (M+1)^2 complex one-walker matrix at M = 20000 takes 6.4 GB: under
+    # the address-space limit numpy's MemoryError escaped with a traceback
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "correlator",
+                          "--kind", kind[0], "--m", "20000", *kind[1:]],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
 @pytest.mark.parametrize("m,n,digest", [
     (9, 4, "3840d8b2cabe25f0c61a498a7d7453fea92d9b5981f39bcf25cb6cf3fa59392e"),
     (5, 0, "ef5a86532265dd1f46b8e51cf01f70604d2a4c4b31aab184522e3731483910bf"),

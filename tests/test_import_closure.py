@@ -64,3 +64,18 @@ def test_walker_verbs_load_no_qpoly(argv):
     modules = loaded_modules(argv)
     assert "spinpaths.paths" in modules
     assert "spinpaths.qpoly" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlator", "--kind", "multi-particle", "--m", "5", "--n", "2",
+     "--j", "3,1", "--l", "4,2", "--t", "0.5"],
+    ["correlator", "--kind", "persistence", "--m", "4", "--n", "2",
+     "--string-n", "1", "--t", "0.5"],
+    ["sweep", "persistence", "--m", "4", "--n", "2", "--string-n", "0..1",
+     "--t", "0:0.5:1"],
+], ids=["correlator-multi-particle", "correlator-persistence", "sweep-persistence"])
+def test_numeric_verbs_load_no_dataclasses(argv):
+    # the records of `chain` and `correlators` are `core.FrozenRecord`s
+    modules = loaded_modules(argv)
+    assert "spinpaths.correlators" in modules
+    assert "dataclasses" not in modules
