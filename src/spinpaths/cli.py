@@ -9,8 +9,10 @@ integers are emitted as decimal strings and complex values as
 {"re": .., "im": ..} objects, so output round-trips losslessly.
 Identical invocations produce byte-identical output.
 
-Each verb imports only what it runs: this module loads `core` and `checks`,
-and any other module is imported inside the verb or branch that calls it.
+Each verb imports only what it runs: this module loads `core` alone, and
+any other module, `checks` included, is imported inside the verb or branch
+that calls it.  When the first argument names a verb, only that verb's
+parser is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 
-from . import checks, core
+from . import core
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -163,6 +165,7 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     report = checks.run(args.identity, args)
     _emit(report)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
@@ -229,15 +232,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinpaths",
-        description="Exact XX-ring correlators and lattice-path combinatorics",
-    )
-    parser.add_argument("--config", help="JSON file holding {command, options}")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("schur", help="evaluate a Schur polynomial")
+def _schur_args(p) -> None:
     p.add_argument("--shape", required=True, help="comma-separated parts")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--at-ones", action="store_true")
@@ -245,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", help="comma-separated complex evaluation point")
     p.add_argument("--m", type=int, help="width-bound context for qvec-over-q")
 
-    p = sub.add_parser("paths", help="walker counts and nest enumeration")
+
+def _paths_args(p) -> None:
     p.add_argument("--count", action="store_true")
     p.add_argument("--nests", action="store_true")
     p.add_argument("--start")
@@ -256,11 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=int, default=1)
     p.add_argument("--limit", type=int, default=50)
 
-    p = sub.add_parser("chain-spectrum", help="momentum sets and energies")
+
+def _chain_spectrum_args(p) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("correlator", help="generating/correlation functions")
+
+def _correlator_args(p) -> None:
     p.add_argument("--kind", required=True,
                    choices=["one-particle", "laplace", "multi-particle",
                             "persistence"])
@@ -274,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="0")
     p.add_argument("--string-n", type=int, default=0)
 
-    p = sub.add_parser("verify", help="machine-check the package identities")
+
+def _verify_args(p) -> None:
+    from . import checks
     p.add_argument("identity", choices=sorted(checks.CHECKS))
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, default=2)
@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("sweep", help="parameter sweeps as CSV")
+
+def _sweep_args(p) -> None:
     p.add_argument("subject", choices=["persistence", "path-counts", "macmahon"])
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, default=2)
@@ -297,21 +298,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", default="0..4")
     p.add_argument("--box-n", default="1..3")
     p.add_argument("--box-k", default="0..3")
-    return parser
 
 
-COMMANDS = {
-    "schur": cmd_schur,
-    "paths": cmd_paths,
-    "chain-spectrum": cmd_chain_spectrum,
-    "correlator": cmd_correlator,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+# verb: (help, argument adder, command), in the order `--help` lists them
+VERBS = {
+    "schur": ("evaluate a Schur polynomial", _schur_args, cmd_schur),
+    "paths": ("walker counts and nest enumeration", _paths_args, cmd_paths),
+    "chain-spectrum": ("momentum sets and energies", _chain_spectrum_args, cmd_chain_spectrum),
+    "correlator": ("generating/correlation functions", _correlator_args, cmd_correlator),
+    "verify": ("machine-check the package identities", _verify_args, cmd_verify),
+    "sweep": ("parameter sweeps as CSV", _sweep_args, cmd_sweep),
 }
 
 
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of `verb` alone, which parses that
+    verb's arguments as the full parser does."""
+    parser = argparse.ArgumentParser(
+        prog="spinpaths",
+        description="Exact XX-ring correlators and lattice-path combinatorics",
+    )
+    parser.add_argument("--config", help="JSON file holding {command, options}")
+    sub = parser.add_subparsers(dest="command")
+    for name, (help_text, add_args, _) in VERBS.items():
+        if verb in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a job names its verb first, and only that verb's parser is built; the
+    # errors that print the verb list build all six
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args, extra = parser.parse_known_args(argv)
     if args.config:
         with open(args.config) as fh:
@@ -327,13 +346,13 @@ def main(argv=None) -> int:
                 cfg_argv.extend([f"--{key}", str(val)])
         args = parser.parse_args(cfg_argv + extra)
     elif extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
 
     if not args.command:
         parser.error("a command is required (or --config)")
 
     try:
-        return COMMANDS[args.command](args)
+        return VERBS[args.command][2](args)
     except (ValueError, KeyError, json.JSONDecodeError,
             core.CoincidentArgumentsError) as exc:
         error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)

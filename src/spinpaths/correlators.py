@@ -13,7 +13,8 @@ diagonalization oracles never form the sector matrix: they split it into
 translation-momentum blocks, each real symmetric in the basis fixed by RK
 (reflection times complex conjugation), and take one real `eigh` per pair
 of momenta k, -k.  The spectral persistence sum and both amplitude sums
-share one overflow guard, `_exp_sum`.
+share one overflow guard, `_exp_sum`.  Only the functions that use `schur`
+and `sector` import them, so the determinant routes load neither.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ import numpy as np
 
 from .chain import (
     DENSE_BYTES_CAP,
-    SectorOrbits,
     bethe_ground_state,
     bethe_vector,
     hopping_matrix,
     momentum_table,
-    sector_orbits,
     sector_sites,
 )
 from .core import (
@@ -45,12 +44,6 @@ from .core import (
 )
 from .kernels import power_stacks, stacked_dets, subset_rows
 from .partitions import StrictPartition, mu_to_lambda
-from .schur import (
-    jacobi_trudi_rows,
-    schur_count_at_one,
-    schur_values,
-    vandermonde,
-)
 
 FLOAT_LOG_MAX = float(np.log(np.finfo(float).max))
 ROUTE_TOL_DET_SPECTRAL = 1e-9
@@ -263,6 +256,7 @@ def _boxed_dets(geom: ChainGeometry, x, grid: np.ndarray, n: int) -> np.ndarray:
     Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
     for m < K-n+N.  Rows over m = n..K+N-1 instead would lose digits.
     """
+    from .schur import jacobi_trudi_rows
     width = geom.k_cap - n + geom.n
     rows_jt = jacobi_trudi_rows(x, width)
     indices = momentum_table(geom).indices
@@ -281,6 +275,8 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     """Exact-diagonalization oracle: the bilinear form of the projected
     Schur vectors around exp(-(t/2) * hopping part) = exp((t/2) A), A the
     sector adjacency, taken one translation-momentum block at a time."""
+    from .schur import schur_values
+    from .sector import sector_orbits
     _check_string_length(geom, n)
     orbits = sector_orbits(geom)
     sites = sector_sites(geom)
@@ -293,11 +289,11 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     return _exp_sum(t / 2.0 * w, np.conj(lhs) * rhs, "amplitude oracle", t)
 
 
-def _adjacency_spectrum(orbits: SectorOrbits,
-                        vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _adjacency_spectrum(orbits, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w of the sector adjacency A and the coordinates of each
     row of `vectors` in its eigenbasis, so that conj(a) @ exp(c A) @ b is
-    sum(conj(a_w) exp(c w) b_w).  A commutes with the ring translation, so
+    sum(conj(a_w) exp(c w) b_w), from the `sector.SectorOrbits` of the
+    sector.  A commutes with the ring translation, so
     each momentum block is diagonalized on its own and then dropped: no
     sector-sized matrix is formed.  Each block is real symmetric in its
     RK-fixed basis (`SectorOrbits.blocks`), and blocks k and -k share one
@@ -321,6 +317,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     A failing comparison is reported, not raised.
     """
     from .paths import frontier_counts, random_turns_frontiers
+    from .schur import schur_count_at_one
     nvar = geom.n
     _check_string_length(geom, n)
     if steps < 0:
@@ -361,6 +358,7 @@ def _persistence_terms(geom: ChainGeometry,
     s_lam(g) det(conj(phases_s)^mu) at the ground phases g: it absorbs the
     subset Vandermonde, and the ground norm (M+1)^N / |V(g)|^2 leaves V(g).
     """
+    from .schur import vandermonde
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
     boxed = _boxed_dets(geom, ground.phases, np.conj(table.grid_phases), n)
@@ -378,6 +376,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
     keeps both forms finite at large real t.  The Bethe vector and its
     projection are taken one translation-momentum block at a time.
     """
+    from .sector import sector_orbits
     _check_string_length(geom, n)
     ground = bethe_ground_state(geom)
     orbits = sector_orbits(geom)

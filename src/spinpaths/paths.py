@@ -268,10 +268,18 @@ def random_turns_frontiers(starts: Mapping[StrictPartition, int], m: int
 
 def frontier_counts(frontier: tuple[np.ndarray, np.ndarray],
                     configs: Sequence[StrictPartition]) -> list[int]:
-    """The frontier's count at each configuration, 0 where none is reached."""
+    """The frontier's count at each configuration, 0 where none is reached,
+    by binary search over its distinct rows, each sorted once as one key."""
+    import numpy as np
     words, counts = frontier
-    keys = _pack(configs, words.shape[1])
-    return [int(counts[(words == key).all(axis=1)].sum()) for key in keys]
+    if not len(words):
+        return [0] * len(configs)
+    row = np.dtype((np.void, words.dtype.itemsize * words.shape[1]))
+    rows = np.ascontiguousarray(words).view(row).ravel()
+    keys = _pack(configs, words.shape[1]).view(row).ravel()
+    order = np.argsort(rows)
+    at = order[np.searchsorted(rows, keys, sorter=order).clip(max=len(rows) - 1)]
+    return [int(c) if hit else 0 for c, hit in zip(counts[at], rows[at] == keys)]
 
 
 def _check_config(config: StrictPartition, m: int) -> StrictPartition:

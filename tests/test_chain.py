@@ -17,12 +17,12 @@ from spinpaths.chain import (
     hopping_matrix,
     momentum_table,
     sector_basis,
-    sector_orbits,
 )
 from spinpaths.cli import main
 from spinpaths.partitions import mu_to_lambda
 from spinpaths.paths import ring_power_rows
 from spinpaths.schur import schur_determinant, vandermonde
+from spinpaths.sector import sector_orbits
 
 
 def test_geometry_validation():

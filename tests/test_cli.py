@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from spinpaths import correlators, schur
 from spinpaths.chain import ChainGeometry, hopping_matrix
-from spinpaths.cli import _parse_float_range, main
+from spinpaths.cli import VERBS, _parse_float_range, build_parser, main
 from spinpaths.paths import count_random_turns_paths
 
 
@@ -159,14 +160,17 @@ VERIFY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("identity,extra", [
+VERIFY_ARGS = [
     ("equality-of-sums", ["--m", "4", "--n", "2", "--steps", "4"]),
     ("cauchy-binet", ["--n", "2", "--length", "4", "--trials", "5"]),
     ("persistence", ["--m", "4", "--n", "2", "--string-n", "1"]),
     ("macmahon", ["--n", "3", "--k", "3"]),
     ("schur-dual", ["--n", "3", "--length", "3", "--trials", "5"]),
     ("q-chain", ["--n", "2", "--k", "3"]),
-])
+]
+
+
+@pytest.mark.parametrize("identity,extra", VERIFY_ARGS)
 def test_verify_identities_pass(identity, extra):
     out = run_cli(["verify", identity, *extra])
     assert out.returncode == 0, out.stdout + out.stderr
@@ -467,3 +471,70 @@ def test_main_callable_in_process(capsys):
     code = main(["schur", "--shape", "1", "--vars", "2", "--at-ones"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["count"] == "2"
+
+
+# the argument lists whose stdout the tests above pin, for every verb
+PINNED_ARGV = [
+    ["schur", "--shape", "2,1", "--vars", "3", "--at-ones"],
+    ["schur", "--shape", "1", "--vars", "2", "--at", "1,2"],
+    ["schur", "--shape", "1", "--vars", "2", "--q-symbolic", "qvec"],
+    ["paths", "--count", "--start", "17,13,11,6,1", "--end", "16,14,4,3,1",
+     "--steps", "26", "--m", "17"],
+    ["paths", "--nests", "--shape", "1", "--vars", "2"],
+    *(["chain-spectrum", "--m", m, "--n", n] for m, n in [("9", "4"), ("5", "0"), ("5", "6")]),
+    *(["correlator", "--kind", kind, *extra] for kind, (_, extra) in CORRELATOR_DIGESTS.items()),
+    ONE_PARTICLE,
+    *(["verify", identity, *extra] for identity, extra in VERIFY_ARGS),
+    ["sweep", "path-counts", "--m", "11", "--start", "8,6,2", "--steps", "0..24"],
+    ["sweep", "persistence", "--m", "4", "--n", "2", "--string-n", "1", "--t=-800"],
+    ["sweep", "macmahon", "--box-n", "1..2", "--box-k", "0..2"],
+]
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGV, ids=" ".join)
+def test_verb_parser_parses_as_the_full_parser(argv):
+    # `main` builds the subparser of the named verb alone
+    parser = build_parser(argv[0])
+    (verbs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs.choices) == [argv[0]]
+    assert parser.parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_pinned_argv_cover_every_verb():
+    assert {argv[0] for argv in PINNED_ARGV} == set(VERBS)
+
+
+# (argv, exit code, stdout digest, stderr digest) of the runs that print
+# the verb list or a verb's usage, as the parser of all six verbs printed
+# them at 80 columns; the --config job names an unknown identity
+EMPTY = hashlib.sha256(b"").hexdigest()
+BAD_IDENTITY = "9995a929650f9e0cd95ea3164fa30a2e30033ccf7a1a2a82d9a097c3ed7bd2fa"
+PARSER_EXITS = {
+    "help": (["--help"], 0,
+             "2d95c0f738be70fcd12e6b8359e8eace23b22e67daa2fa21461e2e6ce4f034e6", EMPTY),
+    "unknown-verb": (["bogus"], 2, EMPTY,
+                     "f67eb2a5972b98409a27c6df4dfd110d488f3f50e0e3bb711a94e06e347500da"),
+    "unknown-option": (["correlator", "--kind", "multi-particle", "--m", "4",
+                        "--bogus", "1"], 2, EMPTY,
+                       "0f81ab74860f0d616b355899cd7c5af9f529ee2d79da210a5685c3699b6f5722"),
+    "unknown-identity": (["verify", "nothing"], 2, EMPTY, BAD_IDENTITY),
+    "config": (["--config"], 2, EMPTY, BAD_IDENTITY),
+    "no-verb": ([], 2, EMPTY,
+                "034b22cffa841ed30aeee73e01ef077bcc4fc46c3a11a9c53ecdac9004e4779e"),
+}
+
+
+@pytest.mark.parametrize("case", PARSER_EXITS)
+def test_parser_exits_print_what_the_full_parser_printed(case, tmp_path, monkeypatch, capsys):
+    argv, code, out_digest, err_digest = PARSER_EXITS[case]
+    if argv == ["--config"]:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": "verify", "options": {"identity": "nothing"}}))
+        argv = ["--config", str(cfg)]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    out = capsys.readouterr()
+    assert hashlib.sha256(out.out.encode()).hexdigest() == out_digest, out.out
+    assert hashlib.sha256(out.err.encode()).hexdigest() == err_digest, out.err

@@ -13,7 +13,7 @@ from spinpaths.chain import (
     hopping_matrix,
     sector_basis,
 )
-from spinpaths import correlators
+from spinpaths import correlators, schur
 from spinpaths.core import relative_residual, within_bound
 from spinpaths.correlators import (
     FloatOverflowError,
@@ -368,7 +368,8 @@ def test_transition_oracle_evaluates_only_projected_rows(monkeypatch):
         rows.append(len(mus))
         return schur_values(x, mus)
 
-    monkeypatch.setattr(correlators, "schur_values", recording)
+    # the oracle imports `schur_values` from `schur` when it runs
+    monkeypatch.setattr(schur, "schur_values", recording)
     transition_amplitude_exact(ChainGeometry(6, 3), (1.0, 0.5, 0.7),
                                (0.5, 1.0, 0.3), 1, 0.4)
     assert rows == [20, 20]

@@ -14,6 +14,13 @@ import pytest
 # standard-library modules that cost a start-up and that no integer verb needs
 HEAVY_STDLIB = {"dataclasses", "fractions", "decimal"}
 
+MULTI_PARTICLE = ["correlator", "--kind", "multi-particle", "--m", "5", "--n", "2",
+                  "--j", "3,1", "--l", "4,2", "--t", "0.5"]
+SWEEP_PERSISTENCE = ["sweep", "persistence", "--m", "4", "--n", "2",
+                     "--string-n", "0..1", "--t", "0:0.5:1"]
+PERSISTENCE = ["correlator", "--kind", "persistence", "--m", "4", "--n", "2",
+               "--string-n", "1", "--t", "0.5"]
+
 
 def loaded_modules(argv: list[str]) -> set[str]:
     """The modules in `sys.modules` after `spinpaths.cli.main(argv)` returns 0."""
@@ -31,7 +38,8 @@ def loaded_modules(argv: list[str]) -> set[str]:
 def test_schur_at_ones_loads_only_what_it_runs():
     modules = loaded_modules(["schur", "--shape", "2,1", "--vars", "3", "--at-ones"])
     package = {m for m in modules if m.startswith("spinpaths.")}
-    assert package == {"spinpaths.cli", "spinpaths.core", "spinpaths.checks",
+    # `checks` is the verify verb's alone, for its identities too
+    assert package == {"spinpaths.cli", "spinpaths.core",
                        "spinpaths.partitions", "spinpaths.schur"}
     assert not modules & HEAVY_STDLIB
 
@@ -45,10 +53,8 @@ def test_integer_verbs_load_no_dataclasses_or_fractions(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["correlator", "--kind", "multi-particle", "--m", "5", "--n", "2",
-     "--j", "3,1", "--l", "4,2", "--t", "0.5"],
-    ["sweep", "persistence", "--m", "4", "--n", "2", "--string-n", "0..1",
-     "--t", "0:0.5:1"],
+    MULTI_PARTICLE,
+    SWEEP_PERSISTENCE,
 ], ids=["correlator-multi-particle", "sweep-persistence"])
 def test_spectral_verbs_load_no_paths_or_qpoly(argv):
     modules = loaded_modules(argv)
@@ -67,15 +73,30 @@ def test_walker_verbs_load_no_qpoly(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["correlator", "--kind", "multi-particle", "--m", "5", "--n", "2",
-     "--j", "3,1", "--l", "4,2", "--t", "0.5"],
-    ["correlator", "--kind", "persistence", "--m", "4", "--n", "2",
-     "--string-n", "1", "--t", "0.5"],
-    ["sweep", "persistence", "--m", "4", "--n", "2", "--string-n", "0..1",
-     "--t", "0:0.5:1"],
+    MULTI_PARTICLE,
+    PERSISTENCE,
+    SWEEP_PERSISTENCE,
 ], ids=["correlator-multi-particle", "correlator-persistence", "sweep-persistence"])
 def test_numeric_verbs_load_no_dataclasses(argv):
     # the records of `chain` and `correlators` are `core.FrozenRecord`s
     modules = loaded_modules(argv)
     assert "spinpaths.correlators" in modules
     assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (MULTI_PARTICLE, {"spinpaths.schur", "spinpaths.checks", "spinpaths.sector"}),
+    (SWEEP_PERSISTENCE, {"spinpaths.checks", "spinpaths.sector"}),
+], ids=["correlator-multi-particle", "sweep-persistence"])
+def test_spectral_verbs_load_no_oracle_modules(argv, absent):
+    # the determinant route takes no Schur values, and only the
+    # diagonalisation oracles take the translation orbits of `sector`
+    modules = loaded_modules(argv)
+    assert "spinpaths.correlators" in modules
+    assert not modules & absent
+
+
+def test_persistence_oracle_loads_sector():
+    modules = loaded_modules(PERSISTENCE)
+    assert {"spinpaths.sector", "spinpaths.schur"} <= modules
+    assert "spinpaths.checks" not in modules

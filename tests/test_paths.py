@@ -239,6 +239,28 @@ def test_weighted_frontiers_match_sector_adjacency_powers(m, starts, steps):
         assert len(frontier[0]) == np.count_nonzero(ref[k])
 
 
+@pytest.mark.parametrize("m,nwalk,rows", [(5, 2, 9), (63, 2, 40), (130, 3, 60),
+                                           (7, 1, 0)])
+def test_frontier_lookup_matches_per_key_scan(m, nwalk, rows):
+    # the lookup replaced one scan of the whole frontier per configuration;
+    # rings of 64 and 131 sites pack into two and three words, and the
+    # queries hold configurations the frontier never reaches, and repeats
+    rng = Random(m * 1000 + rows)
+    sites = range(m + 1)
+    configs = list({tuple(sorted(rng.sample(sites, nwalk), reverse=True))
+                    for _ in range(rows)})
+    counts = [rng.randrange(1, 2 ** 70) for _ in configs]
+    words = paths._pack(configs, -(-(m + 1) // paths._WORD_BITS))
+    frontier = (words, np.array(counts, dtype=object))
+    queries = [tuple(sorted(rng.sample(sites, nwalk), reverse=True))
+               for _ in range(50)] + configs[:5] * 2
+    keys = paths._pack(queries, words.shape[1])
+    scan = [int(frontier[1][(words == key).all(axis=1)].sum()) for key in keys]
+    assert frontier_counts(frontier, queries) == scan
+    assert frontier_counts(frontier, configs) == counts
+    assert frontier_counts(frontier, []) == []
+
+
 def test_series_matches_single_counts():
     ks = [0, 2, 3, 7, 10]
     got = walker_counts((5, 2, 0), (4, 2, 1), ks, 6)
