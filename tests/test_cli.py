@@ -473,7 +473,7 @@ def test_main_callable_in_process(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == "2"
 
 
-# the argument lists whose stdout the tests above pin, for every verb
+# argument lists that the CLI tests run, at least one per verb
 PINNED_ARGV = [
     ["schur", "--shape", "2,1", "--vars", "3", "--at-ones"],
     ["schur", "--shape", "1", "--vars", "2", "--at", "1,2"],
