@@ -81,11 +81,9 @@ def cmd_schur(args) -> int:
         from . import paths
         if args.q_symbolic == "qvec":
             poly = paths.nest_partition_function(lam, nvar)
-        elif args.q_symbolic == "qvec-over-q":
+        else:  # qvec-over-q
             poly = paths.conjugate_nest_partition_function(
                 lam, nvar, args.m if args.m is not None else nvar + (lam[0] if lam else 0))
-        else:
-            raise ValueError("--q-symbolic must be qvec or qvec-over-q")
         _emit({"shape": list(lam), "vars": nvar, "point": args.q_symbolic,
                "polynomial": poly.to_json(), "pretty": str(poly)})
     elif args.at is not None:
@@ -108,6 +106,8 @@ def cmd_paths(args) -> int:
         _emit({"start": list(start), "end": list(end), "steps": args.steps,
                "m": args.m, "count": str(n)})
     elif args.nests:
+        if args.limit < 0:
+            raise ValueError("--limit must be non-negative")
         lam = _parse_int_tuple(args.shape, "--shape")
         nests = [nest.to_json() for nest in paths.enumerate_nests(lam, args.vars)]
         _emit({"shape": list(lam), "vars": args.vars,
@@ -153,11 +153,9 @@ def cmd_correlator(args) -> int:
         l = _parse_int_tuple(args.l, "--l")
         res = correlators.multi_particle_g_detailed(geom, j, l, t)
         doc.update(n=args.n, j=list(j), l=list(l), t=core.complex_json(t))
-    elif args.kind == "persistence":
+    else:  # persistence
         res = correlators.persistence_detailed(geom, args.string_n, t)
         doc.update(n=args.n, string_n=args.string_n, t=core.complex_json(t))
-    else:
-        raise ValueError(f"unknown correlator kind {args.kind}")
     doc["value"] = core.complex_json(res.value)
     doc["route_residuals"] = {k: float(v) for k, v in res.route_residuals.items()}
     _emit(doc)
@@ -220,15 +218,13 @@ def cmd_sweep(args) -> int:
         rows = [[args.m, "|".join(map(str, start)), "|".join(map(str, end)), k, c]
                 for k, c in zip(ks, counts)]
         _emit_csv(["m", "start", "end", "steps", "count"], rows)
-    elif args.subject == "macmahon":
+    else:  # macmahon
         from . import qpoly
         rows = []
         for n in _parse_range(args.box_n):
             for k in _parse_range(args.box_k):
                 rows.append([n, k, qpoly.macmahon_count(n, k)])
         _emit_csv(["n", "k", "count"], rows)
-    else:
-        raise ValueError(f"unknown sweep subject {args.subject}")
     return EXIT_OK
 
 
@@ -353,8 +349,7 @@ def main(argv=None) -> int:
 
     try:
         return VERBS[args.command][2](args)
-    except (ValueError, KeyError, json.JSONDecodeError,
-            core.CoincidentArgumentsError) as exc:
+    except (ValueError, KeyError) as exc:  # CoincidentArgumentsError included
         error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)
     except (core.EnumerationCapError, core.SectorCapError) as exc:
         error, code, detail = "cap-exceeded", EXIT_CAP, str(exc)

@@ -1,11 +1,15 @@
-"""The ring geometry, the typed errors the CLI maps to exit codes, and the
-pass rule of every check.
+"""The ring geometry, the enumeration cap, the typed errors the CLI maps
+to exit codes, and the pass rule of every check.
 
-Numpy-free, so the integer verbs can use them; `chain`, `correlators`
-and `schur` import these names back.
+Numpy-free, so the integer verbs can use them; `chain`, `correlators`,
+`paths` and `schur` import these names back.
 """
 
 from math import comb, inf
+
+# terms an enumeration (tableaux, walker-route operations) may take before
+# it is refused with `EnumerationCapError`
+DEFAULT_ENUM_CAP = 10_000_000
 
 
 class SectorCapError(RuntimeError):

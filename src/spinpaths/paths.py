@@ -13,11 +13,13 @@ runs the one with the smaller a-priori operation count:
     into int64 words (62 sites per word) beside an object array of
     Python-int counts, each tick moving all rows at once in numpy.  One
     walk from weighted starts serves every step count and, by linearity,
-    every start at once.  It is the independent oracle for every
-    path-counting formula in the package (`count_random_turns_paths`).
-Only the DP imports numpy and only the nest partition functions `qpoly`,
-so the nest verbs start without numpy and the walker verbs without
-`qpoly`, and without numpy whenever LGV is the cheaper route.
+    every start at once; `frontier_counts` reads it, by binary search over
+    its rows.  It is the independent oracle for every path-counting
+    formula in the package (`count_random_turns_paths`).
+Only the nest functions import `schur`, only the DP numpy and only the
+nest partition functions `qpoly`, so the nest verbs start without numpy,
+and the walker verbs load `core` and `partitions` alone, without numpy
+whenever LGV is the cheaper route.
 """
 
 from __future__ import annotations
@@ -28,19 +30,13 @@ from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from . import schur
-from .core import EnumerationCapError, FrozenRecord
+from .core import DEFAULT_ENUM_CAP, EnumerationCapError, FrozenRecord
 from .partitions import (
     Partition,
     StrictPartition,
     check_partition,
     check_strict_partition,
     weight,
-)
-from .schur import (
-    schur_count_at_one,
-    ssyt,
-    tableau_step_counts,
 )
 
 if TYPE_CHECKING:
@@ -73,11 +69,12 @@ class PathNest(FrozenRecord):
 
 def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
     """One nest per SSYT of shape lam with entries <= n."""
+    from . import schur
     lam = check_partition(lam)
-    if schur_count_at_one(lam, n) > schur.DEFAULT_ENUM_CAP:
+    if schur.schur_count_at_one(lam, n) > schur.DEFAULT_ENUM_CAP:
         raise EnumerationCapError("nest enumeration exceeds cap")
-    for tab in ssyt(lam, n):
-        yield PathNest("C", lam, tableau_step_counts(tab, n))
+    for tab in schur.ssyt(lam, n):
+        yield PathNest("C", lam, schur.tableau_step_counts(tab, n))
 
 
 def nest_partition_function(lam: Partition, n: int) -> QPolynomial:
@@ -110,7 +107,9 @@ def count_random_turns_paths(start: StrictPartition, end: StrictPartition,
     site are discarded.
     """
     start, end = _check_endpoints(start, end, m)
-    return random_turns_counts_from(start, steps, m).get(end, 0)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    return _dp_counts(start, end, [steps], m)[0]
 
 
 def walker_counts(start: StrictPartition, end: StrictPartition,
@@ -118,7 +117,7 @@ def walker_counts(start: StrictPartition, end: StrictPartition,
     """`count_random_turns_paths` at each step count in `steps`, from one pass.
 
     Runs the cheaper exact route (`_takes_lgv`), refusing before anything
-    is allocated when both routes are over `schur.DEFAULT_ENUM_CAP`.
+    is allocated when both routes are over `core.DEFAULT_ENUM_CAP`.
     """
     start, end = _check_endpoints(start, end, m)
     if any(k < 0 for k in steps):
@@ -126,15 +125,20 @@ def walker_counts(start: StrictPartition, end: StrictPartition,
     if not steps:
         return []
     kmax = max(steps)
-    if _takes_lgv(len(start), m, kmax):
-        series = _lgv_series(start, end, kmax, m)
-    else:
-        # read the frontier only at the wanted ticks: a read costs one pass
-        # over its rows
-        wanted = set(steps)
-        walk = enumerate(islice(random_turns_frontiers({start: 1}, m), kmax + 1))
-        series = {k: frontier_counts(frontier, [end])[0] for k, frontier in walk
-                  if k in wanted}
+    if not _takes_lgv(len(start), m, kmax):
+        return _dp_counts(start, end, steps, m)
+    series = _lgv_series(start, end, kmax, m)
+    return [series[k] for k in steps]
+
+
+def _dp_counts(start: StrictPartition, end: StrictPartition,
+               steps: Sequence[int], m: int) -> list[int]:
+    """The DP's count at `end` after each of the (non-empty) `steps`, from
+    one walk read only at the wanted ticks: a read costs one pass over its rows."""
+    wanted = set(steps)
+    walk = enumerate(islice(random_turns_frontiers({start: 1}, m), max(steps) + 1))
+    series = {k: frontier_counts(frontier, [end])[0] for k, frontier in walk
+              if k in wanted}
     return [series[k] for k in steps]
 
 
@@ -152,9 +156,9 @@ def _takes_lgv(n: int, m: int, kmax: int) -> bool:
     terms = sum(comb(n, i) * (n - i) for i in range(1, n)) * (kmax + 1) * (kmax + 2) // 2
     rows = n * (m + 1) * (kmax + 1)
     dp = kmax * comb(m + 1, n) * 2 * n
-    if min(terms + rows, dp) > schur.DEFAULT_ENUM_CAP:
+    if min(terms + rows, dp) > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(f"{min(terms + rows, dp)} walker operations "
-                                  f"exceed cap {schur.DEFAULT_ENUM_CAP}")
+                                  f"exceed cap {DEFAULT_ENUM_CAP}")
     words = 1 + kmax * (2 * n).bit_length() // 64
     return terms * words + rows <= dp
 
@@ -218,16 +222,6 @@ def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
             binom = list(map(add, [0] + binom, binom + [0]))
         minors = grown
     return minors[(1 << len(start)) - 1][1]
-
-
-def random_turns_counts_from(start: StrictPartition, steps: int,
-                             m: int) -> dict[tuple[int, ...], int]:
-    """Counts to every reachable configuration after `steps` ticks."""
-    start = _check_config(start, m)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    words, counts = next(islice(random_turns_frontiers({start: 1}, m), steps, None))
-    return dict(zip(_configs(words, m + 1, len(start)), counts.tolist()))
 
 
 def random_turns_frontiers(starts: Mapping[StrictPartition, int], m: int
@@ -316,9 +310,3 @@ def _occupancy(words: np.ndarray, ring: int) -> np.ndarray:
     for p in range(ring):
         np.not_equal(words[:, p // _WORD_BITS] & (1 << (p % _WORD_BITS)), 0, out=occ[p])
     return occ
-
-
-def _configs(words: np.ndarray, ring: int, nwalk: int) -> list[tuple[int, ...]]:
-    """Decode occupancy words into strictly decreasing position tuples."""
-    cols = _occupancy(words, ring)[::-1].T.nonzero()[1].reshape(len(words), nwalk)
-    return list(map(tuple, (ring - 1 - cols).tolist()))

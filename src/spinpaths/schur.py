@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import CoincidentArgumentsError, EnumerationCapError
+from .core import DEFAULT_ENUM_CAP, CoincidentArgumentsError, EnumerationCapError
 from .partitions import (
     Partition,
     check_partition,
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .qpoly import QPolynomial
 
 SEPARATION_TOL = 1e-9
-DEFAULT_ENUM_CAP = 10_000_000
 
 
 def _shape(lam: Partition) -> Partition:
@@ -154,6 +153,8 @@ def schur_from_monomials(monomials: Counter, x: Sequence[complex]) -> complex:
 
 def schur_count_at_one(lam: Partition, n: int) -> int:
     """Number of SSYT of shape lam with entries in 1..n, by the product formula."""
+    if n < 0:
+        raise ValueError(f"need n >= 0 variables, got {n}")
     lam = _shape(lam)
     if len(lam) > n:
         return 0

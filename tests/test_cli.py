@@ -310,6 +310,34 @@ def test_missing_endpoint_is_bad_input(capsys, argv, missing):
                                    "detail": f"{missing} is required"}
 
 
+BAD_INPUTS = [
+    (["schur", "--shape", "2,1", "--vars", "3", "--at", "1,2"], "--at needs 3 values"),
+    (["schur", "--shape", "2,1", "--vars", "3"],
+     "choose one of --at-ones, --q-symbolic, --at"),
+    (["paths", "--shape", "2,1", "--vars", "3"], "choose one of --count, --nests"),
+    # each of these printed a wrong answer and exited 0
+    (["paths", "--nests", "--shape", "2,1", "--vars", "2", "--limit", "-1"],
+     "--limit must be non-negative"),
+    (["paths", "--nests", "--shape", "2,1", "--vars", "-1"],
+     "need n >= 0 variables, got -1"),
+    (["schur", "--shape", "2,1", "--vars", "-1", "--at-ones"],
+     "need n >= 0 variables, got -1"),
+    (["schur", "--shape", "2,1", "--vars", "-1", "--q-symbolic", "qvec"],
+     "need n >= 0 variables, got -1"),
+    (["schur", "--shape", "2,1", "--vars", "-1", "--q-symbolic", "qvec-over-q"],
+     "need n >= 0 variables, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, detail", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_prints_its_detail(capsys, argv, detail):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "bad-input", "detail": detail}
+
+
 def test_sweep_path_counts_stdout_pinned():
     # the benchmark's sweep-path-counts-11-3 input at seed 11; the digest is
     # of the stdout the earlier loop printed, one walk per step count, and

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -34,7 +35,11 @@ from spinpaths.correlators import (
     trig_path_count,
 )
 from spinpaths.partitions import lambda_to_mu, mu_to_lambda, shifted_boxed_partitions
-from spinpaths.paths import count_random_turns_paths, random_turns_counts_from
+from spinpaths.paths import (
+    count_random_turns_paths,
+    frontier_counts,
+    random_turns_frontiers,
+)
 from spinpaths.schur import (
     schur_count_at_one,
     schur_determinant,
@@ -281,6 +286,23 @@ def test_trig_count_odd_ring_has_no_parity_rule():
     assert count_random_turns_paths((0,), (0,), 5, 4) == 2
 
 
+ENDPOINT_ROUTES = {
+    "multi_particle_g": lambda geom, j, l: multi_particle_g(geom, j, l, 0.5),
+    "trig_path_count": lambda geom, j, l: trig_path_count(geom, j, l, 2),
+}
+
+
+@pytest.mark.parametrize("route", ENDPOINT_ROUTES)
+@pytest.mark.parametrize("j,l,detail", [
+    ((3, 1), (2,), "endpoint tuples must have equal length"),
+    ((1, 3), (2, 0), r"endpoints \(1, 3\) not weakly decreasing"),
+    ((3, 1), (0, 2), r"endpoints \(0, 2\) not weakly decreasing"),
+])
+def test_endpoints_checked_before_either_route(route, j, l, detail):
+    with pytest.raises(ValueError, match=detail):
+        ENDPOINT_ROUTES[route](ChainGeometry(4, 2), j, l)
+
+
 def test_trig_count_rejects_negative_steps():
     with pytest.raises(ValueError):
         trig_path_count(ChainGeometry(3, 1), (0,), (0,), -1)
@@ -421,9 +443,11 @@ def _rhs_per_shape(geom, n, steps):
     mus = {lam: lambda_to_mu(lam, nvar) for lam in shapes}
     rhs = 0
     for lam_r in shapes:
-        walks = random_turns_counts_from(mus[lam_r], steps, geom.m)
-        for lam_l in shapes:
-            rhs += counts[lam_l] * counts[lam_r] * walks.get(mus[lam_l], 0)
+        walk = random_turns_frontiers({mus[lam_r]: 1}, geom.m)
+        walks = frontier_counts(next(islice(walk, steps, None)),
+                                [mus[lam_l] for lam_l in shapes])
+        for lam_l, w in zip(shapes, walks):
+            rhs += counts[lam_l] * counts[lam_r] * w
     return rhs
 
 

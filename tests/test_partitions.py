@@ -57,6 +57,12 @@ def test_boxed_count(n, w):
     assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize("n,w", [(0, 2), (-1, 0), (2, -1)])
+def test_boxed_rejects_an_empty_box(n, w):
+    with pytest.raises(ValueError, match="need n >= 1, w >= 0"):
+        boxed_partitions(n, w)
+
+
 def test_boxed_small_cases():
     assert set(boxed_partitions(1, 2)) == {(0,), (1,), (2,)}
     assert set(boxed_partitions(2, 1)) == {(0, 0), (1, 0), (1, 1)}

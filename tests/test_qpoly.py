@@ -101,6 +101,13 @@ def test_macmahon_vs_brute_force(n, k):
     assert macmahon_z(n, k) == QPolynomial(weights)
 
 
+@pytest.mark.parametrize("fn", [macmahon_z, macmahon_count])
+@pytest.mark.parametrize("n,k", [(0, 2), (-1, 0), (2, -1)])
+def test_macmahon_rejects_an_empty_box_side(fn, n, k):
+    with pytest.raises(ValueError, match="need n >= 1, k >= 0"):
+        fn(n, k)
+
+
 def test_macmahon_a22_is_20():
     assert macmahon_count(2, 2) == 20
     assert macmahon_z(2, 2).at_one() == 20

@@ -194,6 +194,16 @@ def test_cauchy_binet_singular_entry():
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("route", [cauchy_binet_closed, cauchy_binet_enum])
+@pytest.mark.parametrize("y,length,shift,detail", [
+    ((0.2,), 3, 0, "x and y must have equal length"),
+    ((0.2, 0.7), 1, 2, "need length >= n"),
+])
+def test_cauchy_binet_rejects_bad_sizes(route, y, length, shift, detail):
+    with pytest.raises(ValueError, match=detail):
+        route((0.5, 0.3), y, length, shift)
+
+
 def test_schur_q_polynomial_known():
     # s_lam(1, q, .., q^{n-1}); the zero parts of a shape are dropped
     assert schur_q_polynomial((1,), 2) == QPolynomial({0: 1, 1: 1})
