@@ -7,25 +7,30 @@ Conventions pinned here and relied on everywhere else:
   - sector basis states are the descending down-spin coordinate tuples,
     listed in ascending lexicographic order of those tuples, so a state's
     index is the combinatorial-number-system rank of its sites;
-  - momentum grid theta_s = 2*pi/(M+1) * (s - (N-1)/2) for s = 0..M, which
-    satisfies exp(i(M+1)theta) = (-1)^(N-1) for every integer s; a Bethe
+  - momentum grid theta_s = pi/(M+1) * (2s - (N-1)) for s = 0..M, which
+    satisfies exp(i(M+1)theta) = (-1)^(N-1) for every integer s; the
+    integer exponents 2s - (N-1) are `momentum_exponents`, and a Bethe
     state is one N-subset of the grid, a row of `momentum_table`;
   - the exact oracles diagonalize the sector adjacency one momentum block
     at a time, each real symmetric in the basis fixed by RK, R the
     reflection p -> -p and K complex conjugation (`sector`).
+
+The module body loads no numpy, so `ChainGeometry` and the exact trig
+count reach `chain` without it; each function that builds an array
+imports numpy itself.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import pi, sin
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import ChainGeometry, FrozenRecord, SectorCapError
-from .kernels import subset_rows
 from .partitions import StrictPartition, descending_subsets
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SECTOR_CAP = 50_000
 DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector or one-walker matrix
@@ -36,14 +41,21 @@ def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
     return list(descending_subsets(geom.m, geom.n))[::-1]
 
 
+def check_sector_cap(geom: ChainGeometry) -> None:
+    """Raise `SectorCapError` when the sector, or the momentum-subset
+    count, which is the same C(M+1, N), is over `DEFAULT_SECTOR_CAP`."""
+    if geom.sector_dim > DEFAULT_SECTOR_CAP:
+        raise SectorCapError(
+            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
+
+
 @lru_cache(maxsize=8)
 def sector_sites(geom: ChainGeometry) -> np.ndarray:
     """`sector_basis(geom)` as one read-only (D, N) int64 array, cached and
     shared: row i holds the down-spin sites of basis state i, descending.
     The sector cap is checked first."""
-    if geom.sector_dim > DEFAULT_SECTOR_CAP:
-        raise SectorCapError(
-            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
+    from .kernels import subset_rows
+    check_sector_cap(geom)
     rows = subset_rows(geom.m, geom.n)
     rows.flags.writeable = False
     return rows[::-1]
@@ -52,6 +64,7 @@ def sector_sites(geom: ChainGeometry) -> np.ndarray:
 def hopping_matrix(m: int) -> np.ndarray:
     """Adjacency matrix of the ring: one bond from each site s to s+1 mod
     M+1, so at m = 1 the two bonds double up."""
+    import numpy as np
     sites = np.arange(m + 1)
     step = (sites + 1) % (m + 1)
     delta = np.zeros((m + 1, m + 1), dtype=np.int64)
@@ -85,6 +98,7 @@ def build_sector_hamiltonian(geom: ChainGeometry) -> np.ndarray:
     if nbytes > DENSE_BYTES_CAP:
         raise SectorCapError(
             f"dense sector matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
+    import numpy as np
     basis = sector_basis(geom)
     index = {b: i for i, b in enumerate(basis)}
     dim = len(basis)
@@ -99,6 +113,7 @@ def build_sector_hamiltonian(geom: ChainGeometry) -> np.ndarray:
 
 def build_sector_hopping(geom: ChainGeometry) -> np.ndarray:
     """The hopping part alone: twice (H_sector - N * identity)."""
+    import numpy as np
     ham = build_sector_hamiltonian(geom)
     return 2.0 * (ham - geom.n * np.identity(ham.shape[0]))
 
@@ -132,12 +147,19 @@ class MomentumTable(FrozenRecord):
         return self.indices.shape[-1] - self.cos_sums
 
 
+def momentum_exponents(geom: ChainGeometry) -> list[int]:
+    """The integers 2s - (N-1), s = 0..M: theta_s is pi/(M+1) times the
+    s-th, so exp(i theta_s) is the same power of exp(i pi/(M+1))."""
+    return [2 * s - (geom.n - 1) for s in range(geom.sites)]
+
+
 @lru_cache(maxsize=8)
 def momentum_table(geom: ChainGeometry) -> MomentumTable:
     """The subset table of `geom`, cached and shared; the cap is checked first."""
+    import numpy as np
     # the N-subsets of the grid 0..M, in `descending_subsets` order
     indices = sector_sites(geom)[::-1]
-    grid = 2.0 * pi / geom.sites * (np.arange(geom.sites) - (geom.n - 1) / 2.0)
+    grid = pi / geom.sites * np.array(momentum_exponents(geom), dtype=float)
     table = MomentumTable(indices, grid, np.exp(1j * grid),
                           np.sum(np.cos(grid)[indices], axis=1))
     for arr in table._values():

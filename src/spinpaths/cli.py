@@ -4,7 +4,7 @@ Verbs: schur, paths, chain-spectrum, correlator, verify, sweep.
 Results go to stdout as JSON (CSV for sweep); errors go to stderr as a
 JSON object.  Exit codes: 0 success, 1 verification failure, 2 bad
 input, 3 resource cap exceeded; a result failing its own check (routes
-disagree, no integer, a value past the float range) also exits 1.  Big
+disagree, a value past the float range) also exits 1.  Big
 integers are emitted as decimal strings and complex values as
 {"re": .., "im": ..} objects, so output round-trips losslessly.
 Identical invocations produce byte-identical output.
@@ -34,7 +34,6 @@ FLOAT_GRID_CAP = 10 ** 6  # points of one start:step:stop grid
 # failed library checks, by the error name written to stderr
 CHECK_ERRORS = {
     core.RouteMismatchError: "route-mismatch",
-    core.IntegerRoundingError: "integer-rounding",
     core.FloatOverflowError: "float-overflow",
 }
 
@@ -50,6 +49,13 @@ def _parse_int_tuple(text: str | None, option: str) -> tuple[int, ...]:
 
 def _parse_complex_tuple(text: str) -> tuple[complex, ...]:
     return tuple(complex(p) for p in text.split(","))
+
+
+def _parse_finite_complex(text: str, option: str) -> complex:
+    z = complex(text)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"{option} {text!r} is not finite")
+    return z
 
 
 def _emit(doc) -> None:
@@ -133,11 +139,16 @@ def cmd_chain_spectrum(args) -> int:
 
 
 def cmd_correlator(args) -> int:
+    # one-particle and laplace are one-walker kinds: they read --j-site and
+    # --l-site, and not --n
+    one_walker = args.kind in ("one-particle", "laplace")
+    if one_walker and (args.j is not None or args.l is not None):
+        raise ValueError(f"--kind {args.kind} reads --j-site and --l-site, "
+                         "not --j or --l")
+    t = _parse_finite_complex(args.t, "--t")
+    z = _parse_finite_complex(args.z, "--z")
     from . import correlators
-    # one-particle and laplace are one-walker kinds and do not read --n
-    walkers = 1 if args.kind in ("one-particle", "laplace") else args.n
-    geom = core.ChainGeometry(args.m, walkers)
-    t = complex(args.t)
+    geom = core.ChainGeometry(args.m, 1 if one_walker else args.n)
     doc = {"kind": args.kind, "m": args.m}
     if args.kind == "one-particle":
         j, l = args.j_site, args.l_site
@@ -145,7 +156,6 @@ def cmd_correlator(args) -> int:
         doc.update(j=j, l=l, t=core.complex_json(t))
     elif args.kind == "laplace":
         j, l = args.j_site, args.l_site
-        z = complex(args.z)
         res = correlators.CorrelatorResult(correlators.laplace_generating_f(geom, j, l, z))
         doc.update(j=j, l=l, z=core.complex_json(z))
     elif args.kind == "multi-particle":
@@ -322,32 +332,42 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _config_argv(path: str) -> list[str]:
+    """The argv that the JSON file {command, options} at `path` stands for."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # no such file, or not JSON
+        raise ValueError(f"--config {path}: {exc}") from exc
+    options = cfg.get("options", {}) if isinstance(cfg, dict) else None
+    if not isinstance(options, dict) or "command" not in cfg:
+        raise ValueError(f"--config {path} is not an object with a \"command\" "
+                         "and, optionally, an \"options\" object")
+    cfg_argv = [str(cfg["command"])]
+    for key, val in sorted(options.items()):
+        if isinstance(val, bool):
+            if val:
+                cfg_argv.append(f"--{key}")
+        elif key == "identity" or key == "subject":
+            cfg_argv.insert(1, str(val))
+        else:
+            cfg_argv.extend([f"--{key}", str(val)])
+    return cfg_argv
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a job names its verb first, and only that verb's parser is built; the
     # errors that print the verb list build all six
     parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args, extra = parser.parse_known_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        cfg_argv = [cfg["command"]]
-        for key, val in sorted(cfg.get("options", {}).items()):
-            if isinstance(val, bool):
-                if val:
-                    cfg_argv.append(f"--{key}")
-            elif key == "identity" or key == "subject":
-                cfg_argv.insert(1, str(val))
-            else:
-                cfg_argv.extend([f"--{key}", str(val)])
-        args = parser.parse_args(cfg_argv + extra)
-    elif extra:
-        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-
-    if not args.command:
-        parser.error("a command is required (or --config)")
-
     try:
+        if args.config:
+            args = parser.parse_args(_config_argv(args.config) + extra)
+        elif extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        if not args.command:
+            parser.error("a command is required (or --config)")
         return VERBS[args.command][2](args)
     except (ValueError, KeyError) as exc:  # CoincidentArgumentsError included
         error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)

@@ -28,10 +28,6 @@ class RouteMismatchError(RuntimeError):
     """Two independent computation routes disagree beyond tolerance."""
 
 
-class IntegerRoundingError(RuntimeError):
-    """A trigonometric sum failed to land on an integer within tolerance."""
-
-
 class FloatOverflowError(RuntimeError):
     """A result would leave the float range."""
 

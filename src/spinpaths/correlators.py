@@ -15,40 +15,52 @@ translation-momentum blocks, each real symmetric in the basis fixed by RK
 of momenta k, -k.  The spectral persistence sum and both amplitude sums
 share one overflow guard, `_exp_sum`.  Only the functions that use `schur`
 and `sector` import them, so the determinant routes load neither.
+
+The module body loads no numpy.  `trig_path_count` is exact integer
+arithmetic and never loads it; every other function here takes floats
+and imports numpy, and `kernels` where it needs it, when it runs.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import lru_cache
-from itertools import islice
-
-import numpy as np
+from itertools import combinations, count, islice
+from typing import TYPE_CHECKING
 
 from .chain import (
     DENSE_BYTES_CAP,
     bethe_ground_state,
     bethe_vector,
+    check_sector_cap,
     hopping_matrix,
+    momentum_exponents,
     momentum_table,
     sector_sites,
 )
 from .core import (
+    DEFAULT_ENUM_CAP,
     ChainGeometry,
+    EnumerationCapError,
     FloatOverflowError,
     FrozenRecord,
-    IntegerRoundingError,
     RouteMismatchError,
     SectorCapError,
     route_check,
     within_bound,
 )
-from .kernels import power_stacks, stacked_dets, subset_rows
 from .partitions import StrictPartition, mu_to_lambda
 
-FLOAT_LOG_MAX = float(np.log(np.finfo(float).max))
+if TYPE_CHECKING:
+    import numpy as np
+
+FLOAT_LOG_MAX = math.log(sys.float_info.max)
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
 INTEGER_ROUNDING_TOL = 1e-6
+# Miller-Rabin on these bases is exact below 3.3e24, past every 62-bit prime
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class CorrelatorResult(FrozenRecord):
@@ -91,6 +103,7 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     before `exp` or `det` could overflow.  `SectorCapError` is raised before
     anything is allocated when the matrix is over `DENSE_BYTES_CAP`.
     """
+    import numpy as np
     # sign the wrap-around bond; on the 2-site ring it is the second copy
     # of the doubled bond
     delta = _ring_hops(geom)
@@ -114,6 +127,7 @@ def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
 
 def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> complex:
     """Ordinary generating function sum_K z^K (Delta^K)_{jm}, via a linear solve."""
+    import numpy as np
     _check_endpoints(geom, (j,), (m,))
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
@@ -132,6 +146,8 @@ def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
 
 def _det_product_spectral(m: int, j, l, weight) -> complex:
     """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
+    import numpy as np
+    from .kernels import power_stacks, stacked_dets
     geom = ChainGeometry(m, len(j))
     table = momentum_table(geom)
 
@@ -165,6 +181,7 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
     Coincident endpoints give an exact zero (the determinant has equal
     rows or columns), skipping the spectral route.
     """
+    import numpy as np
     j, l = _check_endpoints(geom, j, l)
     if len(set(j)) != len(j) or len(set(l)) != len(l):
         return CorrelatorResult(0.0 + 0.0j)
@@ -184,21 +201,96 @@ def multi_particle_g(geom: ChainGeometry, j, l, t: complex) -> complex:
 
 
 def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
-    """Walker count as a rounded trigonometric sum over momentum subsets."""
+    """Walker count as the trigonometric sum over momentum subsets, taken
+    exactly in Z/P.
+
+    The terms lie in Z[zeta, 1/(M+1)], zeta = exp(i pi/(M+1)): exp(i theta_s)
+    is zeta^e, e from `momentum_exponents`, and 2 cos theta_s is zeta^e +
+    zeta^-e.  Sending zeta to an element of order 2(M+1) mod P is a ring
+    map, so the sum mod P is the count mod P; P > (2N)^K, a bound on the
+    count (each tick moves one of N walkers one of two ways), makes it the
+    count.  Before any prime is searched, the sector cap applies, and
+    `EnumerationCapError` refuses when the minors' N products per column
+    set, each up to r^2 word products at r primes, pass `DEFAULT_ENUM_CAP`.
+    """
     j, l = _check_endpoints(geom, j, l)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    # on an even ring each tick changes the position sum by an odd amount
-    # (+-1, or +-M across the seam), so the count is exactly 0 when the
-    # parities disagree; the float sum would only cancel to roundoff
-    if geom.sites % 2 == 0 and (sum(l) - sum(j) - steps) % 2:
-        return 0
-    # an overflowing sum is caught by the route check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = _det_product_spectral(geom.m, j, l, lambda c: (2.0 * c) ** steps)
-    nearest = np.round(val.real)
-    route_check(val, nearest, INTEGER_ROUNDING_TOL, IntegerRoundingError)
-    return int(nearest)
+    sub = ChainGeometry(geom.m, len(j))
+    check_sector_cap(sub)
+    nvar, width, order = sub.n, sub.sites, 2 * sub.sites
+    # every prime taken is over 2^61
+    primes = int(steps * math.log2(max(2 * nvar, 1))) // 61 + 1
+    work = nvar * sum(math.comb(width, k) for k in range(nvar + 1)) * primes ** 2
+    if work > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"the exact trig sum takes about {work} word products, "
+            f"over {DEFAULT_ENUM_CAP}")
+    bound = (2 * nvar) ** steps
+    modulus, zeta = _trig_ring(order, bound)
+    powers = [pow(zeta, r, modulus) for r in range(order)]
+    exps = momentum_exponents(sub)
+    alternants = _column_minors(
+        [[powers[e * v % order] for e in exps] for v in j],
+        [[powers[-e * v % order] for e in exps] for v in l], modulus)
+    cos2 = [powers[e % order] + powers[-e % order] for e in exps]
+    total = sum(pow(sum(cos2[c] for c in cols), steps, modulus) * a * b
+                for cols, (a, b) in alternants.items())
+    return total * pow(width, -nvar, modulus) % modulus
+
+
+def _trig_ring(order: int, bound: int) -> tuple[int, int]:
+    """A modulus P > `bound`, the product of the largest primes p = 1 (mod
+    `order`) below 2^62, and an element of order `order` mod P, combined by
+    the Chinese remainder theorem from one mod each p (Knuth, TAOCP vol. 2,
+    4.3.2)."""
+    proper = [d for d in range(1, order) if order % d == 0]
+    modulus, zeta = 1, 0
+    p = (2 ** 62 - 2) // order * order + 1
+    while modulus <= bound:
+        if _is_prime(p):
+            root = next(z for z in (pow(g, (p - 1) // order, p) for g in count(2))
+                        if all(pow(z, d, p) != 1 for d in proper))
+            zeta += modulus * ((root - zeta) * pow(modulus, -1, p) % p)
+            modulus *= p
+        p -= order
+    return modulus, zeta
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on `_PRIME_BASES`, for n > 37."""
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> twos, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _column_minors(left: list[list[int]], right: list[list[int]],
+                   modulus: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The minors mod `modulus` of the two (N, W) matrices on every set of
+    N columns, keyed by the ascending column tuple: those on the first k
+    rows are expanded along row k into those on the first k-1, with no
+    division, and each sub-minor is looked up once for both matrices."""
+    minors = {(): (1, 1)}
+    for k, (lrow, rrow) in enumerate(zip(left, right)):
+        prev, minors = minors, {}
+        for cols in combinations(range(len(lrow)), k + 1):
+            a = b = 0
+            # the signs alternate from + on the last column
+            for i, c in enumerate(cols):
+                pa, pb = prev[cols[:i] + cols[i + 1:]]
+                a = lrow[c] * pa - a
+                b = rrow[c] * pb - b
+            minors[cols] = (a % modulus, b % modulus)
+    return minors
 
 
 def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -229,6 +321,7 @@ def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
     V(p) CB(v, p) is the boxed sum of s_lam(v) det(p^mu): one Jacobi-Trudi
     determinant per subset, at coincident parameters too.
     """
+    import numpy as np
     table = momentum_table(geom)
     weights = (_boxed_dets(geom, v_inv_sq, table.grid_phases, n) *
                _boxed_dets(geom, u_sq, np.conj(table.grid_phases), n)) / geom.sites ** geom.n
@@ -242,6 +335,7 @@ def _exp_sum(exponent: np.ndarray, weights: np.ndarray, what: str,
     times its |weight|, so `FloatOverflowError` is raised, before `exp`
     runs, when max Re(exponent) + log max(1, sum |weights|) leaves the
     float range."""
+    import numpy as np
     log_max = exponent.real.max() + np.log(max(1.0, np.abs(weights).sum()))
     if log_max > FLOAT_LOG_MAX:
         raise FloatOverflowError(
@@ -256,6 +350,8 @@ def _boxed_dets(geom: ChainGeometry, x, grid: np.ndarray, n: int) -> np.ndarray:
     Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
     for m < K-n+N.  Rows over m = n..K+N-1 instead would lose digits.
     """
+    import numpy as np
+    from .kernels import power_stacks, stacked_dets
     from .schur import jacobi_trudi_rows
     width = geom.k_cap - n + geom.n
     rows_jt = jacobi_trudi_rows(x, width)
@@ -275,6 +371,7 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     """Exact-diagonalization oracle: the bilinear form of the projected
     Schur vectors around exp(-(t/2) * hopping part) = exp((t/2) A), A the
     sector adjacency, taken one translation-momentum block at a time."""
+    import numpy as np
     from .schur import schur_values
     from .sector import sector_orbits
     _check_string_length(geom, n)
@@ -299,6 +396,7 @@ def _adjacency_spectrum(orbits, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
     RK-fixed basis (`SectorOrbits.blocks`), and blocks k and -k share one
     real `eigh`.
     """
+    import numpy as np
     block_coords = orbits.coordinates(vectors)
     spectrum, coords = [], []
     ring = orbits.orbit.shape[1]
@@ -316,6 +414,8 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
 
     A failing comparison is reported, not raised.
     """
+    import numpy as np
+    from .kernels import subset_rows
     from .paths import frontier_counts, random_turns_frontiers
     from .schur import schur_count_at_one
     nvar = geom.n
@@ -358,6 +458,7 @@ def _persistence_terms(geom: ChainGeometry,
     s_lam(g) det(conj(phases_s)^mu) at the ground phases g: it absorbs the
     subset Vandermonde, and the ground norm (M+1)^N / |V(g)|^2 leaves V(g).
     """
+    import numpy as np
     from .schur import vandermonde
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
@@ -376,6 +477,7 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
     keeps both forms finite at large real t.  The Bethe vector and its
     projection are taken one translation-momentum block at a time.
     """
+    import numpy as np
     from .sector import sector_orbits
     _check_string_length(geom, n)
     ground = bethe_ground_state(geom)

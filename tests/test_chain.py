@@ -155,6 +155,17 @@ def test_momenta_quantization():
         assert np.allclose(table.phases, np.exp(1j * table.thetas))
 
 
+def test_momentum_grid_is_bit_identical_to_the_half_integer_form():
+    # pi/L * (2s - (N-1)) is the grid the spectral sums were pinned on,
+    # 2 pi/L * (s - (N-1)/2), to the last bit: only powers of 2 differ
+    # tables of at most L rows, both parities of N on every ring
+    for sites in range(2, 400):
+        for n in {0, 1, sites - 1, sites}:
+            geom = ChainGeometry(sites - 1, n)
+            old = 2.0 * pi / sites * (np.arange(sites) - (n - 1) / 2.0)
+            assert momentum_table(geom).grid_thetas.tobytes() == old.tobytes(), geom
+
+
 def test_enumeration_size():
     # C(M+1, N) distinct rows of descending grid indices in 0..M
     for m, n in [(5, 3), (4, 0), (4, 5), (9, 4)]:

@@ -122,6 +122,36 @@ def test_one_walker_kinds_ignore_n(argv):
     assert with_n.stdout == plain.stdout
 
 
+def one_bad_input_line(out) -> str:
+    """The detail of the one bad-input line of a run that printed nothing else."""
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    (line,) = out.stderr.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "bad-input"
+    return doc["detail"]
+
+
+# each ran a route: the first two printed numpy warnings and exited 1 with
+# route-mismatch, the third printed NaN and exited 0
+@pytest.mark.parametrize("argv", [
+    ["--kind", "persistence", "--m", "4", "--n", "2", "--t=nan"],
+    ["--kind", "multi-particle", "--m", "4", "--n", "2", "--j", "3,1",
+     "--l", "2,0", "--t=inf"],
+    ["--kind", "laplace", "--m", "4", "--z=nan"],
+], ids=["persistence-t-nan", "multi-particle-t-inf", "laplace-z-nan"])
+def test_correlator_non_finite_t_or_z_is_bad_input(argv):
+    assert "is not finite" in one_bad_input_line(run_cli(["correlator", *argv]))
+
+
+# the one-walker kinds read --j-site and --l-site; laplace answered for
+# site 0 here and exited 0
+@pytest.mark.parametrize("kind", ["laplace", "one-particle"])
+def test_one_walker_kinds_refuse_j_and_l(kind):
+    out = run_cli(["correlator", "--kind", kind, "--m", "4", "--j", "1", "--l", "0"])
+    assert one_bad_input_line(out) == \
+        f"--kind {kind} reads --j-site and --l-site, not --j or --l"
+
+
 def test_one_particle_is_the_one_walker_determinant(capsys):
     # the 1 x 1 determinant may move the last bit of the matrix entry
     assert main(ONE_PARTICLE) == 0
@@ -493,6 +523,19 @@ def test_config_file_equivalent(tmp_path):
     via_cfg = run_cli(["--config", str(cfg)])
     assert via_cfg.returncode == 0
     assert via_cfg.stdout == direct.stdout
+
+
+# each ended in a traceback and exit 1
+@pytest.mark.parametrize("text, detail", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name"),
+    ('{"options": {"shape": "2,1"}}', 'is not an object with a "command"'),
+], ids=["missing", "not-json", "no-command"])
+def test_config_file_errors_are_bad_input(tmp_path, text, detail):
+    cfg = tmp_path / "job.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert detail in one_bad_input_line(run_cli(["--config", str(cfg)]))
 
 
 def test_main_callable_in_process(capsys):

@@ -41,7 +41,6 @@ MOVED = [
     ("chain", "ChainGeometry"),
     ("chain", "SectorCapError"),
     ("correlators", "RouteMismatchError"),
-    ("correlators", "IntegerRoundingError"),
     ("correlators", "FloatOverflowError"),
     ("schur", "CoincidentArgumentsError"),
     ("schur", "EnumerationCapError"),
@@ -101,6 +100,15 @@ def test_integer_verbs_load_no_numpy(argv):
 def test_bad_input_loads_no_numpy():
     argv = ["schur", "--shape", "1,2", "--vars", "2", "--at-ones"]
     assert probe(_main(argv)) == {"code": 2, "numpy": False}
+
+
+def test_exact_trig_count_loads_no_numpy():
+    # the benchmark driver's `call trig_path_count` path, at its sizes
+    body = ("from spinpaths.chain import ChainGeometry\n"
+            "from spinpaths import correlators\n"
+            "code = correlators.trig_path_count(ChainGeometry(11, 3), (8, 4, 1),"
+            " (9, 5, 1), 24)")
+    assert probe(body) == {"code": 14736344506834944, "numpy": False}
 
 
 def test_probe_sees_a_numeric_verb_load_numpy():

@@ -15,10 +15,9 @@ from spinpaths.chain import (
     sector_basis,
 )
 from spinpaths import correlators, schur
-from spinpaths.core import relative_residual, within_bound
+from spinpaths.core import EnumerationCapError, relative_residual, within_bound
 from spinpaths.correlators import (
     FloatOverflowError,
-    IntegerRoundingError,
     RouteMismatchError,
     equality_of_sums_report,
     laplace_generating_f,
@@ -261,13 +260,44 @@ def test_trig_count_equals_walker_count(m, n):
             count_random_turns_paths(j, l, k, m)
 
 
-def test_trig_count_non_finite_sum_raises():
-    # (2 sum cos)^1200 overflows and the subset sum becomes NaN; the error
-    # is the only report, with no numpy warning ahead of it
+def test_trig_count_past_the_float_range_is_exact():
+    # (2 sum cos)^1200 is past the float range, where a float subset sum
+    # is NaN; the sum in Z/P takes no float, so no warning either
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegerRoundingError):
-            trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200)
+        assert trig_path_count(ChainGeometry(5, 2), (3, 1), (3, 1), 1200) == \
+            count_random_turns_paths((3, 1), (3, 1), 1200, 5)
+
+
+# counts past 2^53, where the rounded float sum landed on a wrong integer
+# (off by 14, 491,520, 13,811,084,768 and 33,774) and nothing raised
+@pytest.mark.parametrize("m, j, l, steps", [
+    (11, (8, 4, 1), (9, 5, 1), 24),
+    (11, (8, 4, 1), (9, 5, 1), 30),
+    (19, (15, 11, 7, 3, 0), (16, 11, 7, 3, 0), 29),
+    (16, (12, 9, 5, 2), (13, 8, 5, 3), 26),
+])
+def test_trig_count_is_exact_past_2_53(m, j, l, steps):
+    assert trig_path_count(ChainGeometry(m, len(j)), j, l, steps) == \
+        count_random_turns_paths(j, l, steps, m)
+
+
+@pytest.mark.parametrize("m, n, steps", [
+    (23, 20, 1),  # 10,626 subsets, but minors on every k <= 20 of 24 columns
+    (11, 3, 3000),  # 299 minors, but residues of 128 primes
+    (1, 1, 10 ** 9),
+])
+def test_trig_count_refuses_before_any_prime_search(monkeypatch, m, n, steps):
+    monkeypatch.setattr(correlators, "_is_prime", lambda p: pytest.fail("searched"))
+    j = tuple(range(n - 1, -1, -1))
+    with pytest.raises(EnumerationCapError, match="word products"):
+        trig_path_count(ChainGeometry(m, n), j, j, steps)
+
+
+def test_trig_count_keeps_the_sector_cap():
+    with pytest.raises(SectorCapError):
+        trig_path_count(ChainGeometry(29, 10), tuple(range(9, -1, -1)),
+                        tuple(range(9, -1, -1)), 2)
 
 
 @pytest.mark.parametrize("steps", [16, 20])
