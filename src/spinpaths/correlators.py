@@ -17,8 +17,9 @@ share one overflow guard, `_exp_sum`.  Only the functions that use `schur`
 and `sector` import them, so the determinant routes load neither.
 
 The module body loads no numpy.  `trig_path_count` is exact integer
-arithmetic and never loads it; every other function here takes floats
-and imports numpy, and `kernels` where it needs it, when it runs.
+arithmetic and never loads it; every other public function works in
+floats and loads numpy when it runs, from the import at the top of each
+function that uses numpy or `kernels`.
 """
 
 from __future__ import annotations
