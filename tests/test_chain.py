@@ -156,8 +156,9 @@ def test_momenta_quantization():
 
 
 def test_momentum_grid_is_bit_identical_to_the_half_integer_form():
-    # pi/L * (2s - (N-1)) is the grid the spectral sums were pinned on,
-    # 2 pi/L * (s - (N-1)/2), to the last bit: only powers of 2 differ
+    # pi/L * (2s - (N-1)) equals 2 pi/L * (s - (N-1)/2), the form the
+    # pinned spectral digests were taken with, to the last bit: the two
+    # differ only by factors of 2
     # tables of at most L rows, both parities of N on every ring
     for sites in range(2, 400):
         for n in {0, 1, sites - 1, sites}:
