@@ -17,7 +17,8 @@ Conventions pinned here and relied on everywhere else:
 
 The module body loads no numpy, so `ChainGeometry` and the exact trig
 count reach `chain` without it; each function that builds an array
-imports numpy itself.
+imports numpy itself, after the sector cap, so a job over the cap never
+loads it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def sector_sites(geom: ChainGeometry) -> np.ndarray:
     """`sector_basis(geom)` as one read-only (D, N) int64 array, cached and
     shared: row i holds the down-spin sites of basis state i, descending.
     The sector cap is checked first."""
-    from .kernels import subset_rows
     check_sector_cap(geom)
+    from .kernels import subset_rows
     rows = subset_rows(geom.m, geom.n)
     rows.flags.writeable = False
     return rows[::-1]
@@ -156,9 +157,9 @@ def momentum_exponents(geom: ChainGeometry) -> list[int]:
 @lru_cache(maxsize=8)
 def momentum_table(geom: ChainGeometry) -> MomentumTable:
     """The subset table of `geom`, cached and shared; the cap is checked first."""
-    import numpy as np
     # the N-subsets of the grid 0..M, in `descending_subsets` order
     indices = sector_sites(geom)[::-1]
+    import numpy as np
     grid = pi / geom.sites * np.array(momentum_exponents(geom), dtype=float)
     table = MomentumTable(indices, grid, np.exp(1j * grid),
                           np.sum(np.cos(grid)[indices], axis=1))

@@ -4,11 +4,14 @@ Every check passes by `core.within_bound`, as the route checks do.  Each
 check imports what it uses when it runs, numpy and `correlators` included.
 """
 
+import math
+
 from . import core
 
 CAUCHY_BINET_TOL = 1e-9
 SCHUR_DUAL_TOL = 1e-10
 EXACT_TOL = 0.0  # an exact identity has residual 0 when it holds, else 1
+Q_CHAIN_CAP = 10 ** 9  # coefficient products of one `verify q-chain`
 
 
 def _check(residual: float, bound: float, **fields) -> dict:
@@ -80,19 +83,28 @@ def _schur_dual(args) -> list[dict]:
 
 
 def _q_chain(args) -> list[dict]:
+    n, k = args.n, args.k
+    # an estimate from n and k alone: per box height d = 0..k, a square per
+    # boxed shape, d^3 Bareiss updates and n^2 MacMahon factors, each priced
+    # as a product of two polynomials of `size` coefficients
+    size = n * n * (k + 1) + n * k * (k - 1) // 2
+    work = sum(math.comb(n + d, d) + d ** 3 + n * n for d in range(k + 1)) * size ** 2
+    if work > Q_CHAIN_CAP:
+        raise core.EnumerationCapError(
+            f"verify q-chain takes about {work} coefficient products, over {Q_CHAIN_CAP}")
     from . import qpoly, schur
     out = []
-    for n_str in range(0, args.k + 1):
-        geom = core.ChainGeometry(args.n + args.k - 1, args.n)
+    for n_str in range(0, k + 1):
+        geom = core.ChainGeometry(n + k - 1, n)
         d = geom.k_cap - n_str
-        mat = [[qpoly.q_binomial_extended(2 * args.n + i - 1, args.n + j - 1)
+        mat = [[qpoly.q_binomial_extended(2 * n + i - 1, n + j - 1)
                 for j in range(1, d + 1)] for i in range(1, d + 1)]
-        shift = n_str * args.n ** 2 + (args.n * d * (1 - d)) // 2
-        lhs = schur.projection_average_q(args.n, geom.m, n_str)
+        shift = n_str * n ** 2 + (n * d * (1 - d)) // 2
+        lhs = schur.projection_average_q(n, geom.m, n_str)
         mid = qpoly.qpoly_matrix_det(mat).shifted(shift)
-        rhs = qpoly.macmahon_z(args.n, d).shifted(n_str * args.n ** 2)
+        rhs = qpoly.macmahon_z(n, d).shifted(n_str * n ** 2)
         out.append(_check(float(not lhs == mid == rhs), EXACT_TOL,
-                          n=args.n, string_n=n_str, box=d))
+                          n=n, string_n=n_str, box=d))
     return out
 
 

@@ -18,8 +18,8 @@ and `sector` import them, so the determinant routes load neither.
 
 The module body loads no numpy.  `trig_path_count` is exact integer
 arithmetic and never loads it; every other public function works in
-floats and loads numpy when it runs, from the import at the top of each
-function that uses numpy or `kernels`.
+floats and loads numpy when it runs, in each function that uses numpy or
+`kernels`, after its argument checks, size caps and a-priori float bound.
 """
 
 from __future__ import annotations
@@ -78,14 +78,21 @@ def _check_string_length(geom: ChainGeometry, n: int) -> None:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
 
 
-def _ring_hops(geom: ChainGeometry) -> np.ndarray:
-    """The ring hop matrix as floats, once the complex (M+1)^2 matrix built
-    from it fits `DENSE_BYTES_CAP`."""
+def _check_ring_size(geom: ChainGeometry) -> None:
+    """Raise `SectorCapError` when the complex (M+1)^2 one-walker matrix is
+    over `DENSE_BYTES_CAP`."""
     nbytes = geom.sites ** 2 * 16
     if nbytes > DENSE_BYTES_CAP:
         raise SectorCapError(
             f"dense one-walker matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
-    return hopping_matrix(geom.m).astype(float)
+
+
+def _minor_log_bound(geom: ChainGeometry, t: complex, nvar: int) -> float:
+    """nvar max Re(t w / 2) over the spectrum w = 2 cos(pi (2s + phi)/(M+1))
+    of Delta_tw, phi = 1 - nvar % 2 (Davis, Circulant Matrices, 1979)."""
+    phi = 1 - nvar % 2
+    return nvar * max(complex(t).real * math.cos(math.pi * (2 * s + phi) / geom.sites)
+                      for s in range(geom.sites))
 
 
 def one_particle_matrix(geom: ChainGeometry, t: complex,
@@ -99,25 +106,26 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     exactly.  One `eigh` of the real symmetric Delta_tw serves every
     complex t, real time t = i tau included.  Each row of the result has
     2-norm at most exp(max Re(t) w / 2), so by Hadamard's inequality every
-    entry and every nvar x nvar minor is bounded by exp(nvar max Re(t) w / 2);
-    `FloatOverflowError` is raised when that bound leaves the float range,
-    before `exp` or `det` could overflow.  `SectorCapError` is raised before
-    anything is allocated when the matrix is over `DENSE_BYTES_CAP`.
+    entry and every nvar x nvar minor is bounded by exp(nvar max Re(t) w / 2),
+    `_minor_log_bound`, read off the closed-form spectrum.  Before numpy
+    loads, `SectorCapError` is raised when the matrix is over
+    `DENSE_BYTES_CAP`, and then `FloatOverflowError` when the bound leaves
+    the float range, so neither `exp` nor `det` can overflow.
     """
-    import numpy as np
-    # sign the wrap-around bond; on the 2-site ring it is the second copy
-    # of the doubled bond
-    delta = _ring_hops(geom)
-    if nvar % 2 == 0:
-        delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
-    w, vecs = np.linalg.eigh(delta)
-    exponent = t / 2.0 * w
-    log_max = nvar * exponent.real.max()
+    _check_ring_size(geom)
+    log_max = _minor_log_bound(geom, t, nvar)
     if log_max > FLOAT_LOG_MAX:
         raise FloatOverflowError(
             f"the {nvar}-walker minors at t={t} can reach exp({log_max:.1f}), "
             f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
-    return (vecs * np.exp(exponent)) @ vecs.T
+    import numpy as np
+    # sign the wrap-around bond; on the 2-site ring it is the second copy
+    # of the doubled bond
+    delta = hopping_matrix(geom.m).astype(float)
+    if nvar % 2 == 0:
+        delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
+    w, vecs = np.linalg.eigh(delta)
+    return (vecs * np.exp(t / 2.0 * w)) @ vecs.T
 
 
 def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
@@ -128,12 +136,13 @@ def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
 
 def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> complex:
     """Ordinary generating function sum_K z^K (Delta^K)_{jm}, via a linear solve."""
-    import numpy as np
     _check_endpoints(geom, (j,), (m,))
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
+    _check_ring_size(geom)
+    import numpy as np
     size = geom.sites
-    delta = _ring_hops(geom)
+    delta = hopping_matrix(geom.m).astype(float)
     rhs = np.zeros(size, dtype=complex)
     rhs[m] = 1.0
     sol = np.linalg.solve(np.identity(size) - z * delta, rhs)
@@ -147,10 +156,10 @@ def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
 
 def _det_product_spectral(m: int, j, l, weight) -> complex:
     """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
-    import numpy as np
-    from .kernels import power_stacks, stacked_dets
     geom = ChainGeometry(m, len(j))
     table = momentum_table(geom)
+    import numpy as np
+    from .kernels import power_stacks, stacked_dets
 
     def alternants(mu):
         # not phases ** mu: conj(phases) ** l turns (8,4,1)->(9,5,1) at M=11, K=22 wrong
@@ -180,14 +189,17 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
     """Many-walker generating function, by determinant and by spectral sum.
 
     Coincident endpoints give an exact zero (the determinant has equal
-    rows or columns), skipping the spectral route.
+    rows or columns), skipping the spectral route.  Both routes' caps and
+    the float bound run before numpy loads.
     """
-    import numpy as np
     j, l = _check_endpoints(geom, j, l)
     if len(set(j)) != len(j) or len(set(l)) != len(l):
         return CorrelatorResult(0.0 + 0.0j)
     nvar = len(j)
-    gmat = one_particle_matrix(geom, t, nvar)
+    check_sector_cap(ChainGeometry(geom.m, nvar))
+    # no walkers: the empty determinant, and no propagator to overflow
+    gmat = one_particle_matrix(geom, t, nvar) if nvar else None
+    import numpy as np
     det_route = complex(np.linalg.det(gmat[np.ix_(j, l)])) if nvar else 1.0 + 0.0j
 
     spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
@@ -322,8 +334,8 @@ def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
     V(p) CB(v, p) is the boxed sum of s_lam(v) det(p^mu): one Jacobi-Trudi
     determinant per subset, at coincident parameters too.
     """
-    import numpy as np
     table = momentum_table(geom)
+    import numpy as np
     weights = (_boxed_dets(geom, v_inv_sq, table.grid_phases, n) *
                _boxed_dets(geom, u_sq, np.conj(table.grid_phases), n)) / geom.sites ** geom.n
     return _exp_sum(t * table.cos_sums, weights,
@@ -372,12 +384,12 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     """Exact-diagonalization oracle: the bilinear form of the projected
     Schur vectors around exp(-(t/2) * hopping part) = exp((t/2) A), A the
     sector adjacency, taken one translation-momentum block at a time."""
+    _check_string_length(geom, n)
+    sites = sector_sites(geom)
     import numpy as np
     from .schur import schur_values
     from .sector import sector_orbits
-    _check_string_length(geom, n)
     orbits = sector_orbits(geom)
-    sites = sector_sites(geom)
     proj = np.all(sites >= n, axis=1)
     # at repeated parameters each row is a tableau enumeration: skip the rest
     left, right = np.zeros((2, len(sites)), dtype=complex)
@@ -415,15 +427,16 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
 
     A failing comparison is reported, not raised.
     """
-    import numpy as np
-    from .kernels import subset_rows
-    from .paths import frontier_counts, random_turns_frontiers
-    from .schur import schur_count_at_one
     nvar = geom.n
     _check_string_length(geom, n)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    boxed = _boxed_dets(geom, (1.0,) * nvar, momentum_table(geom).grid_phases, n)
+    table = momentum_table(geom)
+    import numpy as np
+    from .kernels import subset_rows
+    from .paths import frontier_counts, random_turns_frontiers
+    from .schur import schur_count_at_one
+    boxed = _boxed_dets(geom, (1.0,) * nvar, table.grid_phases, n)
     lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
 
     mus = list(map(tuple, (n + subset_rows(geom.m - n, nvar)).tolist()))
@@ -459,10 +472,10 @@ def _persistence_terms(geom: ChainGeometry,
     s_lam(g) det(conj(phases_s)^mu) at the ground phases g: it absorbs the
     subset Vandermonde, and the ground norm (M+1)^N / |V(g)|^2 leaves V(g).
     """
-    import numpy as np
-    from .schur import vandermonde
     table = momentum_table(geom)
     ground = bethe_ground_state(geom)
+    import numpy as np
+    from .schur import vandermonde
     boxed = _boxed_dets(geom, ground.phases, np.conj(table.grid_phases), n)
     gaps = table.energies - ground.energies
     weights = np.abs(boxed * vandermonde(ground.phases)) ** 2 / float(geom.sites) ** (2 * geom.n)
@@ -478,10 +491,10 @@ def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:
     keeps both forms finite at large real t.  The Bethe vector and its
     projection are taken one translation-momentum block at a time.
     """
-    import numpy as np
-    from .sector import sector_orbits
     _check_string_length(geom, n)
     ground = bethe_ground_state(geom)
+    import numpy as np
+    from .sector import sector_orbits
     orbits = sector_orbits(geom)
     proj = np.all(sector_sites(geom) >= n, axis=1)
     vec = bethe_vector(geom, ground.phases)

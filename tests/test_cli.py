@@ -217,6 +217,20 @@ def test_verify_q_chain_past_the_cofactor_sizes():
     assert json.loads(out.stdout)["pass"] is True
 
 
+@pytest.mark.parametrize("n, code", [("10", 0), ("40", 3)])
+def test_verify_q_chain_is_capped_from_its_arguments(n, code):
+    # --n 40 ran for over two minutes before the cap; --n 10 takes under 1 s
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", "q-chain",
+                          "--n", n, "--k", "3"], capture_output=True, text=True,
+                         timeout=20)
+    assert out.returncode == code, out.stderr
+    if code:
+        assert out.stdout == ""
+        assert json.loads(out.stderr)["error"] == "cap-exceeded"
+    else:
+        assert json.loads(out.stdout)["pass"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["cauchy-binet", "--trials", "0"],
     ["macmahon", "--n", "0"],

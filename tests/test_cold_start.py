@@ -111,6 +111,36 @@ def test_exact_trig_count_loads_no_numpy():
     assert probe(body) == {"code": 14736344506834944, "numpy": False}
 
 
+# refusals that the arguments alone decide, with the exit code and the
+# stderr line that each printed when numpy loaded before the refusal
+REFUSALS = [
+    (["correlator", "--kind", "multi-particle", "--m", "9", "--n", "3",
+      "--j", "5,3,1", "--l", "6,3,0", "--t", "300"], 1,
+     '{"detail": "the 3-walker minors at t=(300+0j) can reach exp(900.0), '
+     'past the float maximum exp(709.78)", "error": "float-overflow"}'),
+    (["correlator", "--kind", "persistence", "--m", "40", "--n", "20"], 3,
+     '{"detail": "sector dimension 269128937220 exceeds 50000", '
+     '"error": "cap-exceeded"}'),
+    (["correlator", "--kind", "laplace", "--m", "4", "--z", "0.6"], 2,
+     '{"detail": "need |z| < 1/2 (spectral radius of the hop matrix is 2)", '
+     '"error": "bad-input"}'),
+    (["correlator", "--kind", "multi-particle", "--m", "4", "--n", "2",
+      "--j", "5,1", "--l", "3,1"], 2,
+     '{"detail": "endpoints (5, 1) outside 0..4", "error": "bad-input"}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", REFUSALS,
+                         ids=["large-t", "persistence-cap", "laplace-z", "j-range"])
+def test_refusals_load_no_numpy(argv, code, line):
+    body = ("import contextlib, io\nfrom spinpaths.cli import main\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            f"    exit_code = main({argv!r})\n"
+            "code = [exit_code, out.getvalue(), err.getvalue()]")
+    assert probe(body) == {"code": [code, "", line + "\n"], "numpy": False}
+
+
 def test_probe_sees_a_numeric_verb_load_numpy():
     argv = ["chain-spectrum", "--m", "3", "--n", "1"]
     assert probe(_main(argv)) == {"code": 0, "numpy": True}

@@ -203,6 +203,28 @@ def test_multi_particle_large_t_raises_float_overflow():
                                   300)
 
 
+@pytest.mark.parametrize("nvar", range(1, 6))
+def test_closed_form_minor_bound_matches_eigh(nvar):
+    # Delta_tw built and diagonalized here; at m = 1 the twist of an even
+    # walker count cancels the doubled bond
+    for m in range(1, 41):
+        delta = hopping_matrix(m).astype(float)
+        if nvar % 2 == 0:
+            delta[0, m] -= 2.0
+            delta[m, 0] -= 2.0
+        w = np.linalg.eigvalsh(delta)
+        for t in (1.7 - 0.4j, -2.3 + 0.9j):
+            want = nvar * (t / 2.0 * w).real.max()
+            got = correlators._minor_log_bound(ChainGeometry(m, 1), t, nvar)
+            assert got == pytest.approx(want, rel=0, abs=1e-12), (m, t)
+
+
+def test_multi_particle_without_walkers_is_one_at_any_t():
+    # the empty determinant: no propagator is built, so nothing overflows
+    res = multi_particle_g_detailed(ChainGeometry(4, 0), (), (), 1000.0)
+    assert res.value == 1.0
+
+
 @pytest.mark.parametrize("route, args, bound", [
     # the largest exponent t sum cos plus the log of the summed |weights|
     (transition_amplitude_detailed,
