@@ -55,6 +55,16 @@ def _persistence(args) -> list[dict]:
 
 
 def _macmahon(args) -> list[dict]:
+    # each (n, k) priced as `_q_chain` prices its n^2 MacMahon factors, k = 0
+    # included: the product formula multiplies n^2 integers there too
+    work = 0
+    for n in range(1, args.n + 1):
+        for k in range(args.k + 1):
+            work += n * n * _q_size(n, k) ** 2
+            if work > Q_CHAIN_CAP:
+                raise core.EnumerationCapError(
+                    f"verify macmahon takes at least {work} coefficient products, "
+                    f"over {Q_CHAIN_CAP}")
     from . import qpoly
     out = []
     for n in range(1, args.n + 1):
@@ -66,8 +76,17 @@ def _macmahon(args) -> list[dict]:
 
 
 def _schur_dual(args) -> list[dict]:
-    import numpy as np
     from . import partitions, schur
+    cap = core.DEFAULT_ENUM_CAP
+    shapes = math.comb(args.n + args.length, args.n)
+    if shapes > cap:
+        raise core.EnumerationCapError(f"{shapes} boxed shapes exceeds cap {cap}")
+    tableaux = 0
+    for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
+        tableaux += schur.schur_count_at_one(lam, args.n)
+        if tableaux > cap:
+            raise core.EnumerationCapError(f"at least {tableaux} tableaux, over the cap {cap}")
+    import numpy as np
     rng = np.random.default_rng(args.seed)
     resids = {}  # per shape, one residual per trial
     for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
@@ -82,12 +101,18 @@ def _schur_dual(args) -> list[dict]:
             for lam, r in resids.items()]
 
 
+def _q_size(n: int, k: int) -> int:
+    """The coefficients of each polynomial product `verify q-chain` prices."""
+    return n * n * (k + 1) + n * k * (k - 1) // 2
+
+
 def _q_chain(args) -> list[dict]:
     n, k = args.n, args.k
     # an estimate from n and k alone: per box height d = 0..k, a square per
     # boxed shape, d^3 Bareiss updates and n^2 MacMahon factors, each priced
-    # as a product of two polynomials of `size` coefficients
-    size = n * n * (k + 1) + n * k * (k - 1) // 2
+    # as a product of two polynomials of `size` coefficients; at k = 0 every
+    # polynomial is a constant and every MacMahon factor cancels
+    size = _q_size(n, k) if k else 1
     work = sum(math.comb(n + d, d) + d ** 3 + n * n for d in range(k + 1)) * size ** 2
     if work > Q_CHAIN_CAP:
         raise core.EnumerationCapError(

@@ -60,8 +60,6 @@ FLOAT_LOG_MAX = math.log(sys.float_info.max)
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
 INTEGER_ROUNDING_TOL = 1e-6
-# Miller-Rabin on these bases is exact below 3.3e24, past every 62-bit prime
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class CorrelatorResult(FrozenRecord):
@@ -88,11 +86,19 @@ def _check_ring_size(geom: ChainGeometry) -> None:
 
 
 def _minor_log_bound(geom: ChainGeometry, t: complex, nvar: int) -> float:
-    """nvar max Re(t w / 2) over the spectrum w = 2 cos(pi (2s + phi)/(M+1))
-    of Delta_tw, phi = 1 - nvar % 2 (Davis, Circulant Matrices, 1979)."""
-    phi = 1 - nvar % 2
-    return nvar * max(complex(t).real * math.cos(math.pi * (2 * s + phi) / geom.sites)
-                      for s in range(geom.sites))
+    """max(nvar, 1) max Re(t w / 2) over the spectrum w = 2 cos(pi (2s +
+    phi)/(M+1)) of Delta_tw, phi = 1 - nvar % 2 (Davis, Circulant Matrices,
+    1979): it bounds every entry as well as every minor."""
+    phi, sites = 1 - nvar % 2, geom.sites
+    return max(nvar, 1) * max(complex(t).real * math.cos(math.pi * (2 * s + phi) / sites)
+                              for s in range(sites))
+
+
+def _check_float_range(log_max: float, what: str) -> None:
+    if log_max > FLOAT_LOG_MAX:
+        raise FloatOverflowError(
+            f"{what} can reach exp({log_max:.1f}), "
+            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
 
 
 def one_particle_matrix(geom: ChainGeometry, t: complex,
@@ -106,18 +112,15 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     exactly.  One `eigh` of the real symmetric Delta_tw serves every
     complex t, real time t = i tau included.  Each row of the result has
     2-norm at most exp(max Re(t) w / 2), so by Hadamard's inequality every
-    entry and every nvar x nvar minor is bounded by exp(nvar max Re(t) w / 2),
-    `_minor_log_bound`, read off the closed-form spectrum.  Before numpy
-    loads, `SectorCapError` is raised when the matrix is over
+    entry and every nvar x nvar minor is bounded by exp(max(nvar, 1) max
+    Re(t) w / 2), `_minor_log_bound`, read off the closed-form spectrum.
+    Before numpy loads, `SectorCapError` is raised when the matrix is over
     `DENSE_BYTES_CAP`, and then `FloatOverflowError` when the bound leaves
     the float range, so neither `exp` nor `det` can overflow.
     """
     _check_ring_size(geom)
-    log_max = _minor_log_bound(geom, t, nvar)
-    if log_max > FLOAT_LOG_MAX:
-        raise FloatOverflowError(
-            f"the {nvar}-walker minors at t={t} can reach exp({log_max:.1f}), "
-            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
+    _check_float_range(_minor_log_bound(geom, t, nvar),
+                       f"the {nvar}-walker minors at t={t}")
     import numpy as np
     # sign the wrap-around bond; on the 2-site ring it is the second copy
     # of the doubled bond
@@ -222,7 +225,8 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     zeta^-e.  Sending zeta to an element of order 2(M+1) mod P is a ring
     map, so the sum mod P is the count mod P; P > (2N)^K, a bound on the
     count (each tick moves one of N walkers one of two ways), makes it the
-    count.  Before any prime is searched, the sector cap applies, and
+    count.  Before any prime is searched, the sector cap applies (at N = 1
+    if N = 0: the M+1 grid momenta are tabulated at any N), and
     `EnumerationCapError` refuses when the minors' N products per column
     set, each up to r^2 word products at r primes, pass `DEFAULT_ENUM_CAP`.
     """
@@ -230,7 +234,7 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     sub = ChainGeometry(geom.m, len(j))
-    check_sector_cap(sub)
+    check_sector_cap(ChainGeometry(geom.m, max(sub.n, 1)))
     nvar, width, order = sub.n, sub.sites, 2 * sub.sites
     # every prime taken is over 2^61
     primes = int(steps * math.log2(max(2 * nvar, 1))) // 61 + 1
@@ -253,37 +257,25 @@ def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
 
 
 def _trig_ring(order: int, bound: int) -> tuple[int, int]:
-    """A modulus P > `bound`, the product of the largest primes p = 1 (mod
-    `order`) below 2^62, and an element of order `order` mod P, combined by
-    the Chinese remainder theorem from one mod each p (Knuth, TAOCP vol. 2,
-    4.3.2)."""
+    """A modulus P > `bound` and an element of order `order` mod P, by the
+    Chinese remainder theorem over primes p = c w 2^31 + 1, w the odd part
+    of `order` and c odd, c w < 2^31, from the largest c down (Knuth, TAOCP
+    vol. 2, 4.3.2).  Proth's theorem (1878) proves p prime from one a with
+    a^((p-1)/2) = -1 (mod p).  Under the caps, every p taken is over 2^61."""
     proper = [d for d in range(1, order) if order % d == 0]
-    modulus, zeta = 1, 0
-    p = (2 ** 62 - 2) // order * order + 1
+    odd = order // (order & -order)
+    modulus, zeta, c = 1, 0, ((2 ** 31 - 1) // odd - 1) | 1
     while modulus <= bound:
-        if _is_prime(p):
+        p = c * odd << 31 | 1
+        # a prime a that divides w is a square mod p; w < 50,000 has at most 5
+        if pow(2, p - 1, p) == 1 and any(pow(a, p >> 1, p) == p - 1 for a in
+                                         (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
             root = next(z for z in (pow(g, (p - 1) // order, p) for g in count(2))
                         if all(pow(z, d, p) != 1 for d in proper))
             zeta += modulus * ((root - zeta) * pow(modulus, -1, p) % p)
             modulus *= p
-        p -= order
+        c -= 2
     return modulus, zeta
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on `_PRIME_BASES`, for n > 37."""
-    twos = ((n - 1) & (1 - n)).bit_length() - 1  # the power of 2 in n - 1
-    for a in _PRIME_BASES:
-        x = pow(a, (n - 1) >> twos, n)
-        if x == 1:
-            continue
-        for _ in range(twos):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
 
 
 def _column_minors(left: list[list[int]], right: list[list[int]],
@@ -349,11 +341,8 @@ def _exp_sum(exponent: np.ndarray, weights: np.ndarray, what: str,
     runs, when max Re(exponent) + log max(1, sum |weights|) leaves the
     float range."""
     import numpy as np
-    log_max = exponent.real.max() + np.log(max(1.0, np.abs(weights).sum()))
-    if log_max > FLOAT_LOG_MAX:
-        raise FloatOverflowError(
-            f"the {what} at t={t} can reach exp({log_max:.1f}), "
-            f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
+    _check_float_range(exponent.real.max() + np.log(max(1.0, np.abs(weights).sum())),
+                       f"the {what} at t={t}")
     return complex(np.exp(exponent) @ weights)
 
 
@@ -425,7 +414,8 @@ def _adjacency_spectrum(orbits, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
 def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     """Both sides of the trig-sum = weighted-walker-count identity.
 
-    A failing comparison is reported, not raised.
+    A failing comparison is reported, not raised.  A float left side that
+    could pass the float maximum raises `FloatOverflowError` before the sum.
     """
     nvar = geom.n
     _check_string_length(geom, n)
@@ -436,8 +426,12 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     from .kernels import subset_rows
     from .paths import frontier_counts, random_turns_frontiers
     from .schur import schur_count_at_one
-    boxed = _boxed_dets(geom, (1.0,) * nvar, table.grid_phases, n)
-    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ np.abs(boxed) ** 2
+    norms = np.abs(_boxed_dets(geom, (1.0,) * nvar, table.grid_phases, n)) ** 2
+    # each term is at most (2N)^K |boxed|^2 / (M+1)^N
+    _check_float_range(steps * math.log(max(2 * nvar, 1)) +
+                       math.log(max(1.0, norms.sum() / geom.sites ** nvar)),
+                       f"the trig sum of {steps} steps")
+    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ norms
 
     mus = list(map(tuple, (n + subset_rows(geom.m - n, nvar)).tolist()))
     counts = [schur_count_at_one(mu_to_lambda(mu), nvar) for mu in mus]

@@ -141,8 +141,9 @@ class QPolynomial:
 
 
 def q_product_ratio(nums: Iterable[int], dens: Iterable[int]) -> QPolynomial:
-    """prod_a (1 - q^a) / prod_b (1 - q^b) for b > 0: equal exponents cancel,
-    then one `divide_exact`, which raises if the ratio is no polynomial."""
+    """prod_a (1 - q^a) / prod_b (1 - q^b) for b > 0, each exponent list
+    given as such or as a Counter: equal exponents cancel, then one
+    `divide_exact`, which raises if the ratio is no polynomial."""
     nums, dens = Counter(nums), Counter(dens)
     num = den = QPolynomial.one()
     for a in (nums - dens).elements():
@@ -172,8 +173,9 @@ def macmahon_z(n: int, k: int) -> QPolynomial:
     """Generating function of plane partitions in an n x n x k box."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1, k >= 0")
-    hooks = [j + l - 1 for j in range(1, n + 1) for l in range(1, n + 1)]
-    return q_product_ratio([k + h for h in hooks], hooks)
+    # the hook h = j + l - 1 of the n x n square occurs min(h, 2n - h) times
+    hooks = Counter({h: min(h, 2 * n - h) for h in range(1, 2 * n)})
+    return q_product_ratio(Counter({k + h: c for h, c in hooks.items()}), hooks)
 
 
 def macmahon_count(n: int, k: int) -> int:

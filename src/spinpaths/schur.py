@@ -14,6 +14,7 @@ without either.
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import DEFAULT_ENUM_CAP, CoincidentArgumentsError, EnumerationCapError
@@ -235,11 +236,15 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
 
 def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
                       length: int, n: int) -> complex:
-    """The same boxed sum by direct enumeration of partitions."""
+    """The same boxed sum by direct enumeration of partitions, refused past
+    `DEFAULT_ENUM_CAP` shapes before any is built."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
+    shapes = comb(length - n + len(x), len(x))
+    if shapes > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{shapes} boxed shapes exceeds cap {DEFAULT_ENUM_CAP}")
     from .kernels import subset_rows
     # mu = lam + staircase over the boxed shapes, in their order
     mus = n + subset_rows(length - n + len(x) - 1, len(x))

@@ -217,11 +217,13 @@ def test_verify_q_chain_past_the_cofactor_sizes():
     assert json.loads(out.stdout)["pass"] is True
 
 
-@pytest.mark.parametrize("n, code", [("10", 0), ("40", 3)])
-def test_verify_q_chain_is_capped_from_its_arguments(n, code):
-    # --n 40 ran for over two minutes before the cap; --n 10 takes under 1 s
+@pytest.mark.parametrize("n, code, k", [("10", 0, "3"), ("40", 3, "3"), ("40", 0, "0")],
+                         ids=["10-0", "40-3", "40-0-k0"])
+def test_verify_q_chain_is_capped_from_its_arguments(n, code, k):
+    # --n 40 ran for over two minutes before the cap; --n 10 takes under 1 s;
+    # at k = 0 every polynomial is a constant, and --n 40 takes milliseconds
     out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", "q-chain",
-                          "--n", n, "--k", "3"], capture_output=True, text=True,
+                          "--n", n, "--k", k], capture_output=True, text=True,
                          timeout=20)
     assert out.returncode == code, out.stderr
     if code:
@@ -229,6 +231,45 @@ def test_verify_q_chain_is_capped_from_its_arguments(n, code):
         assert json.loads(out.stderr)["error"] == "cap-exceeded"
     else:
         assert json.loads(out.stdout)["pass"] is True
+
+
+# each ran for over a minute, or for cauchy-binet ended in numpy's
+# _ArrayMemoryError traceback, before its cap
+@pytest.mark.parametrize("argv", [
+    ["schur-dual", "--n", "10"],
+    ["schur-dual", "--n", "3", "--length", "40"],
+    ["macmahon", "--n", "16", "--k", "16"],
+    ["macmahon", "--n", "300", "--k", "300"],
+    ["cauchy-binet", "--n", "20", "--length", "20", "--trials", "1"],
+], ids=" ".join)
+def test_verify_identities_are_capped_before_they_enumerate(argv):
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", *argv],
+                         capture_output=True, text=True, timeout=20,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
+def test_verify_macmahon_runs_under_its_cap():
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", "macmahon",
+                          "--n", "8", "--k", "8"], capture_output=True, text=True,
+                         timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
+
+
+def test_verify_equality_of_sums_past_the_float_range_is_one_error_line():
+    # numpy's overflow warnings and an OverflowError traceback, exit 1, before
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify",
+                          "equality-of-sums", "--m", "40", "--n", "3", "--steps", "400"],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert json.loads(out.stderr) == {
+        "detail": "the trig sum of 400 steps can reach exp(741.1), "
+                  "past the float maximum exp(709.78)",
+        "error": "float-overflow"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -141,6 +141,27 @@ def test_refusals_load_no_numpy(argv, code, line):
     assert probe(body) == {"code": [code, "", line + "\n"], "numpy": False}
 
 
+@pytest.mark.parametrize("m, t, line", [
+    (4, 1500.0, "exp(1213.5)"),
+    # the twisted spectrum of an even walker count, 0 included, reaches
+    # w = -2 on 3 sites, where the untwisted one stops at -1
+    (2, -800.0, "exp(800.0)"),
+])
+def test_propagator_without_walkers_is_bounded_before_numpy(m, t, line):
+    # with no walkers the bound read 0 at any t, yet every entry of the
+    # matrix can reach exp(max Re(t w / 2))
+    body = ("from spinpaths.chain import ChainGeometry\n"
+            "from spinpaths import correlators\n"
+            "try:\n"
+            f"    correlators.one_particle_matrix(ChainGeometry({m}, 1), {t!r}, 0)\n"
+            "except correlators.FloatOverflowError as exc:\n"
+            "    code = str(exc)")
+    assert probe(body) == {
+        "code": f"the 0-walker minors at t={t} can reach {line}, "
+                "past the float maximum exp(709.78)",
+        "numpy": False}
+
+
 def test_probe_sees_a_numeric_verb_load_numpy():
     argv = ["chain-spectrum", "--m", "3", "--n", "1"]
     assert probe(_main(argv)) == {"code": 0, "numpy": True}

@@ -310,10 +310,65 @@ def test_trig_count_is_exact_past_2_53(m, j, l, steps):
     (1, 1, 10 ** 9),
 ])
 def test_trig_count_refuses_before_any_prime_search(monkeypatch, m, n, steps):
-    monkeypatch.setattr(correlators, "_is_prime", lambda p: pytest.fail("searched"))
+    monkeypatch.setattr(correlators, "_trig_ring", lambda *a: pytest.fail("searched"))
     j = tuple(range(n - 1, -1, -1))
     with pytest.raises(EnumerationCapError, match="word products"):
         trig_path_count(ChainGeometry(m, n), j, j, steps)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases, exact for 37 < n < 3.18e23
+    (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m, steps", [
+    (49998, 853),  # the largest odd part of 2(M+1) a walker ring admits, at 14 primes
+    (1, 111324),  # the most primes the cap admits, 1825, at w = 1
+])
+def test_trig_ring_takes_primes_above_2_61(m, steps):
+    geom, j = ChainGeometry(m, 1), (0,)
+    # the largest K the cap admits on this ring
+    with pytest.raises(EnumerationCapError):
+        trig_path_count(geom, j, j, steps + 1)
+    order, bound = 2 * geom.sites, 2 ** steps
+    modulus, _ = correlators._trig_ring(order, bound)
+    assert modulus > bound
+    # no more primes than the cap priced: K log2(2N) // 61 + 1 at N = 1
+    primes = steps // 61 + 1
+    # divide out the p = k 2^31 + 1 over 2^61 with w | k, k odd, from the
+    # top, allowing 200 candidates a prime
+    odd = order // (order & -order)
+    rest, taken = modulus, []
+    for k in islice(range((2 ** 31 - 1) // odd * odd, 2 ** 30, -odd), 200 * primes):
+        p = k << 31 | 1
+        if k % 2 and rest % p == 0:
+            rest //= p
+            taken.append(p)
+        if rest == 1:
+            break
+    assert rest == 1 and len(taken) <= primes
+    assert all(_is_prime(p) for p in taken)
+
+
+def test_trig_count_on_a_walkerless_ring_keeps_the_one_walker_cap():
+    # the M+1 grid momenta are tabulated at N = 0 too
+    assert trig_path_count(ChainGeometry(49999, 0), (), (), 0) == 1
+    with pytest.raises(SectorCapError):
+        trig_path_count(ChainGeometry(50000, 0), (), (), 0)
 
 
 def test_trig_count_keeps_the_sector_cap():
