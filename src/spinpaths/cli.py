@@ -28,7 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
-FLOAT_GRID_CAP = 10 ** 6  # points of one start:step:stop grid
+FLOAT_GRID_CAP = 10 ** 6  # points of one a..b range or start:step:stop grid
 
 
 # failed library checks, by the error name written to stderr
@@ -180,10 +180,12 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'a..b' inclusive, or a single integer."""
+    """'a..b' inclusive, of at most FLOAT_GRID_CAP points, or a single integer."""
     if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
+        a, b = map(int, text.split(".."))
+        if b - a >= FLOAT_GRID_CAP:
+            raise core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
+        return list(range(a, b + 1))
     return [int(text)]
 
 
@@ -230,10 +232,12 @@ def cmd_sweep(args) -> int:
         _emit_csv(["m", "start", "end", "steps", "count"], rows)
     else:  # macmahon
         from . import qpoly
-        rows = []
-        for n in _parse_range(args.box_n):
-            for k in _parse_range(args.box_k):
-                rows.append([n, k, qpoly.macmahon_count(n, k)])
+        ns, ks = _parse_range(args.box_n), _parse_range(args.box_k)
+        # each row's product formula takes n^2 hooks
+        hooks = sum(n * n for n in ns if n > 0) * len(ks)
+        if hooks > core.DEFAULT_ENUM_CAP:
+            raise core.EnumerationCapError(f"{hooks} hooks exceed cap {core.DEFAULT_ENUM_CAP}")
+        rows = [[n, k, qpoly.macmahon_count(n, k)] for n in ns for k in ks]
         _emit_csv(["n", "k", "count"], rows)
     return EXIT_OK
 

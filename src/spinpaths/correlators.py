@@ -424,7 +424,7 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     table = momentum_table(geom)
     import numpy as np
     from .kernels import subset_rows
-    from .paths import frontier_counts, random_turns_frontiers
+    from .paths import random_turns_counts
     from .schur import schur_count_at_one
     norms = np.abs(_boxed_dets(geom, (1.0,) * nvar, table.grid_phases, n)) ** 2
     # each term is at most (2N)^K |boxed|^2 / (M+1)^N
@@ -437,8 +437,8 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
     counts = [schur_count_at_one(mu_to_lambda(mu), nvar) for mu in mus]
     # sum_{l,r} s_l s_r walks(mu_r -> mu_l) is, by linearity, one walk from
     # the count-weighted starts read off at every mu_l
-    walk = random_turns_frontiers(dict(zip(mus, counts)), geom.m)
-    walks = frontier_counts(next(islice(walk, steps, None)), mus)
+    walk = random_turns_counts(dict(zip(mus, counts)), mus, geom.m)
+    walks = next(islice(walk, steps, None))
     rhs = sum(c * w for c, w in zip(counts, walks))
 
     residual = abs(lhs - rhs)

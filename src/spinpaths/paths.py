@@ -9,16 +9,16 @@ runs the one with the smaller a-priori operation count:
   - LGV (Lindstrom-Gessel-Viennot; Fisher's vicious walkers): the count
     is K! [t^K] det G(t), G holding the one-walker exponential generating
     functions of the ring with seam sign (-1)^(N-1), in plain Python ints;
-  - the frontier DP over ring configurations, packed as occupancy bits
-    into int64 words (62 sites per word) beside an object array of
-    Python-int counts, each tick moving all rows at once in numpy.  One
-    walk from weighted starts serves every step count and, by linearity,
-    every start at once; `frontier_counts` reads it, by binary search over
-    its rows.  It is the independent oracle for every path-counting
-    formula in the package (`count_random_turns_paths`).
-Only the nest functions import `schur`, only the DP numpy and only the
-nest partition functions `qpoly`, so the nest verbs start without numpy,
-and the walker verbs load `core` and `partitions` alone, without numpy
+  - the DP over the N-walker sector, one Python-int count per state,
+    indexed by the rank that `sector` also gives the exact oracles, each
+    tick moving every count at once in numpy along the sector's hop list.
+    One walk from weighted starts serves every step count and, by
+    linearity, every start at once (`random_turns_counts`).  It is the
+    independent oracle for every path-counting formula in the package
+    (`count_random_turns_paths`).
+Only the nest functions import `schur`, only the DP numpy and `sector`,
+and only the nest partition functions `qpoly`, so the nest verbs start
+without numpy, and the walker verbs load `core` and `partitions` alone, without numpy
 whenever LGV is the cheaper route.
 """
 
@@ -40,11 +40,7 @@ from .partitions import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
     from .qpoly import QPolynomial
-
-_WORD_BITS = 62   # sites per int64 occupancy word; the sign bit is never set
-
 
 class PathNest(FrozenRecord):
     """One nest of mutually avoiding paths, encoded by its column step counts."""
@@ -133,12 +129,9 @@ def walker_counts(start: StrictPartition, end: StrictPartition,
 
 def _dp_counts(start: StrictPartition, end: StrictPartition,
                steps: Sequence[int], m: int) -> list[int]:
-    """The DP's count at `end` after each of the (non-empty) `steps`, from
-    one walk read only at the wanted ticks: a read costs one pass over its rows."""
-    wanted = set(steps)
-    walk = enumerate(islice(random_turns_frontiers({start: 1}, m), max(steps) + 1))
-    series = {k: frontier_counts(frontier, [end])[0] for k, frontier in walk
-              if k in wanted}
+    """The DP's count at `end` after each of the (non-empty) `steps`, from one walk."""
+    series = [count for count, in islice(random_turns_counts({start: 1}, [end], m),
+                                         max(steps) + 1)]
     return [series[k] for k in steps]
 
 
@@ -147,8 +140,8 @@ def _takes_lgv(n: int, m: int, kmax: int) -> bool:
 
     A-priori operation counts: LGV takes C(n,i)(n-i) EGF products from the
     i-column minors, (kmax+1)(kmax+2)/2 terms each, after n(m+1)(kmax+1)
-    power-row entries; the DP takes 2n moves per frontier row per tick, over
-    at most C(m+1,n) rows.  Counts grow to `words` machine words, which a DP
+    power-row entries; the DP takes 2n moves per sector state per tick, over
+    exactly C(m+1,n) states.  Counts grow to `words` machine words, which a DP
     move adds but an LGV term multiplies, so a term weighs `words` moves.
     Raises EnumerationCapError when both counts are over the cap; the DP
     may run past it when LGV is within it but slower.
@@ -224,56 +217,45 @@ def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
     return minors[(1 << len(start)) - 1][1]
 
 
-def random_turns_frontiers(starts: Mapping[StrictPartition, int], m: int
-                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The walker DP's frontier after 0, 1, 2, ... ticks, from weighted starts.
+def random_turns_counts(starts: Mapping[StrictPartition, int],
+                        ends: Sequence[StrictPartition], m: int) -> Iterator[list[int]]:
+    """The walker DP's counts at `ends` after 0, 1, 2, ... ticks, from weighted starts.
 
-    A frontier is (words, counts): one row per reachable configuration, its
-    occupancy packed into int64 words, and the weighted number of ways to
-    reach it as a Python int.  One tick takes, for each site and direction,
-    the rows that can move a walker from that site onto a free neighbour,
-    and merges equal rows with one lexsort.  Rows are distinct, and no count
-    is 0 while the weights are positive.
+    The DP holds one Python-int count per state of the N-walker sector,
+    indexed by its rank (`sector.ranker`), and a tick moves the counts
+    along every hop of the sector (`sector.hop_moves`) with one
+    `np.add.reduceat`.  Tick 0 is read off `starts`; the C(M+1, N) states
+    of 2N moves each are checked against `core.DEFAULT_ENUM_CAP` before
+    tick 1.
     """
+    starts = {_check_config(c, m): int(w) for c, w in starts.items()}
+    ends = [_check_config(c, m) for c in ends]
+    n = len(next(iter(starts), next(iter(ends), ())))
+    if any(len(c) != n for c in [*starts, *ends]):
+        raise ValueError("walker counts differ between the configurations")
+    yield [starts.get(c, 0) for c in ends]
+    dim = comb(m + 1, n)
+    if dim * 2 * n > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{dim * 2 * n} walker moves per tick "
+                                  f"exceed cap {DEFAULT_ENUM_CAP}")
     import numpy as np
-    ring = m + 1
-    width = -(-ring // _WORD_BITS)
-    words = _pack([_check_config(c, m) for c in starts], width)
-    counts = np.array([int(w) for w in starts.values()], dtype=object)
-    moves = [(p, (p + d) % ring) for p in range(ring) for d in (1, -1)]
-    # on the 2-site ring both directions flip the same pair: the doubled bond
-    flip = _pack(moves, width)
+    from .kernels import subset_rows
+    from .sector import hop_moves, ranker
+    rank = ranker(m, n)
+    rows, moved = hop_moves(subset_rows(m, n)[::-1], m + 1)
+    to = rank(moved)
+    # the hops sorted by target, so that each target sums one run of them
+    order = np.argsort(to)
+    targets, heads = np.unique(to[order], return_index=True)
+    rows = rows[order]
+    at = rank(np.array([*starts, *ends], dtype=np.int64).reshape(len(starts) + len(ends), n))
+    counts = np.zeros(dim, dtype=object)
+    counts[at[:len(starts)]] = np.array(list(starts.values()), dtype=object)
     while True:
-        yield words, counts
-        occ = _occupancy(words, ring)
-        free = ~occ
-        picked = [(occ[p] & free[q]).nonzero()[0] for p, q in moves]
-        rows = np.concatenate(picked)
-        new = words[rows] ^ np.repeat(flip, [len(r) for r in picked], axis=0)
-        order = np.lexsort(new.T)
-        new, rows = new[order], rows[order]
-        first = np.zeros(len(new), dtype=bool)
-        first[:1] = True
-        for col in new.T:
-            first[1:] |= col[1:] != col[:-1]
-        heads = np.flatnonzero(first)
-        words, counts = new[heads], np.add.reduceat(counts[rows], heads)
-
-
-def frontier_counts(frontier: tuple[np.ndarray, np.ndarray],
-                    configs: Sequence[StrictPartition]) -> list[int]:
-    """The frontier's count at each configuration, 0 where none is reached,
-    by binary search over its distinct rows, each sorted once as one key."""
-    import numpy as np
-    words, counts = frontier
-    if not len(words):
-        return [0] * len(configs)
-    row = np.dtype((np.void, words.dtype.itemsize * words.shape[1]))
-    rows = np.ascontiguousarray(words).view(row).ravel()
-    keys = _pack(configs, words.shape[1]).view(row).ravel()
-    order = np.argsort(rows)
-    at = order[np.searchsorted(rows, keys, sorter=order).clip(max=len(rows) - 1)]
-    return [int(c) if hit else 0 for c, hit in zip(counts[at], rows[at] == keys)]
+        sums = np.add.reduceat(counts[rows], heads)
+        counts = np.zeros(dim, dtype=object)
+        counts[targets] = sums
+        yield counts[at[len(starts):]].tolist()
 
 
 def _check_config(config: StrictPartition, m: int) -> StrictPartition:
@@ -291,22 +273,3 @@ def _check_endpoints(start: StrictPartition, end: StrictPartition,
     if len(start) != len(end):
         raise ValueError("walker counts differ between start and end")
     return _check_config(start, m), _check_config(end, m)
-
-
-def _pack(configs: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    """Occupancy words, one row per configuration: site p is bit p % 62 of word p // 62."""
-    import numpy as np
-    words = np.zeros((len(configs), width), dtype=np.int64)
-    for row, config in zip(words, configs):
-        for p in config:
-            row[p // _WORD_BITS] |= 1 << (p % _WORD_BITS)
-    return words
-
-
-def _occupancy(words: np.ndarray, ring: int) -> np.ndarray:
-    """(ring, rows) bool array, True where the row's configuration occupies the site."""
-    import numpy as np
-    occ = np.empty((ring, len(words)), dtype=bool)
-    for p in range(ring):
-        np.not_equal(words[:, p // _WORD_BITS] & (1 << (p % _WORD_BITS)), 0, out=occ[p])
-    return occ

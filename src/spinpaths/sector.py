@@ -1,5 +1,7 @@
-"""The translation orbits and momentum blocks of a sector, which only the
-exact oracles of `correlators` take."""
+"""The sector's one configuration index: the rank of a walker configuration
+(`ranker`, the basis order of `chain`) and its hops (`hop_moves`), which
+the walker DP of `paths` counts along, and the translation orbits and
+momentum blocks built on both for the exact oracles (`sector_orbits`)."""
 
 from __future__ import annotations
 
@@ -91,7 +93,7 @@ class SectorOrbits(FrozenRecord):
             yield q, rows, block.reshape(len(rows), len(rows))
 
 
-def _ranker(m: int, n: int):
+def ranker(m: int, n: int):
     """rank(sites): the basis index of the state on the sites (..., N) mod
     M+1, in any order: sorted descending, sum_i C(c_i, N - i).  Column i only
     holds N-1-i .. M-i, where C(c, N - i) <= C(M+1, N) fits int64."""
@@ -105,13 +107,28 @@ def _ranker(m: int, n: int):
     return rank
 
 
+def hop_moves(sites: np.ndarray, ring: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walker hops out of each row of `sites` (R, N), each row
+    descending: (rows, moved), hop h moving row rows[h] to the sites
+    moved[h], listed by row, then walker, then +1 before -1, in the order
+    of `chain._hop_targets`.  On the 2-site ring both moves of a walker
+    reach the same free site, and both are listed."""
+    target = (sites[:, :, None] + np.array([1, -1])) % ring
+    # in a descending row walker w-1 is the next above walker w, cyclically
+    beside = np.stack([np.roll(sites, 1, axis=1), np.roll(sites, -1, axis=1)], axis=-1)
+    rows, walker, move = np.nonzero(target != beside)
+    moved = sites[rows]
+    moved[np.arange(len(rows)), walker] = target[rows, walker, move]
+    return rows, moved
+
+
 def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
     """Translation orbits of the sector basis, by rank arithmetic on
     `sector_sites(geom)`; each representative is the lowest basis index of
     its orbit.  The sector cap is checked first."""
     sites = sector_sites(geom)
     ring, dim = geom.sites, len(sites)
-    rank = _ranker(geom.m, geom.n)
+    rank = ranker(geom.m, geom.n)
     # lowest[i] is the lowest index among T^j(i), j < span; jump is T^span
     lowest, jump, span = np.arange(dim), rank(sites + 1), 1
     while span < ring:
@@ -123,12 +140,8 @@ def sector_orbits(geom: ChainGeometry) -> SectorOrbits:
     r, j = np.nonzero(np.arange(ring) < period[:, None])
     rep, shift = np.empty((2, dim), dtype=np.int64)
     rep[orbit[r, j]], shift[orbit[r, j]] = r, j
-    # walker w of rep r moves by +1 then -1, in the order of `chain._hop_targets`
-    target = (rep_sites[:, :, None] + np.array([1, -1])) % ring
-    free = ~np.any(target[..., None] == rep_sites[:, None, None, :], axis=-1)
-    moved = np.where(np.eye(geom.n, dtype=bool)[:, None, :], target[..., None],
-                     rep_sites[:, None, None, :])
-    hops = np.column_stack([np.nonzero(free)[0], rank(moved[free])])
+    rows, moved = hop_moves(rep_sites, ring)
+    hops = np.column_stack([rows, rank(moved)])
     mirrored = rank(-rep_sites)
     return SectorOrbits(orbit, period, rep, shift, hops,
                         rep[mirrored], shift[mirrored])

@@ -8,7 +8,9 @@ import pytest
 
 from spinpaths import correlators, schur
 from spinpaths.chain import ChainGeometry, hopping_matrix
-from spinpaths.cli import VERBS, _parse_float_range, build_parser, main
+from spinpaths.core import EnumerationCapError
+from spinpaths.cli import FLOAT_GRID_CAP, VERBS, _parse_float_range, _parse_range, \
+    build_parser, main
 from spinpaths.paths import count_random_turns_paths
 
 
@@ -369,6 +371,45 @@ def test_sweep_persistence_nonpositive_step_is_bad_input(grid):
     assert out.stdout == ""
     assert json.loads(out.stderr)["error"] == \
         {2: "bad-input", 3: "cap-exceeded"}[GRIDS[grid]]
+
+
+# each built its whole grid first and, under the memory limit, ended in a
+# MemoryError traceback with exit 1
+@pytest.mark.parametrize("argv", [
+    ["path-counts", "--m", "4", "--start", "1,0", "--steps", "0..10000000000"],
+    ["persistence", "--m", "4", "--n", "2", "--string-n", "0..10000000000", "--t", "0.5"],
+    ["macmahon", "--box-n", "20000", "--box-k", "1"],
+], ids=lambda argv: argv[0])
+def test_sweep_grids_are_capped_before_they_are_built(argv):
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "sweep", *argv],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
+def test_integer_range_cap_counts_points():
+    assert len(_parse_range(f"1..{FLOAT_GRID_CAP}")) == FLOAT_GRID_CAP
+    with pytest.raises(EnumerationCapError):
+        _parse_range(f"0..{FLOAT_GRID_CAP}")
+
+
+def test_sweep_macmahon_is_priced_by_its_hooks(capsys):
+    # 3,162^2 hooks are within the cap, and two such rows are not
+    assert main(["sweep", "macmahon", "--box-n", "3162", "--box-k", "0..1"]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "cap-exceeded", "detail": "19996488 hooks exceed cap 10000000"}
+    assert main(["sweep", "macmahon", "--box-n", "1..3", "--box-k", "0..1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "1,0,1", "1,1,2", "2,0,1", "2,1,6", "3,0,1", "3,1,20"]
+
+
+def test_paths_count_at_zero_steps_builds_no_sector(capsys):
+    # tick 0 is read off the start, so a ring past the DP's cap still counts
+    assert main(["paths", "--count", "--m", "10000000", "--start", "3,2,1",
+                 "--end", "3,2,1", "--steps", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == "1"
 
 
 def test_float_grid_does_not_drift():

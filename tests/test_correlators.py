@@ -36,8 +36,7 @@ from spinpaths.correlators import (
 from spinpaths.partitions import lambda_to_mu, mu_to_lambda, shifted_boxed_partitions
 from spinpaths.paths import (
     count_random_turns_paths,
-    frontier_counts,
-    random_turns_frontiers,
+    random_turns_counts,
 )
 from spinpaths.schur import (
     schur_count_at_one,
@@ -550,9 +549,9 @@ def _rhs_per_shape(geom, n, steps):
     mus = {lam: lambda_to_mu(lam, nvar) for lam in shapes}
     rhs = 0
     for lam_r in shapes:
-        walk = random_turns_frontiers({mus[lam_r]: 1}, geom.m)
-        walks = frontier_counts(next(islice(walk, steps, None)),
-                                [mus[lam_l] for lam_l in shapes])
+        walk = random_turns_counts({mus[lam_r]: 1}, [mus[lam_l] for lam_l in shapes],
+                                   geom.m)
+        walks = next(islice(walk, steps, None))
         for lam_l, w in zip(shapes, walks):
             rhs += counts[lam_l] * counts[lam_r] * w
     return rhs

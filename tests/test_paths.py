@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import islice
+from math import comb
 from random import Random
 
 import numpy as np
@@ -7,17 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinpaths.chain import ChainGeometry, sector_basis
-from spinpaths import paths
-from spinpaths.core import EnumerationCapError
+from spinpaths import kernels, paths, sector
+from spinpaths.core import DEFAULT_ENUM_CAP, EnumerationCapError
 from spinpaths.partitions import boxed_partitions, descending_subsets
 from spinpaths.paths import (
     PathNest,
     conjugate_nest_partition_function,
     count_random_turns_paths,
     enumerate_nests,
-    frontier_counts,
     nest_partition_function,
-    random_turns_frontiers,
+    random_turns_counts,
     ring_power_rows,
     walker_counts,
 )
@@ -189,15 +189,14 @@ def _sector_walk(m, starts, steps):
 
 
 def _check_frontiers(m, starts, steps):
-    """The DP's frontiers after 0..steps ticks, read at every sector state
-    by `frontier_counts`, against `_sector_walk`; returns the last counts."""
+    """The DP's counts after 0..steps ticks, read at every sector state,
+    against `_sector_walk`; returns the last counts."""
     basis, ref = _sector_walk(m, starts, steps)
-    walk = random_turns_frontiers(starts, m)
-    for k, frontier in zip(range(steps + 1), walk):
-        assert frontier_counts(frontier, basis) == ref[k].tolist()
-        assert len(frontier[0]) == np.count_nonzero(ref[k])
-        assert all(type(c) is int and c > 0 for c in frontier[1].tolist())
-    return frontier[1].tolist()
+    walk = random_turns_counts(starts, basis, m)
+    for k, counts in zip(range(steps + 1), walk):
+        assert counts == ref[k].tolist()
+        assert all(type(c) is int for c in counts)
+    return counts
 
 
 @pytest.mark.parametrize("m,start,steps", [
@@ -228,28 +227,6 @@ def test_weighted_frontiers_match_sector_adjacency_powers(m, starts, steps):
     _check_frontiers(m, starts, steps)
 
 
-@pytest.mark.parametrize("m,nwalk,rows", [(5, 2, 9), (63, 2, 40), (130, 3, 60),
-                                           (7, 1, 0)])
-def test_frontier_lookup_matches_per_key_scan(m, nwalk, rows):
-    # the lookup replaced one scan of the whole frontier per configuration;
-    # rings of 64 and 131 sites pack into two and three words, and the
-    # queries hold configurations the frontier never reaches, and repeats
-    rng = Random(m * 1000 + rows)
-    sites = range(m + 1)
-    configs = list({tuple(sorted(rng.sample(sites, nwalk), reverse=True))
-                    for _ in range(rows)})
-    counts = [rng.randrange(1, 2 ** 70) for _ in configs]
-    words = paths._pack(configs, -(-(m + 1) // paths._WORD_BITS))
-    frontier = (words, np.array(counts, dtype=object))
-    queries = [tuple(sorted(rng.sample(sites, nwalk), reverse=True))
-               for _ in range(50)] + configs[:5] * 2
-    keys = paths._pack(queries, words.shape[1])
-    scan = [int(frontier[1][(words == key).all(axis=1)].sum()) for key in keys]
-    assert frontier_counts(frontier, queries) == scan
-    assert frontier_counts(frontier, configs) == counts
-    assert frontier_counts(frontier, []) == []
-
-
 def test_series_matches_single_counts():
     ks = [0, 2, 3, 7, 10]
     got = walker_counts((5, 2, 0), (4, 2, 1), ks, 6)
@@ -265,8 +242,7 @@ def test_series_matches_single_counts():
 
 def _dp_series(start, ends, kmax, m):
     """The DP's count at each end, for k = 0..kmax: {end: [count_0, ..]}."""
-    walk = islice(random_turns_frontiers({start: 1}, m), kmax + 1)
-    rows = [frontier_counts(frontier, ends) for frontier in walk]
+    rows = list(islice(random_turns_counts({start: 1}, ends, m), kmax + 1))
     return {end: [row[i] for row in rows] for i, end in enumerate(ends)}
 
 
@@ -353,10 +329,46 @@ def test_walker_counts_refuse_past_the_cap_before_allocating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a route ran past the cap")
     monkeypatch.setattr(paths, "_lgv_series", unreachable)
-    monkeypatch.setattr(paths, "random_turns_frontiers", unreachable)
+    monkeypatch.setattr(paths, "random_turns_counts", unreachable)
     sites = tuple(range(38, -1, -2))
     with pytest.raises(EnumerationCapError):
         walker_counts(sites, sites, [40], 39)
+
+
+def test_dp_refuses_a_sector_past_the_cap_before_allocating(monkeypatch):
+    # C(401, 3) states of 6 moves each are over the cap; tick 0 needs no sector
+    def unreachable(*args):
+        raise AssertionError("the DP built a sector past the cap")
+    monkeypatch.setattr(kernels, "subset_rows", unreachable)
+    monkeypatch.setattr(sector, "hop_moves", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            count_random_turns_paths((3, 2, 1), (3, 2, 1), 1, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    assert count_random_turns_paths((3, 2, 1), (3, 2, 1), 0, 400) == 1
+
+
+@pytest.mark.parametrize("starts,ends", [({(1, 0): 1, (2,): 1}, [(1, 0)]),
+                                         ({(1, 0): 1}, [(2, 1), (3,)]),
+                                         ({}, [(2, 1), (3,)])])
+def test_dp_configurations_share_one_walker_count(starts, ends):
+    with pytest.raises(ValueError):
+        next(random_turns_counts(starts, ends, 3))
+
+
+# the inputs of `test_route_choice_by_operation_count`: where the DP is the
+# cheaper route, its whole sector is within the cap
+@pytest.mark.parametrize("n,m,kmax", [(5, 17, 26), (3, 11, 24), (2, 5, 500),
+                                      (5, 14, 500), (2, 5, 0), (0, 9, 40)])
+def test_walker_counts_never_reach_the_dp_gate(n, m, kmax):
+    if not paths._takes_lgv(n, m, kmax):
+        assert comb(m + 1, n) * 2 * n <= DEFAULT_ENUM_CAP
+    sites = tuple(range(2 * n - 2, -1, -2))
+    assert type(walker_counts(sites, sites, [kmax], m)[0]) is int
 
 
 def test_nest_json_and_render():
