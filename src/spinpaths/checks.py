@@ -1,7 +1,8 @@
 """The identities `spinpaths verify` machine-checks, in one registry.
 
-Every check passes by `core.within_bound`, as the route checks do.  Each
-check imports what it uses when it runs, numpy and `correlators` included.
+Every float check passes by `core.within_bound`, as the route checks do,
+and every integer one only on equality.  Each check imports what it uses
+when it runs, numpy and `correlators` included.
 """
 
 import math

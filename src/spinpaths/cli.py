@@ -29,6 +29,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 FLOAT_GRID_CAP = 10 ** 6  # points of one a..b range or start:step:stop grid
+MACMAHON_WORD_CAP = 2 * 10 ** 9  # about 3 s of `sweep macmahon` products
 
 
 # failed library checks, by the error name written to stderr
@@ -237,6 +238,13 @@ def cmd_sweep(args) -> int:
         hooks = sum(n * n for n in ns if n > 0) * len(ks)
         if hooks > core.DEFAULT_ENUM_CAP:
             raise core.EnumerationCapError(f"{hooks} hooks exceed cap {core.DEFAULT_ENUM_CAP}")
+        # and multiplies them one by one into two products of up to B = n^2
+        # log2(k + 2n) bits, then divides: about (n^2 B + B^2 / 64) / 64 words
+        words = sum((n * n + b / 64) * b / 64 for n in ns if n > 0 for k in ks
+                    for b in [n * n * math.log2(max(k, 0) + 2 * n)])
+        if words > MACMAHON_WORD_CAP:
+            raise core.EnumerationCapError(
+                f"{words:.3g} word steps exceed cap {MACMAHON_WORD_CAP}")
         rows = [[n, k, qpoly.macmahon_count(n, k)] for n in ns for k in ks]
         _emit_csv(["n", "k", "count"], rows)
     return EXIT_OK

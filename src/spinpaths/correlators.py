@@ -16,10 +16,11 @@ of momenta k, -k.  The spectral persistence sum and both amplitude sums
 share one overflow guard, `_exp_sum`.  Only the functions that use `schur`
 and `sector` import them, so the determinant routes load neither.
 
-The module body loads no numpy.  `trig_path_count` is exact integer
-arithmetic and never loads it; every other public function works in
-floats and loads numpy when it runs, in each function that uses numpy or
-`kernels`, after its argument checks, size caps and a-priori float bound.
+The module body loads no numpy.  `trig_path_count` and
+`equality_of_sums_report` are exact sums in Z/P (`_trig_sum`) that load
+neither numpy nor `schur`, `kernels` or `sector`; every other public
+function works in floats and loads numpy when it runs, after its argument
+checks, size caps and a-priori float bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import combinations, count, islice
+from itertools import combinations, count
 from typing import TYPE_CHECKING
 
 from .chain import (
@@ -49,9 +50,8 @@ from .core import (
     RouteMismatchError,
     SectorCapError,
     route_check,
-    within_bound,
 )
-from .partitions import StrictPartition, mu_to_lambda
+from .partitions import StrictPartition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,7 +59,6 @@ if TYPE_CHECKING:
 FLOAT_LOG_MAX = math.log(sys.float_info.max)
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
-INTEGER_ROUNDING_TOL = 1e-6
 
 
 class CorrelatorResult(FrozenRecord):
@@ -152,11 +151,6 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     return complex(sol[j])
 
 
-def _subset_weights(geom: ChainGeometry, weight) -> np.ndarray:
-    """weight(sum_a cos theta_{s,a}) / (M+1)^N per momentum subset s."""
-    return weight(momentum_table(geom).cos_sums) / geom.sites ** geom.n
-
-
 def _det_product_spectral(m: int, j, l, weight) -> complex:
     """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
     geom = ChainGeometry(m, len(j))
@@ -170,7 +164,7 @@ def _det_product_spectral(m: int, j, l, weight) -> complex:
                              lambda theta, k: np.exp(1j * theta * k))
         return stacked_dets(table.indices, lambda rows: build(rows).swapaxes(1, 2))
 
-    return complex(_subset_weights(geom, weight) @
+    return complex(weight(table.cos_sums) / geom.sites ** geom.n @
                    (alternants(np.array(j)) * alternants(-np.array(l))))
 
 
@@ -217,43 +211,46 @@ def multi_particle_g(geom: ChainGeometry, j, l, t: complex) -> complex:
 
 
 def trig_path_count(geom: ChainGeometry, j, l, steps: int) -> int:
-    """Walker count as the trigonometric sum over momentum subsets, taken
-    exactly in Z/P.
-
-    The terms lie in Z[zeta, 1/(M+1)], zeta = exp(i pi/(M+1)): exp(i theta_s)
-    is zeta^e, e from `momentum_exponents`, and 2 cos theta_s is zeta^e +
-    zeta^-e.  Sending zeta to an element of order 2(M+1) mod P is a ring
-    map, so the sum mod P is the count mod P; P > (2N)^K, a bound on the
-    count (each tick moves one of N walkers one of two ways), makes it the
-    count.  Before any prime is searched, the sector cap applies (at N = 1
-    if N = 0: the M+1 grid momenta are tabulated at any N), and
-    `EnumerationCapError` refuses when the minors' N products per column
-    set, each up to r^2 word products at r primes, pass `DEFAULT_ENUM_CAP`.
-    """
+    """Walker count as `_trig_sum` with rows zeta^(e v) at the start sites v
+    and zeta^(-e v) at the end sites; at most (2N)^K, one of 2N moves a tick."""
     j, l = _check_endpoints(geom, j, l)
+    sub = ChainGeometry(geom.m, len(j))
+    _check_trig_work(sub, steps, 1)
+    return _trig_sum(sub, steps, 1, lambda power, _: (
+        [power(v) for v in j], [power(-v) for v in l]))
+
+
+def _check_trig_work(geom: ChainGeometry, steps: int, scale: int) -> None:
+    """The caps of `_trig_sum`, before any prime is searched: the sector cap
+    (at N = 1 if N = 0: the M+1 grid momenta are tabulated at any N), and
+    its N products per column set, each up to r^2 word products at r primes."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    sub = ChainGeometry(geom.m, len(j))
-    check_sector_cap(ChainGeometry(geom.m, max(sub.n, 1)))
-    nvar, width, order = sub.n, sub.sites, 2 * sub.sites
+    check_sector_cap(ChainGeometry(geom.m, max(geom.n, 1)))
     # every prime taken is over 2^61
-    primes = int(steps * math.log2(max(2 * nvar, 1))) // 61 + 1
-    work = nvar * sum(math.comb(width, k) for k in range(nvar + 1)) * primes ** 2
+    primes = int(steps * math.log2(max(2 * geom.n, 1)) + math.log2(scale)) // 61 + 1
+    work = geom.n * sum(math.comb(geom.sites, k) for k in range(geom.n + 1)) * primes ** 2
     if work > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
             f"the exact trig sum takes about {work} word products, "
             f"over {DEFAULT_ENUM_CAP}")
-    bound = (2 * nvar) ** steps
-    modulus, zeta = _trig_ring(order, bound)
+
+
+def _trig_sum(geom: ChainGeometry, steps: int, scale: int, rows) -> int:
+    """sum_s (2 sum cos theta_s)^K a_s b_s / (M+1)^N over the momentum subsets
+    s, a_s and b_s the minors on the columns s of rows(power, P), power(k) =
+    zeta^(k e) over e in `momentum_exponents`: terms in Z[zeta, 1/(M+1)],
+    zeta = exp(i pi/(M+1)), sent to Z/P, P > (2N)^K `scale`, by a ring map."""
+    nvar, order = geom.n, 2 * geom.sites
+    modulus, zeta = _trig_ring(order, (2 * nvar) ** steps * scale)
     powers = [pow(zeta, r, modulus) for r in range(order)]
-    exps = momentum_exponents(sub)
-    alternants = _column_minors(
-        [[powers[e * v % order] for e in exps] for v in j],
-        [[powers[-e * v % order] for e in exps] for v in l], modulus)
+    exps = momentum_exponents(geom)
+    alternants = _column_minors(*rows(
+        lambda k: [powers[e * k % order] for e in exps], modulus), modulus)
     cos2 = [powers[e % order] + powers[-e % order] for e in exps]
     total = sum(pow(sum(cos2[c] for c in cols), steps, modulus) * a * b
                 for cols, (a, b) in alternants.items())
-    return total * pow(width, -nvar, modulus) % modulus
+    return total * pow(geom.sites, -nvar, modulus) % modulus
 
 
 def _trig_ring(order: int, bound: int) -> tuple[int, int]:
@@ -412,42 +409,45 @@ def _adjacency_spectrum(orbits, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
-    """Both sides of the trig-sum = weighted-walker-count identity.
-
-    A failing comparison is reported, not raised.  A float left side that
-    could pass the float maximum raises `FloatOverflowError` before the sum.
-    """
-    nvar = geom.n
+    """Both sides of the trig-sum = weighted-walker-count identity, in exact
+    integers, from the Jacobi-Trudi rows at 1^N, H[a][m] = C(m, N-1-a) for
+    m < M+1-n: `_trig_sum` with rows Q[a][c] = sum_m H[a][m] zeta^(+-e_c m)
+    (`_binomial_sums`), and K! [t^K] det(H G(t) H^T), G the seam-signed
+    one-walker EGFs on the sites n..M.  By Parseval the left side is at most
+    (2N)^K det(H H^T), the right side's zeroth term.  Both sides are priced,
+    and a left side past the float range raises `FloatOverflowError`, before
+    either sum; a failing check reports lhs and residual capped at the
+    float maximum."""
     _check_string_length(geom, n)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    table = momentum_table(geom)
-    import numpy as np
-    from .kernels import subset_rows
-    from .paths import random_turns_counts
-    from .schur import schur_count_at_one
-    norms = np.abs(_boxed_dets(geom, (1.0,) * nvar, table.grid_phases, n)) ** 2
-    # each term is at most (2N)^K |boxed|^2 / (M+1)^N
-    _check_float_range(steps * math.log(max(2 * nvar, 1)) +
-                       math.log(max(1.0, norms.sum() / geom.sites ** nvar)),
+    from . import paths
+    nvar, width = geom.n, geom.sites - n
+    check_sector_cap(ChainGeometry(geom.m, max(nvar, 1)))
+    walk_rows = [[0] * n + [math.comb(m, nvar - 1 - a) for m in range(width)]
+                 for a in range(nvar)]
+    gram = paths.weighted_lgv_series(walk_rows, 0, geom.m)[0]
+    _check_float_range(steps * math.log(max(2 * nvar, 1)) + math.log(gram),
                        f"the trig sum of {steps} steps")
-    lhs = _subset_weights(geom, lambda c: (2.0 * c) ** steps) @ norms
+    _check_trig_work(geom, steps, gram)
+    rhs = paths.weighted_lgv_series(walk_rows, steps, geom.m)[steps]
+    lhs = _trig_sum(geom, steps, gram, lambda power, modulus: [
+        _binomial_sums(nvar, width, power, sign, modulus) for sign in (1, -1)])
+    return {"lhs": float(min(lhs, sys.float_info.max)), "rhs": rhs,
+            "residual": float(min(abs(lhs - rhs), sys.float_info.max)),
+            "pass": lhs == rhs}
 
-    mus = list(map(tuple, (n + subset_rows(geom.m - n, nvar)).tolist()))
-    counts = [schur_count_at_one(mu_to_lambda(mu), nvar) for mu in mus]
-    # sum_{l,r} s_l s_r walks(mu_r -> mu_l) is, by linearity, one walk from
-    # the count-weighted starts read off at every mu_l
-    walk = random_turns_counts(dict(zip(mus, counts)), mus, geom.m)
-    walks = next(islice(walk, steps, None))
-    rhs = sum(c * w for c, w in zip(counts, walks))
 
-    residual = abs(lhs - rhs)
-    return {
-        "lhs": float(lhs),
-        "rhs": rhs,
-        "residual": float(residual),
-        "pass": within_bound(residual, INTEGER_ROUNDING_TOL * max(1, rhs)),
-    }
+def _binomial_sums(nvar: int, width: int, power, sign: int, modulus: int) -> list[tuple]:
+    """Rows S_(N-1)..S_0 mod P at each y = zeta^(sign e), S_j(y) = sum_(m <
+    width) C(m, j) y^m, by Pascal's rule: (1-y) S_j = y S_(j-1) - C(width, j)
+    y^width, y S_(-1) read as 1; S_j(1) = C(width, j+1)."""
+    binom, cols = [math.comb(width, j) for j in range(nvar + 1)], []
+    for y, top in zip(power(sign), power(sign * width)):
+        inv, prev, col = pow(1 - y, -1, modulus) if y != 1 else 0, 1, []
+        for c, up in zip(binom, binom[1:]):
+            col.append(up if y == 1 else (prev - c * top) * inv % modulus)
+            prev = y * col[-1]
+        cols.append(col)
+    return list(zip(*cols))[::-1]
 
 
 def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:

@@ -8,18 +8,18 @@ The random-turns walker count has two exact routes, and `walker_counts`
 runs the one with the smaller a-priori operation count:
   - LGV (Lindstrom-Gessel-Viennot; Fisher's vicious walkers): the count
     is K! [t^K] det G(t), G holding the one-walker exponential generating
-    functions of the ring with seam sign (-1)^(N-1), in plain Python ints;
+    functions of the ring with seam sign (-1)^(N-1), in plain Python ints.
+    Its minor recursion also takes det(R G(t) R^T) for integer rows R
+    (`weighted_lgv_series`), each end weighted by its minor of R;
   - the DP over the N-walker sector, one Python-int count per state,
     indexed by the rank that `sector` also gives the exact oracles, each
-    tick moving every count at once in numpy along the sector's hop list.
-    One walk from weighted starts serves every step count and, by
-    linearity, every start at once (`random_turns_counts`).  It is the
-    independent oracle for every path-counting formula in the package
-    (`count_random_turns_paths`).
+    tick moving every count at once in numpy along the sector's hop list
+    (`random_turns_counts`).  It is the independent oracle for every
+    path-counting formula in the package (`count_random_turns_paths`).
 Only the nest functions import `schur`, only the DP numpy and `sector`,
 and only the nest partition functions `qpoly`, so the nest verbs start
-without numpy, and the walker verbs load `core` and `partitions` alone, without numpy
-whenever LGV is the cheaper route.
+without numpy, and the walker verbs load `core` and `partitions` alone,
+without numpy whenever LGV is the cheaper route.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import DEFAULT_ENUM_CAP, EnumerationCapError, FrozenRecord
@@ -146,8 +146,7 @@ def _takes_lgv(n: int, m: int, kmax: int) -> bool:
     Raises EnumerationCapError when both counts are over the cap; the DP
     may run past it when LGV is within it but slower.
     """
-    terms = sum(comb(n, i) * (n - i) for i in range(1, n)) * (kmax + 1) * (kmax + 2) // 2
-    rows = n * (m + 1) * (kmax + 1)
+    terms, rows = _lgv_terms(n, kmax), n * (m + 1) * (kmax + 1)
     dp = kmax * comb(m + 1, n) * 2 * n
     if min(terms + rows, dp) > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(f"{min(terms + rows, dp)} walker operations "
@@ -164,6 +163,11 @@ def ring_power_rows(site: int, m: int, seam: int = 1) -> Iterator[list[int]]:
     """
     row = [0] * (m + 1)
     row[site] = 1
+    return _ring_walk(row, seam)
+
+
+def _ring_walk(row: list[int], seam: int) -> Iterator[list[int]]:
+    """row A^k for k = 0, 1, 2, ..., A as in `ring_power_rows`."""
     while True:
         yield row
         row = list(map(add, [seam * row[-1]] + row[:-1],
@@ -176,30 +180,55 @@ def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
 
     Walkers that never meet keep their cyclic order, so a family that winds
     takes a cyclic shift of the ends, of sign (-1)^(N-1) per crossing of the
-    seam; the seam sign (-1)^(N-1) cancels it.  The minors of the first i
-    rows are memoised by their column bitmask, each with its parity: an
-    even ring is bipartite, so G[i][j] vanishes off k = start[i] - end[j]
-    (mod 2), and a product only sums the terms of matching parity.  It holds
-    the N^2 one-walker series, the minors of two adjacent rows and one row
-    of binomials.
+    seam; the seam sign (-1)^(N-1) cancels it.  An even ring is bipartite,
+    so G[i][j] vanishes off k = start[i] - end[j] (mod 2).
     """
-    if not start:
+    seam, stride = 1 if len(start) % 2 else -1, 1 + m % 2
+    return _egf_det([ring_power_rows(a, m, seam) for a in start],
+                    [itemgetter(b) for b in end],
+                    [[(a - b) % stride for b in end] for a in start], stride, kmax)
+
+
+def weighted_lgv_series(rows: Sequence[list[int]], kmax: int, m: int) -> list[int]:
+    """k! [t^k] det(R G(t) R^T) for k = 0..kmax, R the integer `rows` over the
+    m+1 sites, G as in `_lgv_series`: by Cauchy-Binet, the sum over site sets
+    mu, nu of det R[:, mu] det R[:, nu] times the walker count from mu to nu.
+    Refused before any walk when its `_lgv_terms` and its n(n+1)(m+1)(kmax+1)
+    walk and read-off entries pass `core.DEFAULT_ENUM_CAP`."""
+    n, seam = len(rows), 1 if len(rows) % 2 else -1
+    work = _lgv_terms(n, kmax) + n * (n + 1) * (m + 1) * (kmax + 1)
+    if work > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{work} weighted walker operations "
+                                  f"exceed cap {DEFAULT_ENUM_CAP}")
+    return _egf_det([_ring_walk(row, seam) for row in rows],
+                    [lambda walked, row=row: sum(map(mul, walked, row)) for row in rows],
+                    [[0] * n] * n, 1, kmax)
+
+
+def _lgv_terms(n: int, kmax: int) -> int:
+    """The EGF terms `_egf_det` multiplies on n rows (`_takes_lgv`)."""
+    return sum(comb(n, i) * (n - i) for i in range(1, n)) * (kmax + 1) * (kmax + 2) // 2
+
+
+def _egf_det(walks: list[Iterator[list[int]]], reads: list, parity: list[list[int]],
+             stride: int, kmax: int) -> list[int]:
+    """k! [t^k] det g(t) for k = 0..kmax, g[i][j] the EGF whose k-th term is
+    reads[j] of row k of walks[i], zero off k = parity[i][j] (mod stride).
+    The minors of the first i rows are memoised by their column bitmask,
+    each with its parity, and a product sums only the terms of matching
+    parity.  It holds the N^2 series, the minors of two adjacent rows and
+    one row of binomials."""
+    grid = [list(zip(*([read(row) for read in reads] for row in islice(walk, kmax + 1))))
+            for walk in walks]
+    if not grid:
         return [1] + [0] * kmax
-    seam = 1 if len(start) % 2 else -1
-    stride = 1 + m % 2
-    grid = [[[] for _ in end] for _ in start]
-    for a, series in zip(start, grid):
-        for row in islice(ring_power_rows(a, m, seam), kmax + 1):
-            for s, b in zip(series, end):
-                s.append(row[b])
-    minors = {1 << j: ((start[0] - b) % stride, g)
-              for j, (b, g) in enumerate(zip(end, grid[0]))}
-    for a, series in zip(start[1:], grid[1:]):
+    minors = {1 << j: (p, g) for j, (p, g) in enumerate(zip(parity[0], grid[0]))}
+    for pars, series in zip(parity[1:], grid[1:]):
         grown, products = {}, []
         for mask, (p, minor) in minors.items():
-            for j, (b, g) in enumerate(zip(end, series)):
+            for j, (par, g) in enumerate(zip(pars, series)):
                 if not mask >> j & 1:
-                    q = (p + a - b) % stride
+                    q = (p + par) % stride
                     acc = grown.setdefault(mask | 1 << j, (q, [0] * (kmax + 1)))[1]
                     sign = -1 if bin(mask >> j).count("1") % 2 else 1
                     products.append((acc, sign, p, q, minor[p::stride], g))
@@ -214,7 +243,7 @@ def _lgv_series(start: StrictPartition, end: StrictPartition, kmax: int,
                                              g[n - p::-stride]))
             binom = list(map(add, [0] + binom, binom + [0]))
         minors = grown
-    return minors[(1 << len(start)) - 1][1]
+    return list(minors[(1 << len(grid)) - 1][1])
 
 
 def random_turns_counts(starts: Mapping[StrictPartition, int],

@@ -181,9 +181,11 @@ def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
 
 
 # digests of the stdout printed when each identity was coded inside the
-# CLI; the registry must print the same bytes
+# CLI; the registry must print the same bytes.  equality-of-sums is the
+# exact report: lhs 4564.0 and residual 0.0, where the float left side
+# printed 4563.999999999999 and 9.09e-13
 VERIFY_DIGESTS = {
-    "equality-of-sums": "d3cbce4b211eae306aa73d4b14ef37349f1dfa4fa731e21b27c091c84aaa0768",
+    "equality-of-sums": "dace4c3dfe6c8a8cf7f5b8d0888593c110f2f5a7f70da101391d238aadf8f4bb",
     "cauchy-binet": "d2400907c73d942d2df4518f0f131120c086bd1e190e281e83e0b8c8b0b05d09",
     "persistence": "f789228a67f7907275c90add473e8d6769d6795d2bfb6a44c0b54d6bbf28d2e2",
     "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
@@ -387,6 +389,23 @@ def test_sweep_grids_are_capped_before_they_are_built(argv):
     assert out.returncode == 3, out.stderr
     assert out.stdout == ""
     assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
+@pytest.mark.parametrize("n, code", [("1000", 3), ("300", 0)])
+def test_sweep_macmahon_is_priced_by_its_bits(n, code):
+    # --box-n 1000 --box-k 1 (10^6 hooks) ran for over 300 s before the
+    # price in word steps; --box-n 300 takes about 3 s
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "sweep", "macmahon",
+                          "--box-n", n, "--box-k", "1"], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == code, out.stderr
+    if code:
+        assert out.stdout == ""
+        assert json.loads(out.stderr) == {
+            "error": "cap-exceeded",
+            "detail": "2.01e+11 word steps exceed cap 2000000000"}
+    else:
+        assert out.stdout.splitlines()[1].startswith("300,1,")
 
 
 def test_integer_range_cap_counts_points():

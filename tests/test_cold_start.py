@@ -59,6 +59,9 @@ NUMPY_FREE_VERBS = [
     ["paths", "--count", "--start", "17,13,11,6,1", "--end", "16,14,4,3,1",
      "--steps", "26", "--m", "17"],
     ["sweep", "path-counts", "--m", "11", "--start", "8,6,2", "--steps", "0..24"],
+    # both sides of the identity in exact integers, the benchmark's job
+    ["verify", "equality-of-sums", "--m", "9", "--n", "3", "--string-n", "1",
+     "--steps", "8"],
 ]
 
 

@@ -1,6 +1,9 @@
+import json
+import math
+import sys
 import tracemalloc
 import warnings
-from itertools import islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from spinpaths.chain import (
     hopping_matrix,
     sector_basis,
 )
-from spinpaths import correlators, schur
+from spinpaths import correlators, paths, schur
+from spinpaths.cli import main
 from spinpaths.core import EnumerationCapError, relative_residual, within_bound
 from spinpaths.correlators import (
     FloatOverflowError,
@@ -576,6 +580,123 @@ def test_equality_of_sums_spot_value():
     report = equality_of_sums_report(ChainGeometry(6, 3), 1, 4)
     assert report["rhs"] == 204386
     assert report["pass"]
+
+
+def _hook_weighted_walks(geom, n, steps):
+    """The right side as the walker DP from the hook-content-weighted starts,
+    at each step count in `steps`."""
+    nvar = geom.n
+    shapes = list(shifted_boxed_partitions(nvar, geom.k_cap - n, n)) if nvar \
+        else [()]
+    mus = [lambda_to_mu(lam, nvar) for lam in shapes]
+    counts = [schur_count_at_one(lam, nvar) for lam in shapes]
+    walk = list(islice(random_turns_counts(dict(zip(mus, counts)), mus, geom.m),
+                       max(steps) + 1))
+    return {k: sum(c * w for c, w in zip(counts, walk[k])) for k in steps}
+
+
+def test_equality_of_sums_is_exact_on_the_grid():
+    # every M <= 9, N <= 4 and string length n: both sides are the same
+    # integer, and the right side is the DP's hook-content-weighted count
+    steps = (0, 1, 2, 3, 5, 8)
+    for m in range(1, 10):
+        for nvar in range(min(4, m + 1) + 1):
+            geom = ChainGeometry(m, nvar)
+            for n in range(geom.k_cap + 1):
+                witness = _hook_weighted_walks(geom, n, steps)
+                for k in steps:
+                    report = equality_of_sums_report(geom, n, k)
+                    assert report["rhs"] == witness[k], (m, nvar, n, k)
+                    assert report["lhs"] == float(witness[k])
+                    assert report["residual"] == 0.0
+                    assert report["pass"] is True
+                    if nvar == 0:
+                        assert report["rhs"] == int(k == 0)
+
+
+def _integer_det(rows):
+    # Leibniz, for the N <= 4 minors below
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(rows, perm))
+    return total
+
+
+@pytest.mark.parametrize("m, nvar", [(9, 3), (12, 4)])
+def test_binomial_rows_minors_are_the_schur_counts(monkeypatch, m, nvar):
+    # H[a][m] = C(m, N-1-a): its minor on the columns mu - n, in mu's order,
+    # is s_lam(1^N) for every boxed shape, and det(H H^T) is the sum of their
+    # squares (Parseval); both sides of the identity take their weights here
+    geom = ChainGeometry(m, nvar)
+    real = paths.weighted_lgv_series
+    seen = []
+    monkeypatch.setattr(paths, "weighted_lgv_series",
+                        lambda rows, kmax, m: seen.append(rows) or real(rows, kmax, m))
+    for n in range(geom.k_cap + 1):
+        seen.clear()
+        equality_of_sums_report(geom, n, 0)
+        rows = [row[n:] for row in seen[0]]
+        assert all(row[:n] == [0] * n for row in seen[0])
+        counts = []
+        for lam in shifted_boxed_partitions(nvar, geom.k_cap - n, n):
+            mu = lambda_to_mu(lam, nvar)
+            minor = _integer_det([[row[c - n] for c in mu] for row in rows])
+            assert minor == schur_count_at_one(lam, nvar), (n, lam)
+            counts.append(minor)
+        assert real(seen[0], 0, m) == [sum(c * c for c in counts)]
+
+
+@pytest.mark.parametrize("nvar, width", [(1, 7), (3, 9), (4, 12), (0, 5)])
+def test_binomial_sums_follow_pascals_rule_mod_p(nvar, width):
+    # S_j(y) = sum_(m < width) C(m, j) y^m, by the recurrence, against the
+    # direct sum mod a prime, at y = 1 and at points off 1
+    p = 2 ** 61 - 1
+    ys = [1, 2, p - 1, 123456789, pow(3, 40, p)]
+    got = correlators._binomial_sums(nvar, width, lambda k: [pow(y, k, p) for y in ys], 1, p)
+    want = [[sum(math.comb(m, nvar - 1 - a) * pow(y, m, p) for m in range(width)) % p
+             for y in ys] for a in range(nvar)]
+    assert [list(row) for row in got] == want
+
+
+@pytest.mark.parametrize("offset", [1, 1 << 1100], ids=["off-by-one", "past-float-range"])
+def test_equality_of_sums_failure_is_one_report(monkeypatch, capsys, offset):
+    # a left side forced off the right prints one report and exits 1, with
+    # no traceback, even when the residue is past the float range
+    real = correlators._trig_sum
+    monkeypatch.setattr(correlators, "_trig_sum",
+                        lambda *args: real(*args) + offset)
+    assert main(["verify", "equality-of-sums", "--m", "9", "--n", "3",
+                 "--string-n", "1", "--steps", "8"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    (check,) = json.loads(out.out)["checks"]
+    assert check["pass"] is False and check["rhs"] == "13098222230"
+    if offset == 1:
+        assert (check["lhs"], check["residual"]) == (13098222231.0, 1.0)
+    else:
+        assert check["lhs"] == check["residual"] == sys.float_info.max
+
+
+def test_equality_of_sums_prices_the_walker_side_before_any_sum(monkeypatch):
+    # (10000,1), K=1000: the trig side is within the cap, the weighted walk
+    # of 20M entries is not; only the K = 0 term, det(H H^T), runs first
+    def unreachable(*args):
+        raise AssertionError("the trig sum ran")
+    monkeypatch.setattr(correlators, "_trig_ring", unreachable)
+    with pytest.raises(EnumerationCapError, match="weighted walker operations"):
+        equality_of_sums_report(ChainGeometry(10000, 1), 0, 1000)
+
+
+def test_equality_of_sums_prices_the_trig_side_before_any_sum(monkeypatch):
+    # (33,4), K=120: 52,956 column sets at 7 primes; the walker side is
+    # within the cap, and it runs no further than its K = 0 term
+    real, kmaxes = paths.weighted_lgv_series, []
+    monkeypatch.setattr(paths, "weighted_lgv_series",
+                        lambda rows, kmax, m: kmaxes.append(kmax) or real(rows, kmax, m))
+    with pytest.raises(EnumerationCapError, match="exact trig sum"):
+        equality_of_sums_report(ChainGeometry(33, 4), 0, 120)
+    assert kmaxes == [0]
 
 
 # ------------------------------------------------------------- persistence

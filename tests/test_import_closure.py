@@ -101,3 +101,14 @@ def test_persistence_oracle_loads_sector():
     modules = loaded_modules(PERSISTENCE)
     assert {"spinpaths.sector", "spinpaths.schur"} <= modules
     assert "spinpaths.checks" not in modules
+
+
+def test_equality_of_sums_loads_no_float_modules():
+    # the trig side is a sum in Z/P and the walker side a weighted LGV
+    # determinant: neither takes Schur values, the subset kernels or the
+    # sector DP
+    modules = loaded_modules(["verify", "equality-of-sums", "--m", "9", "--n", "3",
+                              "--string-n", "1", "--steps", "8"])
+    assert {"spinpaths.correlators", "spinpaths.paths"} <= modules
+    assert not modules & {"spinpaths.schur", "spinpaths.kernels", "spinpaths.sector",
+                          "numpy"}
