@@ -27,14 +27,12 @@ from functools import lru_cache
 from math import pi, sin
 from typing import TYPE_CHECKING, Iterator
 
+from . import core
 from .core import ChainGeometry, FrozenRecord, SectorCapError
 from .partitions import StrictPartition, descending_subsets
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_SECTOR_CAP = 50_000
-DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector or one-walker matrix
 
 
 def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
@@ -44,10 +42,8 @@ def sector_basis(geom: ChainGeometry) -> list[StrictPartition]:
 
 def check_sector_cap(geom: ChainGeometry) -> None:
     """Raise `SectorCapError` when the sector, or the momentum-subset
-    count, which is the same C(M+1, N), is over `DEFAULT_SECTOR_CAP`."""
-    if geom.sector_dim > DEFAULT_SECTOR_CAP:
-        raise SectorCapError(
-            f"sector dimension {geom.sector_dim} exceeds {DEFAULT_SECTOR_CAP}")
+    count, which is the same C(M+1, N), is over `core.DEFAULT_SECTOR_CAP`."""
+    core.admit(geom.sector_dim, core.DEFAULT_SECTOR_CAP, "sector states", SectorCapError)
 
 
 @lru_cache(maxsize=8)
@@ -93,12 +89,10 @@ def build_sector_hamiltonian(geom: ChainGeometry) -> np.ndarray:
     Diagonal is +N from the field term; each allowed one-walker hop
     contributes -1/2 per directed bond (so -1 across the doubled bond of
     the 2-site ring).  Its dim^2 * 8 bytes are checked against
-    `DENSE_BYTES_CAP` before anything is enumerated or allocated.
+    `core.DENSE_BYTES_CAP` before anything is enumerated or allocated.
     """
-    nbytes = geom.sector_dim ** 2 * 8
-    if nbytes > DENSE_BYTES_CAP:
-        raise SectorCapError(
-            f"dense sector matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
+    core.admit(geom.sector_dim ** 2 * 8, core.DENSE_BYTES_CAP,
+               "bytes of a dense sector matrix", SectorCapError)
     import numpy as np
     basis = sector_basis(geom)
     index = {b: i for i, b in enumerate(basis)}

@@ -12,7 +12,6 @@ from . import core
 CAUCHY_BINET_TOL = 1e-9
 SCHUR_DUAL_TOL = 1e-10
 EXACT_TOL = 0.0  # an exact identity has residual 0 when it holds, else 1
-Q_CHAIN_CAP = 10 ** 9  # coefficient products of one `verify q-chain`
 
 
 def _check(residual: float, bound: float, **fields) -> dict:
@@ -62,10 +61,7 @@ def _macmahon(args) -> list[dict]:
     for n in range(1, args.n + 1):
         for k in range(args.k + 1):
             work += n * n * _q_size(n, k) ** 2
-            if work > Q_CHAIN_CAP:
-                raise core.EnumerationCapError(
-                    f"verify macmahon takes at least {work} coefficient products, "
-                    f"over {Q_CHAIN_CAP}")
+            core.admit(work, core.Q_CHAIN_CAP, "coefficient products")
     from . import qpoly
     out = []
     for n in range(1, args.n + 1):
@@ -78,15 +74,11 @@ def _macmahon(args) -> list[dict]:
 
 def _schur_dual(args) -> list[dict]:
     from . import partitions, schur
-    cap = core.DEFAULT_ENUM_CAP
-    shapes = math.comb(args.n + args.length, args.n)
-    if shapes > cap:
-        raise core.EnumerationCapError(f"{shapes} boxed shapes exceeds cap {cap}")
+    core.admit(math.comb(args.n + args.length, args.n), core.DEFAULT_ENUM_CAP, "boxed shapes")
     tableaux = 0
     for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
         tableaux += schur.schur_count_at_one(lam, args.n)
-        if tableaux > cap:
-            raise core.EnumerationCapError(f"at least {tableaux} tableaux, over the cap {cap}")
+        core.admit(tableaux, core.DEFAULT_ENUM_CAP, "tableaux")
     import numpy as np
     rng = np.random.default_rng(args.seed)
     resids = {}  # per shape, one residual per trial
@@ -115,9 +107,7 @@ def _q_chain(args) -> list[dict]:
     # polynomial is a constant and every MacMahon factor cancels
     size = _q_size(n, k) if k else 1
     work = sum(math.comb(n + d, d) + d ** 3 + n * n for d in range(k + 1)) * size ** 2
-    if work > Q_CHAIN_CAP:
-        raise core.EnumerationCapError(
-            f"verify q-chain takes about {work} coefficient products, over {Q_CHAIN_CAP}")
+    core.admit(work, core.Q_CHAIN_CAP, "coefficient products")
     from . import qpoly, schur
     out = []
     for n_str in range(0, k + 1):

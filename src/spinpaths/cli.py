@@ -27,9 +27,7 @@ from . import core
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
-EXIT_CAP = 3
-FLOAT_GRID_CAP = 10 ** 6  # points of one a..b range or start:step:stop grid
-MACMAHON_WORD_CAP = 2 * 10 ** 9  # about 3 s of `sweep macmahon` products
+EXIT_CAP_EXCEEDED = 3
 
 
 # failed library checks, by the error name written to stderr
@@ -181,11 +179,10 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'a..b' inclusive, of at most FLOAT_GRID_CAP points, or a single integer."""
+    """'a..b' inclusive, of at most `core.FLOAT_GRID_CAP` points, or a single integer."""
     if ".." in text:
         a, b = map(int, text.split(".."))
-        if b - a >= FLOAT_GRID_CAP:
-            raise core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
+        core.admit(b - a + 1, core.FLOAT_GRID_CAP, f"points in {text!r}")
         return list(range(a, b + 1))
     return [int(text)]
 
@@ -193,7 +190,7 @@ def _parse_range(text: str) -> list[int]:
 def _parse_float_range(text: str) -> list[float]:
     """'start:step:stop' inclusive grid, start + i*step rounded to 12
     decimals, or a single float; finite values only, and at most
-    FLOAT_GRID_CAP points."""
+    `core.FLOAT_GRID_CAP` points."""
     values = [float(p) for p in text.split(":")]
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{text!r} is not finite")
@@ -203,11 +200,11 @@ def _parse_float_range(text: str) -> list[float]:
     if step <= 0:
         raise ValueError(f"step {step} in {text!r} must be positive")
     # the span may be inf; a step below half the float spacing at start
-    # never moves the grid
-    span = (stop + 1e-12 - start) / step
-    if span >= FLOAT_GRID_CAP or start + step == start:
-        raise core.EnumerationCapError(f"{text!r} has over {FLOAT_GRID_CAP} points")
-    return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
+    # never moves the grid, so its points never end
+    span = (stop + 1e-12 - start) / step if start + step != start else math.inf
+    points = math.floor(span) + 1 if span < math.inf else span
+    core.admit(points, core.FLOAT_GRID_CAP, f"points in {text!r}")
+    return [round(start + i * step, 12) for i in range(points)]
 
 
 def cmd_sweep(args) -> int:
@@ -235,16 +232,12 @@ def cmd_sweep(args) -> int:
         from . import qpoly
         ns, ks = _parse_range(args.box_n), _parse_range(args.box_k)
         # each row's product formula takes n^2 hooks
-        hooks = sum(n * n for n in ns if n > 0) * len(ks)
-        if hooks > core.DEFAULT_ENUM_CAP:
-            raise core.EnumerationCapError(f"{hooks} hooks exceed cap {core.DEFAULT_ENUM_CAP}")
+        core.admit(sum(n * n for n in ns if n > 0) * len(ks), core.DEFAULT_ENUM_CAP, "hooks")
         # and multiplies them one by one into two products of up to B = n^2
         # log2(k + 2n) bits, then divides: about (n^2 B + B^2 / 64) / 64 words
         words = sum((n * n + b / 64) * b / 64 for n in ns if n > 0 for k in ks
                     for b in [n * n * math.log2(max(k, 0) + 2 * n)])
-        if words > MACMAHON_WORD_CAP:
-            raise core.EnumerationCapError(
-                f"{words:.3g} word steps exceed cap {MACMAHON_WORD_CAP}")
+        core.admit(words, core.MACMAHON_WORD_CAP, "word steps")
         rows = [[n, k, qpoly.macmahon_count(n, k)] for n in ns for k in ks]
         _emit_csv(["n", "k", "count"], rows)
     return EXIT_OK
@@ -384,7 +377,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:  # CoincidentArgumentsError included
         error, code, detail = "bad-input", EXIT_BAD_INPUT, str(exc)
     except (core.EnumerationCapError, core.SectorCapError) as exc:
-        error, code, detail = "cap-exceeded", EXIT_CAP, str(exc)
+        error, code, detail = "cap-exceeded", EXIT_CAP_EXCEEDED, str(exc)
     except tuple(CHECK_ERRORS) as exc:
         error, code, detail = CHECK_ERRORS[type(exc)], EXIT_VERIFY_FAILED, str(exc)
     sys.stderr.write(json.dumps({"error": error, "detail": detail},

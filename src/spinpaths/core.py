@@ -1,5 +1,5 @@
-"""The ring geometry, the enumeration cap, the typed errors the CLI maps
-to exit codes, and the pass rule of every check.
+"""The ring geometry, the size caps and `admit`, their one gate, the typed
+errors the CLI maps to exit codes, and the pass rule of every check.
 
 Numpy-free, so the integer verbs can use them; `chain`, `correlators`,
 `paths` and `schur` import these names back.
@@ -7,9 +7,12 @@ Numpy-free, so the integer verbs can use them; `chain`, `correlators`,
 
 from math import comb, inf
 
-# terms an enumeration (tableaux, walker-route operations) may take before
-# it is refused with `EnumerationCapError`
-DEFAULT_ENUM_CAP = 10_000_000
+DEFAULT_ENUM_CAP = 10_000_000  # terms of one enumeration or walker route
+DEFAULT_SECTOR_CAP = 50_000  # states of one sector, or its momentum subsets
+DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector or one-walker matrix
+Q_CHAIN_CAP = 10 ** 9  # coefficient products of one `verify q-chain` or `macmahon`
+FLOAT_GRID_CAP = 10 ** 6  # points of one a..b range or start:step:stop grid
+MACMAHON_WORD_CAP = 2 * 10 ** 9  # about 3 s of `sweep macmahon` products
 
 
 class SectorCapError(RuntimeError):
@@ -18,6 +21,14 @@ class SectorCapError(RuntimeError):
 
 class EnumerationCapError(RuntimeError):
     """Raised when a combinatorial enumeration would exceed the configured cap."""
+
+
+def admit(cost, cap, unit: str, error: type[Exception] = EnumerationCapError) -> None:
+    """Raise `error` (exit 3) when `cost`, in `unit`, is over `cap`, a cap of
+    this module read here at call time; a float cost prints to 3 digits."""
+    if cost > cap:
+        shown = f"{cost:.3g}" if isinstance(cost, float) else cost
+        raise error(f"{shown} {unit} exceed cap {cap}")
 
 
 class CoincidentArgumentsError(ValueError):

@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import accumulate, combinations, count
 from typing import TYPE_CHECKING
 
+from . import core
 from .chain import (
-    DENSE_BYTES_CAP,
     bethe_ground_state,
     bethe_vector,
     check_sector_cap,
@@ -42,9 +42,7 @@ from .chain import (
     sector_sites,
 )
 from .core import (
-    DEFAULT_ENUM_CAP,
     ChainGeometry,
-    EnumerationCapError,
     FloatOverflowError,
     FrozenRecord,
     RouteMismatchError,
@@ -77,11 +75,9 @@ def _check_string_length(geom: ChainGeometry, n: int) -> None:
 
 def _check_ring_size(geom: ChainGeometry) -> None:
     """Raise `SectorCapError` when the complex (M+1)^2 one-walker matrix is
-    over `DENSE_BYTES_CAP`."""
-    nbytes = geom.sites ** 2 * 16
-    if nbytes > DENSE_BYTES_CAP:
-        raise SectorCapError(
-            f"dense one-walker matrix takes {nbytes} bytes, over {DENSE_BYTES_CAP}")
+    over `core.DENSE_BYTES_CAP`."""
+    core.admit(geom.sites ** 2 * 16, core.DENSE_BYTES_CAP,
+               "bytes of a dense one-walker matrix", SectorCapError)
 
 
 def _minor_log_bound(geom: ChainGeometry, t: complex, nvar: int) -> float:
@@ -114,7 +110,7 @@ def one_particle_matrix(geom: ChainGeometry, t: complex,
     entry and every nvar x nvar minor is bounded by exp(max(nvar, 1) max
     Re(t) w / 2), `_minor_log_bound`, read off the closed-form spectrum.
     Before numpy loads, `SectorCapError` is raised when the matrix is over
-    `DENSE_BYTES_CAP`, and then `FloatOverflowError` when the bound leaves
+    `core.DENSE_BYTES_CAP`, and then `FloatOverflowError` when the bound leaves
     the float range, so neither `exp` nor `det` can overflow.
     """
     _check_ring_size(geom)
@@ -230,10 +226,7 @@ def _check_trig_work(geom: ChainGeometry, steps: int, scale: int) -> None:
     # every prime taken is over 2^61
     primes = int(steps * math.log2(max(2 * geom.n, 1)) + math.log2(scale)) // 61 + 1
     work = geom.n * sum(math.comb(geom.sites, k) for k in range(geom.n + 1)) * primes ** 2
-    if work > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(
-            f"the exact trig sum takes about {work} word products, "
-            f"over {DEFAULT_ENUM_CAP}")
+    core.admit(work, core.DEFAULT_ENUM_CAP, "word products of the exact trig sum")
 
 
 def _trig_sum(geom: ChainGeometry, steps: int, scale: int, rows) -> int:
@@ -439,10 +432,16 @@ def equality_of_sums_report(geom: ChainGeometry, n: int, steps: int) -> dict:
 def _binomial_sums(nvar: int, width: int, power, sign: int, modulus: int) -> list[tuple]:
     """Rows S_(N-1)..S_0 mod P at each y = zeta^(sign e), S_j(y) = sum_(m <
     width) C(m, j) y^m, by Pascal's rule: (1-y) S_j = y S_(j-1) - C(width, j)
-    y^width, y S_(-1) read as 1; S_j(1) = C(width, j+1)."""
-    binom, cols = [math.comb(width, j) for j in range(nvar + 1)], []
-    for y, top in zip(power(sign), power(sign * width)):
-        inv, prev, col = pow(1 - y, -1, modulus) if y != 1 else 0, 1, []
+    y^width, y S_(-1) read as 1; S_j(1) = C(width, j+1).  Every 1/(1-y), 1 - y
+    read as 1 at y = 1, takes one inverse in all (Montgomery, Math. Comp. 48,
+    1987): 1/(1-y_i) = p_i / p_(i+1), p_i the product of the first i."""
+    binom, cols, ys = [math.comb(width, j) for j in range(nvar + 1)], [], power(sign)
+    diffs = [(1 - y) % modulus or 1 for y in ys]
+    prefix = list(accumulate(diffs, lambda a, b: a * b % modulus, initial=1))
+    inverses = list(accumulate(diffs[::-1], lambda a, b: a * b % modulus,
+                               initial=pow(prefix[-1], -1, modulus)))[::-1]
+    for y, top, head, inv_next in zip(ys, power(sign * width), prefix, inverses[1:]):
+        inv, prev, col = head * inv_next % modulus, 1, []
         for c, up in zip(binom, binom[1:]):
             col.append(up if y == 1 else (prev - c * top) * inv % modulus)
             prev = y * col[-1]

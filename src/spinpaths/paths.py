@@ -30,7 +30,8 @@ from math import comb
 from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .core import DEFAULT_ENUM_CAP, EnumerationCapError, FrozenRecord
+from . import core
+from .core import EnumerationCapError, FrozenRecord  # the cap error's old path
 from .partitions import (
     Partition,
     StrictPartition,
@@ -64,11 +65,9 @@ class PathNest(FrozenRecord):
         }
 
 def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
-    """One nest per SSYT of shape lam with entries <= n."""
+    """One nest per SSYT of shape lam with entries <= n (`schur.ssyt` prices them)."""
     from . import schur
     lam = check_partition(lam)
-    if schur.schur_count_at_one(lam, n) > schur.DEFAULT_ENUM_CAP:
-        raise EnumerationCapError("nest enumeration exceeds cap")
     for tab in schur.ssyt(lam, n):
         yield PathNest("C", lam, schur.tableau_step_counts(tab, n))
 
@@ -148,9 +147,7 @@ def _takes_lgv(n: int, m: int, kmax: int) -> bool:
     """
     terms, rows = _lgv_terms(n, kmax), n * (m + 1) * (kmax + 1)
     dp = kmax * comb(m + 1, n) * 2 * n
-    if min(terms + rows, dp) > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{min(terms + rows, dp)} walker operations "
-                                  f"exceed cap {DEFAULT_ENUM_CAP}")
+    core.admit(min(terms + rows, dp), core.DEFAULT_ENUM_CAP, "walker operations")
     words = 1 + kmax * (2 * n).bit_length() // 64
     return terms * words + rows <= dp
 
@@ -196,10 +193,8 @@ def weighted_lgv_series(rows: Sequence[list[int]], kmax: int, m: int) -> list[in
     Refused before any walk when its `_lgv_terms` and its n(n+1)(m+1)(kmax+1)
     walk and read-off entries pass `core.DEFAULT_ENUM_CAP`."""
     n, seam = len(rows), 1 if len(rows) % 2 else -1
-    work = _lgv_terms(n, kmax) + n * (n + 1) * (m + 1) * (kmax + 1)
-    if work > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{work} weighted walker operations "
-                                  f"exceed cap {DEFAULT_ENUM_CAP}")
+    core.admit(_lgv_terms(n, kmax) + n * (n + 1) * (m + 1) * (kmax + 1),
+               core.DEFAULT_ENUM_CAP, "weighted walker operations")
     return _egf_det([_ring_walk(row, seam) for row in rows],
                     [lambda walked, row=row: sum(map(mul, walked, row)) for row in rows],
                     [[0] * n] * n, 1, kmax)
@@ -264,9 +259,7 @@ def random_turns_counts(starts: Mapping[StrictPartition, int],
         raise ValueError("walker counts differ between the configurations")
     yield [starts.get(c, 0) for c in ends]
     dim = comb(m + 1, n)
-    if dim * 2 * n > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{dim * 2 * n} walker moves per tick "
-                                  f"exceed cap {DEFAULT_ENUM_CAP}")
+    core.admit(dim * 2 * n, core.DEFAULT_ENUM_CAP, "walker moves per tick")
     import numpy as np
     from .kernels import subset_rows
     from .sector import hop_moves, ranker

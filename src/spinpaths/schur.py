@@ -17,7 +17,8 @@ from collections import Counter
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import DEFAULT_ENUM_CAP, CoincidentArgumentsError, EnumerationCapError
+from . import core
+from .core import CoincidentArgumentsError, EnumerationCapError  # the cap error's old path
 from .partitions import (
     Partition,
     check_partition,
@@ -93,9 +94,10 @@ def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
 def ssyt(lam: Partition, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All semi-standard tableaux of shape lam with entries in 1..n.
 
-    Rows weakly increase, columns strictly increase.
+    Rows weakly increase, columns strictly increase; the count is priced first.
     """
     lam = _shape(lam)
+    core.admit(schur_count_at_one(lam, n), core.DEFAULT_ENUM_CAP, "tableaux")
     if len(lam) > n:
         return
 
@@ -133,13 +135,7 @@ def tableau_step_counts(tab: tuple[tuple[int, ...], ...], n: int) -> tuple[int, 
 
 def schur_monomials(lam: Partition, n: int) -> Counter:
     """Exponent-vector multiset of the Schur polynomial in n variables."""
-    bound = schur_count_at_one(lam, n)
-    if bound > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{bound} tableaux exceeds cap {DEFAULT_ENUM_CAP}")
-    out: Counter = Counter()
-    for tab in ssyt(lam, n):
-        out[tableau_step_counts(tab, n)] += 1
-    return out
+    return Counter(tableau_step_counts(tab, n) for tab in ssyt(lam, n))
 
 
 def schur_from_monomials(monomials: Counter, x: Sequence[complex]) -> complex:
@@ -237,14 +233,12 @@ def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
 def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
                       length: int, n: int) -> complex:
     """The same boxed sum by direct enumeration of partitions, refused past
-    `DEFAULT_ENUM_CAP` shapes before any is built."""
+    `core.DEFAULT_ENUM_CAP` shapes before any is built."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if length - n < 0:
         raise ValueError("need length >= n")
-    shapes = comb(length - n + len(x), len(x))
-    if shapes > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{shapes} boxed shapes exceeds cap {DEFAULT_ENUM_CAP}")
+    core.admit(comb(length - n + len(x), len(x)), core.DEFAULT_ENUM_CAP, "boxed shapes")
     from .kernels import subset_rows
     # mu = lam + staircase over the boxed shapes, in their order
     mus = n + subset_rows(length - n + len(x) - 1, len(x))

@@ -8,9 +8,8 @@ import pytest
 
 from spinpaths import correlators, schur
 from spinpaths.chain import ChainGeometry, hopping_matrix
-from spinpaths.core import EnumerationCapError
-from spinpaths.cli import FLOAT_GRID_CAP, VERBS, _parse_float_range, _parse_range, \
-    build_parser, main
+from spinpaths.core import FLOAT_GRID_CAP, EnumerationCapError
+from spinpaths.cli import VERBS, _parse_float_range, _parse_range, build_parser, main
 from spinpaths.paths import count_random_turns_paths
 
 
@@ -412,6 +411,9 @@ def test_integer_range_cap_counts_points():
     assert len(_parse_range(f"1..{FLOAT_GRID_CAP}")) == FLOAT_GRID_CAP
     with pytest.raises(EnumerationCapError):
         _parse_range(f"0..{FLOAT_GRID_CAP}")
+    assert len(_parse_float_range(f"1:1:{FLOAT_GRID_CAP}")) == FLOAT_GRID_CAP
+    with pytest.raises(EnumerationCapError):
+        _parse_float_range(f"0:1:{FLOAT_GRID_CAP}")
 
 
 def test_sweep_macmahon_is_priced_by_its_hooks(capsys):

@@ -122,7 +122,7 @@ REFUSALS = [
      '{"detail": "the 3-walker minors at t=(300+0j) can reach exp(900.0), '
      'past the float maximum exp(709.78)", "error": "float-overflow"}'),
     (["correlator", "--kind", "persistence", "--m", "40", "--n", "20"], 3,
-     '{"detail": "sector dimension 269128937220 exceeds 50000", '
+     '{"detail": "269128937220 sector states exceed cap 50000", '
      '"error": "cap-exceeded"}'),
     (["correlator", "--kind", "laplace", "--m", "4", "--z", "0.6"], 2,
      '{"detail": "need |z| < 1/2 (spectral radius of the hop matrix is 2)", '

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from spinpaths import schur
 from spinpaths.kernels import SUBSET_BLOCK
 from spinpaths.partitions import (
     boxed_partitions,
     lambda_to_mu,
     shifted_boxed_partitions,
 )
-from spinpaths.paths import enumerate_nests
 from spinpaths.qpoly import QPolynomial, macmahon_z
 from spinpaths.schur import (
     CoincidentArgumentsError,
-    EnumerationCapError,
     cauchy_binet_closed,
     cauchy_binet_enum,
     jacobi_trudi_rows,
@@ -103,18 +100,6 @@ def test_figure_weight_occurs():
     # shape (6,3,3,1) in 4 letters contains a tableau with letter counts (4,3,3,3)
     monomials = schur_monomials((6, 3, 3, 1), 4)
     assert monomials[(4, 3, 3, 3)] >= 1
-
-
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(schur, "DEFAULT_ENUM_CAP", 10)
-    with pytest.raises(EnumerationCapError):
-        schur_monomials((8, 6, 4, 2), 8)
-    # 20 tableaux: under the default cap, over the patched one, so this
-    # raises only where the cap is read at call time
-    with pytest.raises(EnumerationCapError):
-        schur_monomials((2, 1), 4)
-    with pytest.raises(EnumerationCapError):
-        next(enumerate_nests((2, 1), 4))
 
 
 def test_schur_evaluate_at_ones():
