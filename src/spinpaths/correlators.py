@@ -147,20 +147,20 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     return complex(sol[j])
 
 
-def _det_product_spectral(m: int, j, l, weight) -> complex:
-    """sum_s weight(sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
+def _det_product_spectral(m: int, j, l, t: complex) -> complex:
+    """sum_s exp(t sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
     geom = ChainGeometry(m, len(j))
     table = momentum_table(geom)
     import numpy as np
-    from .kernels import power_stacks, stacked_dets
+    from .kernels import stacked_dets
 
     def alternants(mu):
-        # not phases ** mu: conj(phases) ** l turns (8,4,1)->(9,5,1) at M=11, K=22 wrong
-        build = power_stacks(table.grid_thetas, mu, table.indices,
-                             lambda theta, k: np.exp(1j * theta * k))
-        return stacked_dets(table.indices, lambda rows: build(rows).swapaxes(1, 2))
+        # exp(i theta mu), not phases ** mu: ROADMAP item 6 keeps this form, and
+        # the multi-particle digest and the bitwise alternant test pin its bits
+        powers = np.exp(1j * table.grid_thetas * mu[:, None])
+        return stacked_dets(table.indices, lambda rows: powers.T[rows])
 
-    return complex(weight(table.cos_sums) / geom.sites ** geom.n @
+    return complex(np.exp(t * table.cos_sums) / geom.sites ** geom.n @
                    (alternants(np.array(j)) * alternants(-np.array(l))))
 
 
@@ -195,7 +195,7 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
     import numpy as np
     det_route = complex(np.linalg.det(gmat[np.ix_(j, l)])) if nvar else 1.0 + 0.0j
 
-    spectral = _det_product_spectral(geom.m, j, l, lambda c: np.exp(t * c))
+    spectral = _det_product_spectral(geom.m, j, l, t)
 
     resid = route_check(spectral, det_route, ROUTE_TOL_DET_SPECTRAL,
                         RouteMismatchError)
@@ -340,16 +340,19 @@ def _boxed_dets(geom: ChainGeometry, x, grid: np.ndarray, n: int) -> np.ndarray:
     """sum_lam s_lam(x) det(p_s^mu) over the boxed shapes, per momentum
     subset s, p_s the points of the (M+1,) `grid` at its indices: by
     Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
-    for m < K-n+N.  Rows over m = n..K+N-1 instead would lose digits.
+    for m < K-n+N.  JT(x) P_s is the minor on the columns s of one (N, M+1)
+    table, the Jacobi-Trudi rows evaluated by Horner at every grid point.
+    Rows over m = n..K+N-1 instead would lose digits.
     """
     import numpy as np
-    from .kernels import power_stacks, stacked_dets
+    from .kernels import stacked_dets
     from .schur import jacobi_trudi_rows
-    width = geom.k_cap - n + geom.n
-    rows_jt = jacobi_trudi_rows(x, width)
+    rows_jt = jacobi_trudi_rows(x, geom.k_cap - n + geom.n)
+    table = np.zeros((geom.n, geom.sites), dtype=complex)
+    for coeff in rows_jt.T[::-1]:
+        table = table * grid + coeff[:, None]
     indices = momentum_table(geom).indices
-    build = power_stacks(grid, np.arange(width), indices)
-    dets = stacked_dets(indices, lambda rows: rows_jt @ build(rows))
+    dets = stacked_dets(indices, lambda rows: table[:, rows].transpose(1, 0, 2))
     return (np.prod(x) * np.prod(grid[indices], axis=1)) ** n * dets
 
 

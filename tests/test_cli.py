@@ -92,7 +92,7 @@ CORRELATOR_DIGESTS = {
     "multi-particle": ("3d27cdc6d73388622f00e0dadb62197b969daed4a2abba53794f8d10c08691fd",
                        ["--m", "9", "--n", "3", "--j", "5,3,1", "--l", "6,3,0",
                         "--t", "0.7"]),
-    "persistence": ("a16addfd6157279be4e2af4a5e628cf63bc150e73f8d27cf2e46b3a95a689dba",
+    "persistence": ("af8d08d7198600bd493b0b8a09bdbd54cd21d185d3f0fcdea692bf89aa3b5bb3",
                     ["--m", "4", "--n", "2", "--string-n", "1", "--t", "0.5"]),
     "laplace": ("09f4070bab86fc9b175f1a7f52cdb040334458d04062a52880858dd83bbcfc3d",
                 ["--m", "5", "--j-site", "0", "--l-site", "2", "--z", "0.2"]),
@@ -186,7 +186,7 @@ def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
 VERIFY_DIGESTS = {
     "equality-of-sums": "dace4c3dfe6c8a8cf7f5b8d0888593c110f2f5a7f70da101391d238aadf8f4bb",
     "cauchy-binet": "d2400907c73d942d2df4518f0f131120c086bd1e190e281e83e0b8c8b0b05d09",
-    "persistence": "f789228a67f7907275c90add473e8d6769d6795d2bfb6a44c0b54d6bbf28d2e2",
+    "persistence": "49cdd342d607b6fb879f9cd7e81dd8f1f4a10799728222357a17bc54dfc98364",
     "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
     "schur-dual": "eceae4a0841159c6f367dd94325c68f1ca20e1da34ad7e0bbe5d22a91ae36e15",
     "q-chain": "9ef9d4c8bb748f1fa392a583853bb730494be0c5ddab5d5c9a8954c50d3502d4",

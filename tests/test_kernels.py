@@ -1,10 +1,11 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from spinpaths import correlators
-from spinpaths.chain import momentum_table
+from spinpaths.chain import bethe_ground_state, momentum_table
 from spinpaths.core import ChainGeometry
 from spinpaths.kernels import SUBSET_BLOCK, stacked_dets, subset_rows
 from spinpaths.partitions import lambda_to_mu, shifted_boxed_partitions
@@ -32,11 +33,11 @@ def test_boxed_shapes_are_shifted_subsets():
                 assert (shift + subset_rows(width + nvar - 1, nvar)).tolist() == want
 
 
-# the gathered stacks against stacks built one subset at a time, one power
-# per entry: every entry is the same scalar operation on the same operands,
+# the stacks gathered from one table against stacks built one subset at a
+# time: each entry comes from the same scalar operations on the same operands,
 # so the values agree bit for bit.
-# At N = 1 and N = M + 1 no table would save work, so the powers are taken
-# per block; (7, 3) and (9, 4) gather from a table, (9, 4) over two blocks.
+# N = 1 and N = M + 1 gather single columns and the whole table; (150, 1)
+# and (9, 4) span several blocks.
 STACK_GEOMETRIES = [(5, 1), (150, 1), (4, 5), (7, 3), (9, 4)]
 
 
@@ -65,7 +66,7 @@ def test_alternant_stacks_are_bitwise_per_subset(m, n):
 
     cos_sums = np.array([np.sum(np.cos(subset_thetas(geom, s))) for s in subsets(geom)])
     want = complex(np.exp(0.3 * cos_sums) / geom.sites ** n @ (alternants(j) * alternants(-l)))
-    got = correlators._det_product_spectral(m, tuple(j), tuple(l), lambda c: np.exp(0.3 * c))
+    got = correlators._det_product_spectral(m, tuple(j), tuple(l), 0.3)
     assert got == want
 
 
@@ -82,7 +83,13 @@ def test_boxed_stacks_are_bitwise_per_subset(m, n):
                     p = np.exp(1j * subset_thetas(geom, s))
                     p = np.conj(p) if conj else p
                     prods.append(np.prod(p))
-                    dets.append(np.linalg.det(rows_jt @ p ** np.arange(width)[:, None]))
+                    # the Jacobi-Trudi rows at the points p, by Horner; the
+                    # points are tiled, as numpy can round a complex product
+                    # apart in a loop that broadcasts one operand
+                    points, vals = np.tile(p, (n, 1)), np.zeros((n, n), dtype=complex)
+                    for coeff in rows_jt.T[::-1]:
+                        vals = vals * points + coeff[:, None]
+                    dets.append(np.linalg.det(vals))
                 # numpy's scalar arithmetic can round apart from its array
                 # loops, so the prefactor is taken over arrays, as the route does
                 want = (np.prod(x) * np.array(prods)) ** shift * np.array(dets)
@@ -91,8 +98,24 @@ def test_boxed_stacks_are_bitwise_per_subset(m, n):
                 assert np.array_equal(got, want)
 
 
-# with every exponent distinct no table would save work, so the powers are
-# taken per block
+def test_boxed_sums_stay_linear_in_the_ring():
+    """One (N, M+1) table, not a (B, K-n+N, N) power stack per block: at
+    (1999, 1), where one block of such stacks takes 4 MB, a call peaks under
+    1 MiB once the subset table is cached."""
+    geom = ChainGeometry(1999, 1)
+    args = (geom, bethe_ground_state(geom).phases, np.conj(momentum_table(geom).grid_phases), 1)
+    correlators._boxed_dets(*args)
+    tracemalloc.start()
+    try:
+        correlators._boxed_dets(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# each row's alternant is gathered from one table of the powers x_j^m,
+# m <= max mu; with every exponent distinct it has no column to share
 @pytest.mark.parametrize("n,rows,distinct", [(1, 5, False), (3, 40, False),
                                              (4, 210, False), (3, 150, True)])
 def test_schur_value_stacks_are_bitwise_per_row(n, rows, distinct):

@@ -142,9 +142,9 @@ def test_multi_particle_spectral_matches_loop(m, n):
         def weight(c):
             return np.exp(t * c)
 
-        got = correlators._det_product_spectral(m, j, l, weight)
+        got = correlators._det_product_spectral(m, j, l, t)
         assert close(got, ref_det_product_sum(geom, j, l, weight))
-        assert got == correlators._det_product_spectral(m, j, l, weight)
+        assert got == correlators._det_product_spectral(m, j, l, t)
 
 
 @pytest.mark.parametrize("m,n", DET_GEOMETRIES)
