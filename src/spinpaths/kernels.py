@@ -2,11 +2,11 @@
 
 Every spectral correlator reduces to a weighted sum of determinants over
 the C(M+1, N) momentum subsets of a geometry.  Each determinant is a minor
-of one small table, N rows by one column per grid point or exponent, that
-its caller builds once: each subset's matrix is gathered from the N columns
-the subset names.  The determinants are taken by batched `np.linalg.det`
-calls on (B, N, N) stacks of at most SUBSET_BLOCK subsets, so peak memory
-does not grow with the subset count.
+of one small table, N rows by one column per grid point or distinct
+exponent, that its caller builds once: each subset's matrix is gathered
+from the N columns the subset names.  Batched `np.linalg.det` calls take
+the determinants on (B, N, N) stacks of at most SUBSET_BLOCK subsets, so
+peak memory does not grow with the subset count.
 """
 
 from __future__ import annotations

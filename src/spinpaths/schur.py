@@ -61,13 +61,13 @@ def _check_distinct(x: Sequence[complex]) -> None:
 
 def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarray:
     """(R,) Schur values at x, one per row mu = lam + staircase of the (R, N)
-    `mus`: at distinct x, det(x_j^{mu_k}) / (sign V(x)), each alternant the
-    minor on the columns mu of the one table x_j^m, m <= max mu; else the
-    count at 1^N or tableau enumeration, row by row."""
+    `mus`: at distinct x, det(x_j^{mu_k}) / (sign V(x)), each alternant a
+    minor of the one table x_j^m over the distinct exponents m of `mus`;
+    else the count at 1^N or tableau enumeration, row by row."""
     import numpy as np
     from .kernels import stacked_dets
     n = len(x)
-    mus = np.asarray(mus, dtype=np.int64).reshape(len(mus), n)
+    mus = np.asarray(mus, dtype=float).reshape(len(mus), n)
     try:
         _check_distinct(x)
     except CoincidentArgumentsError:
@@ -75,8 +75,9 @@ def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarr
         return np.array([schur_count_at_one(lam, n) if ones else
                          schur_from_monomials(schur_monomials(lam, n), x)
                          for lam in map(mu_to_lambda, mus)], dtype=complex)
-    powers = np.asarray(x, dtype=complex)[:, None] ** np.arange(mus.max(initial=-1) + 1)
-    dets = stacked_dets(mus, lambda rows: powers[:, rows].transpose(1, 0, 2))
+    exps, cols = np.unique(mus, return_inverse=True)
+    powers = np.asarray(x, dtype=complex)[:, None] ** exps
+    dets = stacked_dets(cols.reshape(mus.shape), lambda r: powers[:, r].transpose(1, 0, 2))
     # the staircase alternant det(x_j^{n-k}) carries the sign (-1)^{n(n-1)/2}
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
     return dets / (sign * vandermonde(x))

@@ -32,6 +32,18 @@ def test_schur_at_point():
     assert doc["value"]["re"] == pytest.approx(3.0)
 
 
+# the power table has one column per distinct exponent, never max mu + 1;
+# the last part does not fit an int64
+@pytest.mark.parametrize("shape", ["1000000000", "100000000000000000000"])
+def test_schur_at_point_of_a_large_shape(shape):
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "schur",
+                          "--shape", shape, "--vars", "1", "--at", "0.5"],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["value"] == {"re": 0.0, "im": 0.0}
+
+
 def test_schur_q_symbolic():
     out = run_cli(["schur", "--shape", "1", "--vars", "2",
                    "--q-symbolic", "qvec"])

@@ -114,8 +114,8 @@ def test_boxed_sums_stay_linear_in_the_ring():
     assert peak < 2 ** 20
 
 
-# each row's alternant is gathered from one table of the powers x_j^m,
-# m <= max mu; with every exponent distinct it has no column to share
+# each row's alternant is gathered from one table of the powers x_j^m, one
+# column per distinct exponent m; with every exponent distinct none is shared
 @pytest.mark.parametrize("n,rows,distinct", [(1, 5, False), (3, 40, False),
                                              (4, 210, False), (3, 150, True)])
 def test_schur_value_stacks_are_bitwise_per_row(n, rows, distinct):
