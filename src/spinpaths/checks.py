@@ -1,15 +1,16 @@
 """The identities `spinpaths verify` machine-checks, in one registry.
 
 Every float check passes by `core.within_bound`, as the route checks do,
-and every integer one only on equality.  Each check imports what it uses
-when it runs, numpy and `correlators` included.
+and every integer one only on equality; `cauchy-binet` is one of these,
+taken at random integer points.  Each check imports what it uses when it
+runs, numpy and `correlators` included.
 """
 
 import math
+import sys
 
 from . import core
 
-CAUCHY_BINET_TOL = 1e-9
 SCHUR_DUAL_TOL = 1e-10
 EXACT_TOL = 0.0  # an exact identity has residual 0 when it holds, else 1
 
@@ -27,21 +28,54 @@ def _equality_of_sums(args) -> list[dict]:
 
 
 def _cauchy_binet(args) -> list[dict]:
-    import numpy as np
-    from . import schur
-    rng = np.random.default_rng(args.seed)
-    out = []
+    # both sides are integers at integer points, so the check is exact; a
+    # wrong identity of degree D <= 2N(n+W-1) passes one trial with
+    # probability at most D/1025 (Schwartz, JACM 1980; Zippel, 1979)
+    nvar, n = args.n, args.string_n
+    if not 0 <= n <= args.length:
+        raise ValueError("need 0 <= string-n <= length")
+    width = args.length - n + nvar
+    # the minor recursion expands each minor on k rows along its last row
+    core.admit(sum(k * math.comb(width, k) for k in range(nvar + 1)) * args.trials,
+               core.DEFAULT_ENUM_CAP, "minor products")
+    import random
+    rng, points, out = random.Random(args.seed), range(-512, 513), []
     for trial in range(args.trials):
-        x = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-        y = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-        if trial == 0 and args.n >= 1:
-            y[0] = 1.0 / x[0]  # hit the removable singularity
-        enum = schur.cauchy_binet_enum(x, y, args.length, args.string_n)
-        closed = schur.cauchy_binet_closed(x, y, args.length, args.string_n)
-        out.append(_check(core.relative_residual(closed, enum), CAUCHY_BINET_TOL,
-                          trial=trial, lhs=core.complex_json(enum),
-                          rhs=core.complex_json(closed)))
+        x, y = rng.sample(points, nvar), rng.sample(points, nvar)
+        if trial == 0 and nvar:  # x_0 y_0 = 1, the removable singularity
+            for v in (x, y):
+                v[v.index(1) if 1 in v else 0] = v[0]
+                v[0] = 1
+        lhs, rhs = _schur_pair_sum(x, y, width, n), _schur_pair_closed(x, y, width, n)
+        # V(x) V(y), each the alternant of the columns 0..N-1 in that order
+        vand = math.prod(b - a for v in (x, y) for i, b in enumerate(v) for a in v[:i])
+        out.append(_check(float(lhs != rhs), EXACT_TOL, trial=trial,
+                          lhs=_capped_json(lhs // vand), rhs=_capped_json(rhs // vand)))
     return out
+
+
+def _schur_pair_sum(x: list[int], y: list[int], width: int, n: int) -> int:
+    """V(x) V(y) sum_lam s_lam(x) s_lam(y) over n <= lam_N, lam_1 <= n + width - N:
+    the products of the minors of the rows v_k^(n+c), c < width, on each set
+    of N columns, the set mu - n of the shape's mu = lam + staircase."""
+    from .partitions import column_minors
+    rows = [[[v ** (n + c) for c in range(width)] for v in side] for side in (x, y)]
+    return sum(a * b for a, b in column_minors(*rows).values())
+
+
+def _schur_pair_closed(x: list[int], y: list[int], width: int, n: int) -> int:
+    """The same sum as prod (x_l y_l)^n det T, T_kj = (1 - p^width) / (1 - p)
+    at p = x_k y_j, width at p = 1, by Bareiss elimination."""
+    from .qpoly import QPolynomial, qpoly_matrix_det
+    t = [[QPolynomial({0: width if p == 1 else (1 - p ** width) // (1 - p)})
+          for p in (a * b for b in y)] for a in x]
+    return math.prod(a * b for a, b in zip(x, y)) ** n * qpoly_matrix_det(t).at_one()
+
+
+def _capped_json(value: int) -> dict:
+    """An exact value as `core.complex_json`, clamped to the float range."""
+    top = sys.float_info.max
+    return core.complex_json(min(max(value, -top), top))
 
 
 def _persistence(args) -> list[dict]:

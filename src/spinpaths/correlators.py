@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import accumulate, combinations, count
+from itertools import accumulate, count
 from typing import TYPE_CHECKING
 
 from . import core
@@ -49,7 +49,7 @@ from .core import (
     SectorCapError,
     route_check,
 )
-from .partitions import StrictPartition
+from .partitions import StrictPartition, column_minors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -238,7 +238,7 @@ def _trig_sum(geom: ChainGeometry, steps: int, scale: int, rows) -> int:
     modulus, zeta = _trig_ring(order, (2 * nvar) ** steps * scale)
     powers = [pow(zeta, r, modulus) for r in range(order)]
     exps = momentum_exponents(geom)
-    alternants = _column_minors(*rows(
+    alternants = column_minors(*rows(
         lambda k: [powers[e * k % order] for e in exps], modulus), modulus)
     cos2 = [powers[e % order] + powers[-e % order] for e in exps]
     total = sum(pow(sum(cos2[c] for c in cols), steps, modulus) * a * b
@@ -266,26 +266,6 @@ def _trig_ring(order: int, bound: int) -> tuple[int, int]:
             modulus *= p
         c -= 2
     return modulus, zeta
-
-
-def _column_minors(left: list[list[int]], right: list[list[int]],
-                   modulus: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The minors mod `modulus` of the two (N, W) matrices on every set of
-    N columns, keyed by the ascending column tuple: those on the first k
-    rows are expanded along row k into those on the first k-1, with no
-    division, and each sub-minor is looked up once for both matrices."""
-    minors = {(): (1, 1)}
-    for k, (lrow, rrow) in enumerate(zip(left, right)):
-        prev, minors = minors, {}
-        for cols in combinations(range(len(lrow)), k + 1):
-            a = b = 0
-            # the signs alternate from + on the last column
-            for i, c in enumerate(cols):
-                pa, pb = prev[cols[:i] + cols[i + 1:]]
-                a = lrow[c] * pa - a
-                b = rrow[c] * pb - b
-            minors[cols] = (a % modulus, b % modulus)
-    return minors
 
 
 def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,

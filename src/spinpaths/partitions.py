@@ -1,4 +1,5 @@
-"""Integer partitions, strict partitions and the spin-coordinate dictionary.
+"""Integer partitions, strict partitions and the spin-coordinate dictionary,
+and the minors of an integer matrix pair on every set of columns.
 
 Partitions are plain tuples of non-negative ints, weakly decreasing.
 Strict partitions are strictly decreasing.  Trailing zeros matter: the
@@ -95,3 +96,24 @@ def shifted_boxed_partitions(n: int, w: int, shift: int) -> Iterator[Partition]:
 def descending_subsets(top: int, n: int) -> Iterator[StrictPartition]:
     """All n-element subsets of {0..top} as descending tuples, lexicographic."""
     return combinations(range(top, -1, -1), n)
+
+
+def column_minors(left: list[list[int]], right: list[list[int]],
+                  modulus: int | None = None) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The minors of the two (N, W) integer matrices on every set of N
+    columns, keyed by the ascending column tuple, mod `modulus` if given:
+    those on the first k rows are expanded along row k into those on the
+    first k-1, with no division, and each sub-minor is looked up once for
+    both matrices."""
+    minors = {(): (1, 1)}
+    for k, (lrow, rrow) in enumerate(zip(left, right)):
+        prev, minors = minors, {}
+        for cols in combinations(range(len(lrow)), k + 1):
+            a = b = 0
+            # the signs alternate from + on the last column
+            for i, c in enumerate(cols):
+                pa, pb = prev[cols[:i] + cols[i + 1:]]
+                a = lrow[c] * pa - a
+                b = rrow[c] * pb - b
+            minors[cols] = (a % modulus, b % modulus) if modulus else (a, b)
+    return minors

@@ -1,4 +1,4 @@
-"""Schur polynomials two ways, plus the boxed Cauchy-Binet kernels.
+"""Schur polynomials two ways, plus the Jacobi-Trudi rows of boxed sums.
 
 The determinant (ratio-of-alternants) route needs pairwise distinct
 arguments; the tableau route is exact everywhere but enumerative.  Both
@@ -14,7 +14,6 @@ without either.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import core
@@ -201,48 +200,6 @@ def schur_q_polynomial(lam: Partition, n: int) -> QPolynomial:
     ratio = q_product_ratio((n + j - i for i, j in boxes),
                             (lam[i] - j + cols[j] - i - 1 for i, j in boxes))
     return ratio.shifted(sum(i * row for i, row in enumerate(lam)))
-
-
-def cauchy_binet_closed(x: Sequence[complex], y: Sequence[complex],
-                        length: int, n: int) -> complex:
-    """Closed form of the boxed sum of Schur products:
-
-    (prod x_l^n y_l^n) * det(T) / (V(x) V(y)),
-    T_kj = (1 - (x_k y_j)^{length-n+N}) / (1 - x_k y_j),
-    with the removable singularity at x_k y_j = 1 replaced by length-n+N.
-    """
-    import numpy as np
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
-    if length - n < 0:
-        raise ValueError("need length >= n")
-    _check_distinct(x)
-    _check_distinct(y)
-    power = length - n + len(x)
-    p = np.outer(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    near = np.abs(p - 1.0) < 1e-12
-    t = np.where(near, power, (1.0 - p ** power) / np.where(near, 1.0, 1.0 - p))
-    pref = 1.0 + 0.0j
-    for xl, yl in zip(x, y):
-        pref *= (xl * yl) ** n
-    return complex(pref * np.linalg.det(t) / (vandermonde(x) * vandermonde(y)))
-
-
-def cauchy_binet_enum(x: Sequence[complex], y: Sequence[complex],
-                      length: int, n: int) -> complex:
-    """The same boxed sum by direct enumeration of partitions, refused past
-    `core.DEFAULT_ENUM_CAP` shapes before any is built."""
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
-    if length - n < 0:
-        raise ValueError("need length >= n")
-    core.admit(comb(length - n + len(x), len(x)), core.DEFAULT_ENUM_CAP, "boxed shapes")
-    from .kernels import subset_rows
-    # mu = lam + staircase over the boxed shapes, in their order
-    mus = n + subset_rows(length - n + len(x) - 1, len(x))
-    # multiplied as Python complexes: a numpy product can round differently
-    sx, sy = schur_values(x, mus).tolist(), schur_values(y, mus).tolist()
-    return sum((a * b for a, b in zip(sx, sy)), 0j)
 
 
 def projection_average_q(n_vars: int, m_sites: int, n_string: int) -> QPolynomial:

@@ -47,13 +47,12 @@ from spinpaths.qpoly import (
     qpoly_matrix_det,
 )
 from spinpaths.schur import (
-    cauchy_binet_closed,
-    cauchy_binet_enum,
     projection_average_q,
     schur_determinant,
     schur_from_monomials,
     schur_monomials,
 )
+from cauchy_binet_float import cauchy_binet_closed, cauchy_binet_enum
 
 RNG = np.random.default_rng(2026)
 

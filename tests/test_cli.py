@@ -197,7 +197,7 @@ def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
 # printed 4563.999999999999 and 9.09e-13
 VERIFY_DIGESTS = {
     "equality-of-sums": "dace4c3dfe6c8a8cf7f5b8d0888593c110f2f5a7f70da101391d238aadf8f4bb",
-    "cauchy-binet": "d2400907c73d942d2df4518f0f131120c086bd1e190e281e83e0b8c8b0b05d09",
+    "cauchy-binet": "1eb6db806084567446dfb42a485ef595cc739e48ecf828d39169dea750242270",
     "persistence": "49cdd342d607b6fb879f9cd7e81dd8f1f4a10799728222357a17bc54dfc98364",
     "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
     "schur-dual": "eceae4a0841159c6f367dd94325c68f1ca20e1da34ad7e0bbe5d22a91ae36e15",
@@ -264,6 +264,21 @@ def test_verify_identities_are_capped_before_they_enumerate(argv):
     assert out.returncode == 3, out.stderr
     assert out.stdout == ""
     assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
+def test_verify_cauchy_binet_is_priced_in_minor_products():
+    # C(24, 12) = 2.7 M shapes passed the shape price; the float check then
+    # ran for tens of seconds and failed an identity that holds (exit 1), or
+    # under this memory limit ended in numpy's _ArrayMemoryError
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", "cauchy-binet",
+                          "--n", "12", "--length", "12", "--trials", "1"],
+                         capture_output=True, text=True, timeout=20,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert json.loads(out.stderr) == {
+        "error": "cap-exceeded",
+        "detail": "100663296 minor products exceed cap 10000000"}
 
 
 def test_verify_macmahon_runs_under_its_cap():

@@ -62,6 +62,10 @@ NUMPY_FREE_VERBS = [
     # both sides of the identity in exact integers, the benchmark's job
     ["verify", "equality-of-sums", "--m", "9", "--n", "3", "--string-n", "1",
      "--steps", "8"],
+    # both sides of the boxed Cauchy-Binet sum at integer points, the
+    # benchmark's job
+    ["verify", "cauchy-binet", "--n", "4", "--length", "6", "--string-n", "1",
+     "--trials", "10", "--seed", "3"],
 ]
 
 

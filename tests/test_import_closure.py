@@ -112,3 +112,14 @@ def test_equality_of_sums_loads_no_float_modules():
     assert {"spinpaths.correlators", "spinpaths.paths"} <= modules
     assert not modules & {"spinpaths.schur", "spinpaths.kernels", "spinpaths.sector",
                           "numpy"}
+
+
+def test_cauchy_binet_loads_no_float_modules():
+    # the minor recursion and a Bareiss determinant on integers: no Schur
+    # values, subset kernels or spectral code
+    modules = loaded_modules(["verify", "cauchy-binet", "--n", "4", "--length", "6",
+                              "--string-n", "1", "--trials", "10", "--seed", "3"])
+    assert {"spinpaths.checks", "spinpaths.partitions"} <= modules
+    assert not modules & {"numpy", "spinpaths.correlators", "spinpaths.chain",
+                          "spinpaths.kernels", "spinpaths.schur", "spinpaths.sector"}
+    assert not modules & HEAVY_STDLIB

@@ -10,8 +10,6 @@ from spinpaths.partitions import (
 from spinpaths.qpoly import QPolynomial, macmahon_z
 from spinpaths.schur import (
     CoincidentArgumentsError,
-    cauchy_binet_closed,
-    cauchy_binet_enum,
     jacobi_trudi_rows,
     projection_average_q,
     schur_count_at_one,
@@ -24,6 +22,7 @@ from spinpaths.schur import (
     ssyt,
     vandermonde,
 )
+from cauchy_binet_float import cauchy_binet_closed, cauchy_binet_enum
 
 RNG = np.random.default_rng(20260826)
 

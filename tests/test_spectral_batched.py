@@ -24,7 +24,8 @@ from spinpaths.correlators import (
     persistence_spectral,
     trig_path_count,
 )
-from spinpaths.schur import cauchy_binet_enum, vandermonde
+from spinpaths.schur import vandermonde
+from cauchy_binet_float import cauchy_binet_enum
 
 RNG = np.random.default_rng(2024)
 # the batched sums accumulate in another order than the loops
