@@ -113,10 +113,12 @@ def cmd_paths(args) -> int:
     elif args.nests:
         if args.limit < 0:
             raise ValueError("--limit must be non-negative")
+        from itertools import islice, repeat
         lam = _parse_int_tuple(args.shape, "--shape")
-        nests = [nest.to_json() for nest in paths.enumerate_nests(lam, args.vars)]
-        _emit({"shape": list(lam), "vars": args.vars,
-               "total": str(len(nests)), "nests": nests[:args.limit]})
+        table = paths.nest_multiplicities(lam, args.vars)
+        nests = (doc for nest, mult in table for doc in repeat(nest.to_json(), mult))
+        _emit({"shape": list(lam), "vars": args.vars, "total": str(sum(k for _, k in table)),
+               "nests": list(islice(nests, args.limit))})
     else:
         raise ValueError("choose one of --count, --nests")
     return EXIT_OK

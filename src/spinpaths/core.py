@@ -65,7 +65,8 @@ def route_check(value, reference, bound: float, error: type[Exception]) -> float
 
 
 def complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+    """+ 0.0 turns -0.0, a sign the BLAS kernel can flip, into 0.0."""
+    return {"re": float(z.real) + 0.0, "im": float(z.imag) + 0.0}
 
 
 class FrozenRecord:

@@ -353,7 +353,7 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     from .sector import sector_orbits
     orbits = sector_orbits(geom)
     proj = np.all(sites >= n, axis=1)
-    # at repeated parameters each row is a tableau enumeration: skip the rest
+    # at repeated parameters each row takes its Schur monomials: skip the rest
     left, right = np.zeros((2, len(sites)), dtype=complex)
     left[proj] = np.conj(schur_values(v_inv_sq, sites[proj]))
     right[proj] = schur_values(u_sq, sites[proj])

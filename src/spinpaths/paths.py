@@ -2,7 +2,7 @@
 
 Each SSYT row maps to one path; the step count l_j on vertical line j is
 the multiplicity of letter j in the tableau, and the nest volume is
-sum_j (N - j) * l_j.
+sum_j (N - j) * l_j.  The nests of equal l are counted together (a Kostka number).
 
 The random-turns walker count has two exact routes, and `walker_counts`
 runs the one with the smaller a-priori operation count:
@@ -25,7 +25,7 @@ without numpy whenever LGV is the cheaper route.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from math import comb
 from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -64,19 +64,34 @@ class PathNest(FrozenRecord):
             "volume": str(self.volume),
         }
 
-def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
-    """One nest per SSYT of shape lam with entries <= n (`schur.ssyt` prices them)."""
+def nest_multiplicities(lam: Partition, n: int) -> list[tuple[PathNest, int]]:
+    """Each distinct nest of shape lam on n lines with its number of tableaux
+    (a Kostka number), in nest order: step counts lexicographically descending."""
     from . import schur
     lam = check_partition(lam)
-    for tab in schur.ssyt(lam, n):
-        yield PathNest("C", lam, schur.tableau_step_counts(tab, n))
+    return [(PathNest("C", lam, counts), mult)
+            for counts, mult in sorted(schur.schur_monomials(lam, n).items(), reverse=True)]
+
+
+def enumerate_nests(lam: Partition, n: int) -> Iterator[PathNest]:
+    """One nest per SSYT of shape lam with entries <= n, in nest order."""
+    for nest, mult in nest_multiplicities(lam, n):
+        yield from repeat(nest, mult)
+
+
+def _nest_polynomial(lam: Partition, n: int, slopes: Sequence[int]) -> QPolynomial:
+    """Sum over the nests of q^{sum_j slopes_j l_j}, read off the multiplicities."""
+    from . import schur
+    from .qpoly import QPolynomial
+    out = Counter()
+    for counts, mult in schur.schur_monomials(lam, n).items():
+        out[sum(map(mul, slopes, counts))] += mult
+    return QPolynomial(out)
 
 
 def nest_partition_function(lam: Partition, n: int) -> QPolynomial:
     """Sum of q^{|lam| + volume} over nests; equals the Schur value at (q,..,q^n)."""
-    from .qpoly import QPolynomial
-    w = weight(check_partition(lam))
-    return QPolynomial(Counter(w + nest.volume for nest in enumerate_nests(lam, n)))
+    return _nest_polynomial(lam, n, range(n, 0, -1))  # |lam| + volume: n + 1 - j per l_j
 
 
 def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolynomial:
@@ -84,12 +99,10 @@ def conjugate_nest_partition_function(lam: Partition, n: int, m: int) -> QPolyno
 
     Weighted by q^{sum_j (j-1) l_j} over the same step-count data.
     """
-    from .qpoly import QPolynomial
     lam = check_partition(lam)
     if lam and lam[0] > m - n + 1:
         raise ValueError(f"shape {lam} does not fit the width bound {m - n + 1}")
-    return QPolynomial(Counter(sum(j * l for j, l in enumerate(nest.step_counts))
-                               for nest in enumerate_nests(lam, n)))
+    return _nest_polynomial(lam, n, range(n))
 
 
 def count_random_turns_paths(start: StrictPartition, end: StrictPartition,

@@ -1,8 +1,8 @@
 """Schur polynomials two ways, plus the Jacobi-Trudi rows of boxed sums.
 
 The determinant (ratio-of-alternants) route needs pairwise distinct
-arguments; the tableau route is exact everywhere but enumerative.  Both
-are kept and cross-checked; `schur_values` picks the valid one per point.
+arguments; the monomials, by the branching rule, are exact everywhere.
+Both are kept and cross-checked; `schur_values` picks the valid one per point.
 The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
 spectral routes take each boxed sum as one determinant (Cauchy-Binet).
 Hook-content gives s_lam(1, q, .., q^{n-1}) with no tableaux.  Every
@@ -14,7 +14,8 @@ without either.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Sequence
 
 from . import core
 from .core import CoincidentArgumentsError, EnumerationCapError  # the cap error's old path
@@ -62,7 +63,7 @@ def schur_values(x: Sequence[complex], mus: Sequence[Sequence[int]]) -> np.ndarr
     """(R,) Schur values at x, one per row mu = lam + staircase of the (R, N)
     `mus`: at distinct x, det(x_j^{mu_k}) / (sign V(x)), each alternant a
     minor of the one table x_j^m over the distinct exponents m of `mus`;
-    else the count at 1^N or tableau enumeration, row by row."""
+    else the count at 1^N or the monomials, row by row."""
     import numpy as np
     from .kernels import stacked_dets
     n = len(x)
@@ -88,51 +89,26 @@ def schur_determinant(lam: Partition, x: Sequence[complex]) -> complex:
     return schur_evaluate(lam, x)
 
 
-def ssyt(lam: Partition, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All semi-standard tableaux of shape lam with entries in 1..n.
-
-    Rows weakly increase, columns strictly increase; the count is priced first.
-    """
+def schur_monomials(lam: Partition, n: int) -> Counter:
+    """Exponent multiset (l_1..l_n) of s_lam in n variables, one count per
+    tableau (priced first), by the branching rule (Macdonald I.(5.11)): the
+    letters <= k of a tableau fill a shape interlacing that of the letters
+    <= k+1.  Level k maps each such shape to a Counter of tails (l_{k+1}..l_n);
+    a step down prepends |nu/nu'|, and two levels are held at once."""
     lam = _shape(lam)
     core.admit(schur_count_at_one(lam, n), core.DEFAULT_ENUM_CAP, "tableaux")
     if len(lam) > n:
-        return
-
-    def rows(i: int, prev: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(lam):
-            yield ()
-            return
-        width = lam[i]
-
-        def fill(j: int, row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if j == width:
-                yield row
-                return
-            lo = row[-1] if row else 1
-            if j < len(prev):
-                lo = max(lo, prev[j] + 1)
-            for v in range(lo, n + 1):
-                yield from fill(j + 1, row + (v,))
-
-        for row in fill(0, ()):
-            for rest in rows(i + 1, row):
-                yield (row,) + rest
-
-    yield from rows(0, ())
-
-
-def tableau_step_counts(tab: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """(l_1, ..., l_n): multiplicity of each letter in the tableau."""
-    counts = [0] * n
-    for row in tab:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
-
-
-def schur_monomials(lam: Partition, n: int) -> Counter:
-    """Exponent-vector multiset of the Schur polynomial in n variables."""
-    return Counter(tableau_step_counts(tab, n) for tab in ssyt(lam, n))
+        return Counter()
+    level = {lam + (0,) * (n - len(lam)): Counter({(): 1})}
+    for k in range(n, 0, -1):
+        below: dict[Partition, Counter] = {}
+        for nu, tails in level.items():
+            for sub in product(*(range(nu[i], nu[i + 1] - 1, -1) for i in range(k - 1))):
+                out, step = below.setdefault(sub, Counter()), sum(nu) - sum(sub)
+                for tail, mult in tails.items():
+                    out[(step,) + tail] += mult
+        level = below
+    return level[()]
 
 
 def schur_from_monomials(monomials: Counter, x: Sequence[complex]) -> complex:
@@ -163,7 +139,7 @@ def schur_count_at_one(lam: Partition, n: int) -> int:
 
 
 def schur_evaluate(lam: Partition, x: Sequence[complex]) -> complex:
-    """Schur value at x; falls back to tableau enumeration at degenerate points."""
+    """Schur value at x; falls back to the monomials at degenerate points."""
     lam = _shape(lam)
     if len(lam) > len(x):
         return 0j

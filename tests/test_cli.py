@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spinpaths import correlators, schur
+from spinpaths import core, correlators, paths, schur
 from spinpaths.chain import ChainGeometry, hopping_matrix
 from spinpaths.core import FLOAT_GRID_CAP, EnumerationCapError
 from spinpaths.cli import VERBS, _parse_float_range, _parse_range, build_parser, main
@@ -30,6 +30,14 @@ def test_schur_at_point():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["value"]["re"] == pytest.approx(3.0)
+    # the imaginary part comes out of the alternant as -0.0
+    assert '"im": 0.0' in out.stdout
+
+
+def test_complex_json_prints_negative_zero_as_zero():
+    # the sign of a zero can follow the BLAS kernel, so stdout never shows it
+    assert json.dumps(core.complex_json(complex(-0.0, -0.0))) == '{"re": 0.0, "im": 0.0}'
+    assert json.dumps(core.complex_json(complex(-1.5, 2.0))) == '{"re": -1.5, "im": 2.0}'
 
 
 # the power table has one column per distinct exponent, never max mu + 1;
@@ -79,6 +87,18 @@ def test_paths_nests():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["total"] == "2"
+
+
+def test_paths_nests_builds_only_the_printed_nests(monkeypatch, capsys):
+    built = []
+    to_json = paths.PathNest.to_json
+    monkeypatch.setattr(paths.PathNest, "to_json",
+                        lambda nest: built.append(nest) or to_json(nest))
+    assert main(["paths", "--nests", "--shape", "2,1", "--vars", "3", "--limit", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(built) == 2
+    assert doc["total"] == "8"
+    assert doc["nests"] == [to_json(nest) for nest in built]
 
 
 def test_chain_spectrum():

@@ -47,6 +47,14 @@ def test_nest_count_matches_schur_count(lam, n):
     assert len(list(enumerate_nests(lam, n))) == schur_count_at_one(lam, n)
 
 
+def test_nest_order_is_step_counts_descending():
+    # the two nests of step counts (2, 2, 1) and of (2, 1, 2) come in a row
+    assert [nest.step_counts for nest in enumerate_nests((3, 2), 3)] == [
+        (3, 2, 0), (3, 1, 1), (3, 0, 2), (2, 3, 0), (2, 2, 1), (2, 2, 1), (2, 1, 2),
+        (2, 1, 2), (2, 0, 3), (1, 3, 1), (1, 2, 2), (1, 2, 2), (1, 1, 3), (0, 3, 2),
+        (0, 2, 3)]
+
+
 def test_volume_definition():
     nest = PathNest("C", (2, 1), (2, 1, 0))
     assert nest.volume == 2 * 2 + 1 * 1

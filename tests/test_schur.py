@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,6 @@ from spinpaths.schur import (
     schur_monomials,
     schur_q_polynomial,
     schur_values,
-    ssyt,
     vandermonde,
 )
 from cauchy_binet_float import cauchy_binet_closed, cauchy_binet_enum
@@ -76,17 +78,39 @@ def test_schur_symmetric_under_permutation():
         assert schur_determinant(lam, x[perm]) == pytest.approx(base, rel=1e-10)
 
 
-def test_ssyt_single_box():
-    tabs = list(ssyt((1,), 2))
-    assert tabs == [((1,),), ((2,),)]
+def brute_force_monomials(lam, n):
+    """Letter counts of every tableau of shape lam in 1..n, the tableaux
+    taken row by row: each row a weakly increasing word, each column
+    strictly increasing down the rows."""
+    def tableaux(rows, above):
+        if not rows:
+            yield ()
+            return
+        for row in combinations_with_replacement(range(1, n + 1), rows[0]):
+            if all(a < b for a, b in zip(above, row)):
+                yield from ((row,) + rest for rest in tableaux(rows[1:], row))
+
+    return Counter(tuple(sum(row.count(v) for row in tab) for v in range(1, n + 1))
+                   for tab in tableaux(lam, ()))
 
 
-def test_ssyt_count_matches_product_formula():
+def test_schur_monomials_single_box():
+    assert schur_monomials((1,), 2) == Counter({(1, 0): 1, (0, 1): 1})
+
+
+def test_schur_monomials_match_brute_force_tableaux():
     # every shape in a 4 x 4 box, zero parts dropped, in 0 to 5 variables
     for box_shape in boxed_partitions(4, 4):
         lam = tuple(p for p in box_shape if p)
         for n in range(6):
-            assert len(list(ssyt(lam, n))) == schur_count_at_one(lam, n)
+            monomials = schur_monomials(lam, n)
+            assert monomials == brute_force_monomials(lam, n), (lam, n)
+            assert sum(monomials.values()) == schur_count_at_one(lam, n)
+
+
+def test_kostka_number():
+    # the two standard tableaux of shape (2, 1): K_{(2,1),(1,1,1)} = 2
+    assert schur_monomials((2, 1), 3)[(1, 1, 1)] == 2
 
 
 def test_schur_count_values():
