@@ -12,23 +12,26 @@ amplitude, exact diagonalization in the spin-configuration basis.  The
 diagonalization oracles never form the sector matrix: they split it into
 translation-momentum blocks, each real symmetric in the basis fixed by RK
 (reflection times complex conjugation), and take one real `eigh` per pair
-of momenta k, -k.  The spectral persistence sum and both amplitude sums
-share one overflow guard, `_exp_sum`.  Only the functions that use `schur`
-and `sector` import them, so the determinant routes load neither.
+of momenta k, -k.  Both amplitude sums share one overflow guard,
+`_exp_sum`.  Only the functions that use `schur` and `sector` import
+them, so the determinant routes load neither.
 
 The module body loads no numpy.  `trig_path_count` and
-`equality_of_sums_report` are exact sums in Z/P (`_trig_sum`) that load
-neither numpy nor `schur`, `kernels` or `sector`; every other public
-function works in floats and loads numpy when it runs, after its argument
-checks, size caps and a-priori float bound.
+`equality_of_sums_report` are exact sums in Z/P (`_trig_sum`), and
+`persistence_spectral` one Gram determinant in Python floats: none loads
+numpy, `schur`, `kernels` or `sector`.  Every other public function works
+in floats and loads numpy when it runs, after its argument checks, size
+caps and a-priori float bound.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from functools import lru_cache
 from itertools import accumulate, count
+from operator import mul, sub
 from typing import TYPE_CHECKING
 
 from . import core
@@ -433,30 +436,99 @@ def _binomial_sums(nvar: int, width: int, power, sign: int, modulus: int) -> lis
 
 
 def persistence_spectral(geom: ChainGeometry, n: int, t: complex) -> complex:
-    """Normalized projected-evolution ratio, by the momentum-subset sum."""
+    """Normalized projected-evolution ratio, as one N x N Gram determinant.
+
+    By Cauchy-Binet the sum over Bethe states s of exp(-t (E_s - E_g))
+    |<s|P|g>|^2, P the projection on the sites n..M, is det(W^H D W): W the
+    overlaps there of the grid and ground orbitals (`_persistence_overlaps`),
+    D_k = exp(t (cos theta_k - c)), c the mean ground cosine; equal rows of
+    W merge, their D summed.  With |D|^(1/2) W = QR (`_householder`) it is
+    conj(det R) det(Q^H D |D|^(-1/2) W), in plain floats.  The weights sum
+    to det(W^H W) <= 1, so the N largest Re(t) (cos theta_k - c) sum to the
+    float bound.
+    """
     _check_string_length(geom, n)
-    gaps, weights = _persistence_terms(geom, n)
-    return _exp_sum(-t * gaps, weights, "persistence sum", t)
+    check_sector_cap(geom)
+    if not 1 <= geom.n <= geom.m:
+        raise ValueError("ground state defined for 1 <= N <= M")
+    nvar = geom.n
+    core.admit(geom.sites * nvar ** 2, core.DEFAULT_ENUM_CAP,
+               "multiply-adds of the persistence Gram determinant")
+    cosines, groups = _persistence_overlaps(geom, n)
+    # in fsum the ground rows' own exponents cancel exactly
+    ground = [-t.real * c for c in cosines[:nvar]]
+    heaviest = sorted((t.real * c for c in cosines), reverse=True)[:nvar]
+    _check_float_range(math.fsum(heaviest + ground), f"the persistence determinant at t={t}")
+    rows = []
+    for row, ks in groups:
+        top = max(t.real * cosines[k] for k in ks)
+        total = sum(cmath.exp(t * cosines[k] - top) for k in ks)
+        if total:
+            rows.append((top + cmath.log(total), row))
+    rows.sort(key=lambda r: -r[0].real)
+    cols = [list(col) for col in zip(*(row for _, row in rows))]
+    if t.imag:
+        cols += [[cmath.exp(1j * log.imag) * a for (log, _), a in zip(rows, col)] for col in cols]
+    det = _householder(cols, [log.real / 2 for log, _ in rows], nvar)
+    # a merged row's weight may pass the bound, so exp takes half the sum
+    half = math.exp(math.fsum([log.real for log, _ in rows[:nvar]] + ground) / 2)
+    if not t.imag:
+        return complex((half * abs(det)) ** 2)
+    corner = _householder([col[:nvar] for col in cols[nvar:]], [0.0] * nvar, nvar)
+    return ((-1) ** nvar * (half * det.conjugate()) * (half * corner)
+            / cmath.exp(1j * t.imag * math.fsum(cosines[:nvar])))
 
 
 @lru_cache(maxsize=32)
-def _persistence_terms(geom: ChainGeometry,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t-independent factors of the persistence sum, per subset s.
-
-    Returns (E_s - E_ground, |B_s V(g)|^2 / (M+1)^{2N}), B_s the boxed sum of
-    s_lam(g) det(conj(phases_s)^mu) at the ground phases g: it absorbs the
-    subset Vandermonde, and the ground norm (M+1)^N / |V(g)|^2 leaves V(g).
+def _persistence_overlaps(geom: ChainGeometry, n: int) -> tuple[tuple, tuple]:
+    """cos theta_k per grid momentum k, and each distinct row of W with the
+    k where it occurs, ground rows first.  W[k, a] = sum over x = n..M of
+    exp(2 pi i d x / (M+1)) / (M+1), d = a - k, is (M+1-n) / (M+1) at d = 0
+    and else a Dirichlet kernel, exactly -1/(M+1) at n = 1: there the rows
+    off the ground merge, so no rounding splits their rank-1 block.
     """
-    table = momentum_table(geom)
-    ground = bethe_ground_state(geom)
-    import numpy as np
-    from .schur import vandermonde
-    boxed = _boxed_dets(geom, ground.phases, np.conj(table.grid_phases), n)
-    gaps = table.energies - ground.energies
-    weights = np.abs(boxed * vandermonde(ground.phases)) ** 2 / float(geom.sites) ** (2 * geom.n)
-    gaps.flags.writeable = weights.flags.writeable = False
-    return gaps, weights
+    sites, order = geom.sites, 2 * geom.sites
+    roots = [cmath.rect(1.0, math.pi * r / sites) for r in range(order)]
+    exps = momentum_exponents(geom)
+    groups: dict[tuple, list[int]] = {}
+    for k, e in enumerate(exps):
+        groups.setdefault(tuple(
+            -roots[d * (n - 1) % order] * roots[d * n % order].imag
+            / roots[d % order].imag / sites if d else complex(sites - n) / sites
+            for d in ((a - e) // 2 for a in exps[:geom.n])), []).append(k)
+    return (tuple(roots[e % order].real for e in exps),
+            tuple((row, tuple(ks)) for row, ks in groups.items()))
+
+
+def _householder(cols: list[list[complex]], half: list[float], rank: int) -> complex:
+    """Householder QR, in place, of the first `rank` columns of A, A[k, c] =
+    exp(half[k]) cols[c][k], `half` descending, reflecting the later columns
+    too.  Returns prod sigma_j nu_j, R[j, j] = -sigma_j nu_j exp(half[j]),
+    times the sign of the column swaps: det A when A is square and `half`
+    zero.  Step j weights row k by exp(half[k] - half[j]) <= 1, so nothing
+    overflows; sorted rows, and the pivot column largest in row j, keep
+    each row's error relative to that row (Powell and Reid, 1969).
+    """
+    det = 1.0
+    for j in range(rank):
+        pick = max(range(j, rank), key=lambda c: abs(cols[c][j]))
+        if pick != j:
+            cols[j], cols[pick], det = cols[pick], cols[j], -det
+        weights = [math.exp(h - half[j]) for h in half[j:]]
+        pivot = cols[j][j:]
+        head = pivot[0]
+        nu = math.hypot(*map(abs, map(mul, weights, pivot)))
+        if not nu:
+            return 0j
+        sigma = head / abs(head) if head else 1.0
+        # v = pivot + sigma nu e_j, weighted; each later b takes b - v (2 v^H b / v^H v)
+        pivot[0] = head + sigma * nu
+        dual = [w * w * z.conjugate() / (nu * (nu + abs(head))) for w, z in zip(weights, pivot)]
+        for col in cols[j + 1:]:
+            f = sum(map(mul, dual, col[j:]))
+            col[j:] = map(sub, col[j:], map(f.__mul__, pivot))
+        det *= sigma * nu
+    return det
 
 
 def persistence_exact(geom: ChainGeometry, n: int, t: complex) -> complex:

@@ -11,7 +11,7 @@ import spinpaths
 from spinpaths import checks, cli, core
 from spinpaths.chain import ChainGeometry, build_sector_hamiltonian
 from spinpaths.core import EnumerationCapError, SectorCapError
-from spinpaths.correlators import laplace_generating_f, trig_path_count
+from spinpaths.correlators import laplace_generating_f, persistence_spectral, trig_path_count
 from spinpaths.paths import enumerate_nests
 from spinpaths.schur import schur_monomials
 
@@ -34,6 +34,9 @@ BOUNDARIES = {
                      lambda: build_sector_hamiltonian(ChainGeometry(3, 1))),
     "dense-one-walker": ("DENSE_BYTES_CAP", 256, SectorCapError,
                          lambda: laplace_generating_f(ChainGeometry(3, 1), 0, 1, 0.1)),
+    # (M+1) N^2 = 5 * 2^2 multiply-adds of the persistence Gram determinant
+    "persistence-gram": ("DEFAULT_ENUM_CAP", 20, EnumerationCapError,
+                         lambda: persistence_spectral(ChainGeometry(4, 2), 1, 0.5)),
     # (5 + 8 + 18) squares of 14 coefficients, and 1^2 (1 + 4 + 16) + 2^2 (16
     # + 64 + 196) MacMahon products
     "q-chain": ("Q_CHAIN_CAP", 6076, EnumerationCapError,

@@ -124,7 +124,7 @@ CORRELATOR_DIGESTS = {
     "multi-particle": ("3d27cdc6d73388622f00e0dadb62197b969daed4a2abba53794f8d10c08691fd",
                        ["--m", "9", "--n", "3", "--j", "5,3,1", "--l", "6,3,0",
                         "--t", "0.7"]),
-    "persistence": ("af8d08d7198600bd493b0b8a09bdbd54cd21d185d3f0fcdea692bf89aa3b5bb3",
+    "persistence": ("c84ee48a59edcd4aa7bec479cf1d50b308b537580a4ea608c972177cbf4dc86a",
                     ["--m", "4", "--n", "2", "--string-n", "1", "--t", "0.5"]),
     "laplace": ("09f4070bab86fc9b175f1a7f52cdb040334458d04062a52880858dd83bbcfc3d",
                 ["--m", "5", "--j-site", "0", "--l-site", "2", "--z", "0.2"]),
@@ -137,6 +137,41 @@ def test_correlator_stdout_pinned(kind):
     out = run_cli(["correlator", "--kind", kind, *extra])
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+# the Gram determinant runs in plain floats, so no BLAS kernel can move its
+# digits; the momentum-subset sum printed other bytes under the AVX2 kernel
+SWEEP_DIGESTS = {
+    "persistence": ("a94774766c10b39b0043f64ab3f895531ac80095875535309ca0a0cd46b93d28",
+                    ["--m", "13", "--n", "5", "--string-n", "0..4", "--t", "0:0.5:10"]),
+}
+
+
+@pytest.mark.parametrize("subject", SWEEP_DIGESTS)
+def test_sweep_stdout_pinned(subject):
+    digest, extra = SWEEP_DIGESTS[subject]
+    out = run_cli(["sweep", subject, *extra])
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+# a near-full sector: the subset sum printed 0.03368209487234484, 1.2e-6 off,
+# and the correlator failed its own route check (4.19e-8 > 1e-8); at (99, 98)
+# the sweep ended in an OverflowError traceback.  The values are
+# perfbench/reference.py's, a Gram determinant taken by numpy.
+@pytest.mark.parametrize("verb, m, n, want", [
+    (["sweep", "persistence"], 49, 47, 0.0336821368055935),
+    (["correlator", "--kind", "persistence"], 49, 47, 0.0336821368055935),
+    (["sweep", "persistence"], 99, 98, 0.01118997496670821),
+], ids=["sweep-49-47", "correlator-49-47", "sweep-99-98"])
+def test_persistence_near_full_sector(verb, m, n, want):
+    out = run_cli([*verb, "--m", str(m), "--n", str(n), "--string-n", "1", "--t", "0.7"])
+    assert out.returncode == 0, out.stderr
+    if verb[0] == "sweep":
+        value = float(out.stdout.splitlines()[1].split(",")[-1])
+    else:
+        value = json.loads(out.stdout)["value"]["re"]
+    assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 ONE_PARTICLE = ["correlator", "--kind", "one-particle", "--m", "5",
@@ -218,7 +253,7 @@ def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
 VERIFY_DIGESTS = {
     "equality-of-sums": "dace4c3dfe6c8a8cf7f5b8d0888593c110f2f5a7f70da101391d238aadf8f4bb",
     "cauchy-binet": "1eb6db806084567446dfb42a485ef595cc739e48ecf828d39169dea750242270",
-    "persistence": "49cdd342d607b6fb879f9cd7e81dd8f1f4a10799728222357a17bc54dfc98364",
+    "persistence": "0f7404c4be6f8ba2ebcea908fa41b1bdcb4ecb9efa2ac9d6c4df07ba2d82804f",
     "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
     "schur-dual": "eceae4a0841159c6f367dd94325c68f1ca20e1da34ad7e0bbe5d22a91ae36e15",
     "q-chain": "9ef9d4c8bb748f1fa392a583853bb730494be0c5ddab5d5c9a8954c50d3502d4",

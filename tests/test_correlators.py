@@ -239,7 +239,8 @@ def test_multi_particle_without_walkers_is_one_at_any_t():
     # four walkers on four sites: `exp` overflows on the largest exponent
     (multi_particle_g_detailed,
      (ChainGeometry(3, 4), (3, 2, 1, 0), (3, 2, 1, 0), 1500), "4242.6"),
-    # the largest gap 2.93 at t = -800; that subset's weight is rounding noise
+    # the largest gap 2.93 at t = -800, of the two lowest cosines; their rows
+    # of W are equal, so that subset's weight is 0
     (persistence_spectral, (ChainGeometry(4, 2), 1, -800.0), "2341.6"),
 ], ids=["transition-6-3", "multi-9-3", "multi-3-4", "persistence-4-2"])
 def test_float_overflow_raised_before_numpy_overflows(route, args, bound):
@@ -703,11 +704,27 @@ def test_equality_of_sums_prices_the_trig_side_before_any_sum(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (5, 2), (6, 2)])
 def test_persistence_spectral_vs_dense(m, n):
+    # the Gram determinant meets the oracle to 1e-12, complex t included
     geom = ChainGeometry(m, n)
-    for shift in range(0, min(3, geom.k_cap + 1)):
-        for t in (0.0, 0.5, 1.0):
+    for shift in range(geom.k_cap + 1):
+        for t in (0.0, 0.5, 1.0, 2j, 3 - 4j, 0.5 - 2j):
             res = persistence_detailed(geom, shift, t)
-            assert res.route_residuals["spectral_vs_dense"] <= 1e-8
+            assert res.route_residuals["spectral_vs_dense"] <= 1e-12, (shift, t)
+
+
+# (11, 5), n = 1, against a 60-digit evaluation of det(W^H D W) (300 digits
+# at t = -60); the subset sum was 4.8e-9 off at t = -30 and printed 1.1e77
+# at t = -60, where its structurally zero weights carried rounding noise
+@pytest.mark.parametrize("t, want", [
+    (-15.0, 119542540744.9784282),
+    (-20.0, 2114252145034659.6834),
+    (-30.0, 8.5108027714736173821e23),
+    (-60.0, 9.0685096072298244e49),
+])
+def test_persistence_keeps_its_digits_at_large_negative_t(t, want):
+    got = persistence_spectral(ChainGeometry(11, 5), 1, t)
+    assert got.imag == 0.0
+    assert abs(got.real - want) <= 1e-12 * want
 
 
 def test_persistence_nan_route_raises(monkeypatch):

@@ -97,6 +97,14 @@ def test_spectral_verbs_load_no_oracle_modules(argv, absent):
     assert not modules & absent
 
 
+def test_sweep_persistence_loads_no_numpy():
+    # the Gram determinant runs in plain floats: no numpy, no subset
+    # kernels and no Schur values
+    modules = loaded_modules(SWEEP_PERSISTENCE)
+    assert "spinpaths.correlators" in modules
+    assert not modules & {"numpy", "spinpaths.kernels", "spinpaths.schur"}
+
+
 def test_persistence_oracle_loads_sector():
     modules = loaded_modules(PERSISTENCE)
     assert {"spinpaths.sector", "spinpaths.schur"} <= modules

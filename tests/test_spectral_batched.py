@@ -128,8 +128,7 @@ def test_persistence_cached_equals_cold():
     geom = ChainGeometry(6, 3)
     warm = [persistence_spectral(geom, 1, t) for t in TIMES]
     again = [persistence_spectral(geom, 1, t) for t in TIMES]
-    correlators._persistence_terms.cache_clear()
-    momentum_table.cache_clear()
+    correlators._persistence_overlaps.cache_clear()
     cold = [persistence_spectral(geom, 1, t) for t in TIMES]
     assert warm == again == cold
 
