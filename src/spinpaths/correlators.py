@@ -5,23 +5,21 @@ in t/2 (they weight a K-step walk by (t/2)^K / K!), and the persistence
 ratio uses Euclidean evolution exp(-t * H) with the full sector
 Hamiltonian.  t may be complex; real time is t = i tau.  Every spectral
 formula here has a second route and the detailed variants report the
-cross-route residuals: a determinant of the one-walker propagator (one
-`eigh` of the twisted hop matrix, sharing nothing with the analytic
-momenta), a walker count, or, for persistence and the transition
-amplitude, exact diagonalization in the spin-configuration basis.  The
-diagonalization oracles never form the sector matrix: they split it into
-translation-momentum blocks, each real symmetric in the basis fixed by RK
-(reflection times complex conjugation), and take one real `eigh` per pair
-of momenta k, -k.  Both amplitude sums share one overflow guard,
-`_exp_sum`.  Only the functions that use `schur` and `sector` import
-them, so the determinant routes load neither.
+cross-route residuals: the one-walker propagator in position space
+(Jacobi-Anger images and Taylor steps, no momenta), a walker count, or,
+for persistence and the transition amplitude, exact diagonalization in
+the spin-configuration basis.  The diagonalization oracles never form the
+sector matrix: they take one real `eigh` per pair of translation momenta
+k, -k, each block real symmetric in the basis fixed by RK (reflection
+times complex conjugation).  Both amplitude sums share one overflow
+guard, `_exp_sum`.
 
 The module body loads no numpy.  `trig_path_count` and
 `equality_of_sums_report` are exact sums in Z/P (`_trig_sum`), and
-`persistence_spectral` one Gram determinant in Python floats: none loads
-numpy, `schur`, `kernels` or `sector`.  Every other public function works
-in floats and loads numpy when it runs, after its argument checks, size
-caps and a-priori float bound.
+`multi_particle_g` and `persistence_spectral` determinants in Python
+floats: none loads numpy, `schur`, `kernels` or `sector`.  Every other
+public function works in floats and loads numpy when it runs, after its
+argument checks, size caps and a-priori float bound.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import accumulate, count
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from . import core
@@ -60,6 +58,8 @@ if TYPE_CHECKING:
 FLOAT_LOG_MAX = math.log(sys.float_info.max)
 ROUTE_TOL_DET_SPECTRAL = 1e-9
 ROUTE_TOL_AMPLITUDE = 1e-8
+TAYLOR_NORM = 2.0  # of (t/2) Delta_tw over one Taylor substep
+TAYLOR_TERMS = 26  # 2^27 / 27! e^2 < 1e-19
 
 
 class CorrelatorResult(FrozenRecord):
@@ -74,13 +74,6 @@ class CorrelatorResult(FrozenRecord):
 def _check_string_length(geom: ChainGeometry, n: int) -> None:
     if not 0 <= n <= geom.k_cap:
         raise ValueError(f"need 0 <= n <= {geom.k_cap}")
-
-
-def _check_ring_size(geom: ChainGeometry) -> None:
-    """Raise `SectorCapError` when the complex (M+1)^2 one-walker matrix is
-    over `core.DENSE_BYTES_CAP`."""
-    core.admit(geom.sites ** 2 * 16, core.DENSE_BYTES_CAP,
-               "bytes of a dense one-walker matrix", SectorCapError)
 
 
 def _minor_log_bound(geom: ChainGeometry, t: complex, nvar: int) -> float:
@@ -99,34 +92,63 @@ def _check_float_range(log_max: float, what: str) -> None:
             f"past the float maximum exp({FLOAT_LOG_MAX:.2f})")
 
 
-def one_particle_matrix(geom: ChainGeometry, t: complex,
-                        nvar: int = 1) -> np.ndarray:
-    """exp((t/2) Delta_tw), the one-walker generating functions in t/2.
-
-    Delta_tw is the ring hop matrix with the wrap-around hop signed
-    (-1)^(nvar-1): products of walker moves around the ring pick up the
-    exchange sign of the resulting cyclic permutation, so with this twist
-    an nvar-walker determinant reproduces the sector matrix element
-    exactly.  One `eigh` of the real symmetric Delta_tw serves every
-    complex t, real time t = i tau included.  Each row of the result has
-    2-norm at most exp(max Re(t) w / 2), so by Hadamard's inequality every
-    entry and every nvar x nvar minor is bounded by exp(max(nvar, 1) max
-    Re(t) w / 2), `_minor_log_bound`, read off the closed-form spectrum.
-    Before numpy loads, `SectorCapError` is raised when the matrix is over
-    `core.DENSE_BYTES_CAP`, and then `FloatOverflowError` when the bound leaves
-    the float range, so neither `exp` nor `det` can overflow.
+def one_particle_diagonals(geom: ChainGeometry, t: complex, nvar: int = 1,
+                           extra: int = 0) -> list[complex]:
+    """G = exp((t/2) Delta_tw), the one-walker generating functions in t/2,
+    by diagonal: G[x, y] = d[x - y + M].  Delta_tw = S + S^-1, S the shift
+    with S^(M+1) = sigma = (-1)^(nvar-1), is the ring hop matrix with its
+    wrap-around hop signed by the exchange sign of a cyclic move, so its
+    nvar-walker minors are sector matrix elements; G commutes with S, so
+    the column g = G e_0 gives every diagonal.  With t = a + ib, g = exp((a/2)
+    Delta_tw) g_b: Taylor substeps of norm TAYLOR_NORM (real images cancel
+    on a frustrated ring) applied to the Jacobi-Anger images g_b[x] = sum_w
+    sigma^w i^n J_n(b), n = x + w(M+1) (Taylor would take O(|b|) steps).
+    `_minor_log_bound` bounds every entry and nvar x nvar minor (Hadamard):
+    past the float range it raises `FloatOverflowError`, and then
+    `core.admit` prices the steps here plus the caller's `extra`.
     """
-    _check_ring_size(geom)
-    _check_float_range(_minor_log_bound(geom, t, nvar),
-                       f"the {nvar}-walker minors at t={t}")
-    import numpy as np
-    # sign the wrap-around bond; on the 2-site ring it is the second copy
-    # of the doubled bond
-    delta = hopping_matrix(geom.m).astype(float)
-    if nvar % 2 == 0:
-        delta[0, geom.m] = delta[geom.m, 0] = delta[0, geom.m] - 2.0
-    w, vecs = np.linalg.eigh(delta)
-    return (vecs * np.exp(t / 2.0 * w)) @ vecs.T
+    _check_float_range(_minor_log_bound(geom, t, nvar), f"the {nvar}-walker minors at t={t}")
+    sites, sigma, t = geom.sites, 1 if nvar % 2 else -1, complex(t)
+    # J_n(b) < 1e-17 max J twelve Airy widths |b|^(1/3) past the turning point
+    top = int(abs(t.imag) + 12 * abs(t.imag) ** (1 / 3)) + 20 if t.imag else 0
+    steps = math.ceil(abs(t.real) / TAYLOR_NORM)
+    core.admit(top + sites + sites * steps * TAYLOR_TERMS + extra, core.DEFAULT_ENUM_CAP,
+               "steps of the one-walker propagator routes")
+    # c_n = i^n J_n(b) = c_(-n), laid out from an even block w = lead
+    c = [(1, 1j, -1, -1j)[n % 4] * v for n, v in enumerate(_bessel_j(t.imag, top))]
+    lead = (-top // sites) & ~1
+    line = [0j] * (-top - lead * sites) + c[:0:-1] + c
+    col = [sum(line[x::2 * sites]) + sigma * sum(line[x + sites::2 * sites])
+           for x in range(sites)]
+    for _ in range(steps):
+        term = col
+        for k in range(1, TAYLOR_TERMS + 1):
+            h = t.real / (2 * steps * k)
+            term = [h * v for v in _twisted_hops(term, sigma)]
+            col = list(map(add, col, term))
+    return [sigma * v for v in col[1:]] + col
+
+
+def _twisted_hops(v: list[complex], sigma: int) -> list[complex]:
+    """Delta_tw v: each site's two ring neighbours, across the seam times sigma."""
+    return list(map(add, [sigma * v[-1]] + v[:-1], v[1:] + [sigma * v[0]]))
+
+
+def _bessel_j(b: float, top: int) -> list[float]:
+    """J_0(b), ..., J_top(b) by Miller's backward recurrence J_(n-1) =
+    (2n/b) J_n - J_(n+1) from J_(top+1) = 0, rescaled to |J_n| = |b| before
+    a step could overflow (each step grows by up to 2n/|b|, past 1e300 at
+    tiny b), and normalised by J_0 + 2 sum J_2k = 1 (Gautschi, SIAM Rev. 9,
+    1967)."""
+    vals = [0.0] * (top + 2)
+    vals[top] = 1.0
+    for n in range(top, 0, -1):
+        if 2 * n * abs(vals[n]) > 1e300 * abs(b):
+            big = abs(vals[n])
+            vals[n:] = [v / big * abs(b) for v in vals[n:]]
+        vals[n - 1] = 2 * n * vals[n] / b - vals[n + 1]
+    norm = vals[0] + 2 * math.fsum(vals[2::2])
+    return [v / norm for v in vals[:-1]]
 
 
 def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
@@ -140,7 +162,8 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     _check_endpoints(geom, (j,), (m,))
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
-    _check_ring_size(geom)
+    core.admit(geom.sites ** 2 * 16, core.DENSE_BYTES_CAP,
+               "bytes of a dense one-walker matrix", SectorCapError)
     import numpy as np
     size = geom.sites
     delta = hopping_matrix(geom.m).astype(float)
@@ -148,23 +171,6 @@ def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> com
     rhs[m] = 1.0
     sol = np.linalg.solve(np.identity(size) - z * delta, rhs)
     return complex(sol[j])
-
-
-def _det_product_spectral(m: int, j, l, t: complex) -> complex:
-    """sum_s exp(t sum cos) det(e^{i theta_s j}) det(e^{-i theta_s l}) / (M+1)^N."""
-    geom = ChainGeometry(m, len(j))
-    table = momentum_table(geom)
-    import numpy as np
-    from .kernels import stacked_dets
-
-    def alternants(mu):
-        # exp(i theta mu), not phases ** mu: ROADMAP item 6 keeps this form, and
-        # the multi-particle digest and the bitwise alternant test pin its bits
-        powers = np.exp(1j * table.grid_thetas * mu[:, None])
-        return stacked_dets(table.indices, lambda rows: powers.T[rows])
-
-    return complex(np.exp(t * table.cos_sums) / geom.sites ** geom.n @
-                   (alternants(np.array(j)) * alternants(-np.array(l))))
 
 
 def _check_endpoints(geom: ChainGeometry, j, l) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,27 +188,60 @@ def _check_endpoints(geom: ChainGeometry, j, l) -> tuple[tuple[int, ...], tuple[
 
 def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
                               l: StrictPartition, t: complex) -> CorrelatorResult:
-    """Many-walker generating function, by determinant and by spectral sum.
-
-    Coincident endpoints give an exact zero (the determinant has equal
-    rows or columns), skipping the spectral route.  Both routes' caps and
-    the float bound run before numpy loads.
-    """
+    """det G[j, l], G = exp((t/2) Delta_tw): `one_particle_diagonals` and
+    `_lu_det` for the value, checked by `_momentum_minor`, which shares no
+    code with them.  Coincident endpoints give an exact zero and no walkers
+    1; the sector cap, the float bound and one price of both routes come
+    first."""
     j, l = _check_endpoints(geom, j, l)
     if len(set(j)) != len(j) or len(set(l)) != len(l):
         return CorrelatorResult(0.0 + 0.0j)
-    nvar = len(j)
-    check_sector_cap(ChainGeometry(geom.m, nvar))
-    # no walkers: the empty determinant, and no propagator to overflow
-    gmat = one_particle_matrix(geom, t, nvar) if nvar else None
-    import numpy as np
-    det_route = complex(np.linalg.det(gmat[np.ix_(j, l)])) if nvar else 1.0 + 0.0j
-
-    spectral = _det_product_spectral(geom.m, j, l, t)
-
-    resid = route_check(spectral, det_route, ROUTE_TOL_DET_SPECTRAL,
-                        RouteMismatchError)
+    nvar, walkers = len(j), ChainGeometry(geom.m, len(j))
+    check_sector_cap(walkers)
+    if not nvar:
+        return CorrelatorResult(1.0 + 0.0j, {"det_vs_spectral": 0.0})
+    diag = one_particle_diagonals(geom, t, nvar, 3 * nvar ** 2 * geom.sites + nvar ** 3)
+    det_route = _lu_det([[diag[x - y + geom.m] for y in l] for x in j])
+    spectral = _momentum_minor(walkers, j, l, t)
+    resid = route_check(spectral, det_route, ROUTE_TOL_DET_SPECTRAL, RouteMismatchError)
     return CorrelatorResult(det_route, {"det_vs_spectral": resid})
+
+
+def _momentum_minor(geom: ChainGeometry, j, l, t: complex) -> complex:
+    """det G[j, l] in momentum space, no entry of G formed: G[j, l] = Z^H
+    Y / (M+1), Z[k, a] = exp(h_k - i theta_k j_a) and Y[k, b] = exp(h_k + i
+    Im(t cos theta_k) - i theta_k l_b), h_k = Re(t cos theta_k) / 2, over
+    the N-walker `momentum_exponents`.  With Z = QR by `_householder`, rows
+    by descending h, det G = conj(det R) det((Q^H Y)[:N]) / (M+1)^N: the
+    momentum-subset sum of Cauchy-Binet, each row at its own scale, so the
+    rounding of the heaviest rows cannot swamp the lighter ones."""
+    sites, order, nvar = geom.sites, 2 * geom.sites, len(j)
+    roots = [cmath.rect(1.0, math.pi * r / sites) for r in range(order)]
+    logs = sorted(((t * roots[e % order].real, e) for e in momentum_exponents(geom)),
+                  key=lambda r: -r[0].real)
+    cols = [[roots[-e * x % order] for _, e in logs] for x in j]
+    cols += [[cmath.exp(1j * log.imag) * roots[-e * y % order] for log, e in logs] for y in l]
+    half = [log.real / 2 for log, _ in logs]
+    det = _householder(cols, half, nvar).conjugate() / sites ** nvar
+    corner = _householder([col[:nvar] for col in cols[nvar:]], [0.0] * nvar, nvar)
+    return (-1) ** nvar * det * corner * math.exp(math.fsum(half[:nvar]) * 2)
+
+
+def _lu_det(rows: list[list[complex]]) -> complex:
+    """det by LU with partial pivoting, in place."""
+    det = 1.0 + 0.0j
+    for c in range(len(rows)):
+        pick = max(range(c, len(rows)), key=lambda r: abs(rows[r][c]))
+        if pick != c:
+            rows[c], rows[pick], det = rows[pick], rows[c], -det
+        pivot = rows[c][c]
+        if not pivot:
+            return 0j
+        det *= pivot
+        for row in rows[c + 1:]:
+            f = row[c] / pivot
+            row[c:] = [a - f * b for a, b in zip(row[c:], rows[c][c:])]
+    return det
 
 
 def multi_particle_g(geom: ChainGeometry, j, l, t: complex) -> complex:

@@ -11,7 +11,8 @@ import spinpaths
 from spinpaths import checks, cli, core
 from spinpaths.chain import ChainGeometry, build_sector_hamiltonian
 from spinpaths.core import EnumerationCapError, SectorCapError
-from spinpaths.correlators import laplace_generating_f, persistence_spectral, trig_path_count
+from spinpaths.correlators import (laplace_generating_f, multi_particle_g_detailed,
+                                   persistence_spectral, trig_path_count)
 from spinpaths.paths import enumerate_nests
 from spinpaths.schur import schur_monomials
 
@@ -37,6 +38,12 @@ BOUNDARIES = {
     # (M+1) N^2 = 5 * 2^2 multiply-adds of the persistence Gram determinant
     "persistence-gram": ("DEFAULT_ENUM_CAP", 20, EnumerationCapError,
                          lambda: persistence_spectral(ChainGeometry(4, 2), 1, 0.5)),
+    # at t = 0.5 + 1.5i: top = int(1.5 + 12 * 1.5^(1/3)) + 20 = 35 Bessel orders,
+    # 5 sites, 5 sites * 1 Taylor substep * 26 terms, 3 * 2^2 * 5 for the
+    # momentum QR and 2^3 for the LU
+    "propagators": ("DEFAULT_ENUM_CAP", 238, EnumerationCapError,
+                    lambda: multi_particle_g_detailed(ChainGeometry(4, 2), (3, 1), (2, 0),
+                                                      0.5 + 1.5j)),
     # (5 + 8 + 18) squares of 14 coefficients, and 1^2 (1 + 4 + 16) + 2^2 (16
     # + 64 + 196) MacMahon products
     "q-chain": ("Q_CHAIN_CAP", 6076, EnumerationCapError,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from spinpaths import core, correlators, paths, schur
-from spinpaths.chain import ChainGeometry, hopping_matrix
+from spinpaths.chain import ChainGeometry
 from spinpaths.core import FLOAT_GRID_CAP, EnumerationCapError
 from spinpaths.cli import VERBS, _parse_float_range, _parse_range, build_parser, main
 from spinpaths.paths import count_random_turns_paths
@@ -121,7 +121,7 @@ def test_correlator_persistence():
 # digests of the stdout printed when each kind built its own output dict;
 # the one builder over `CorrelatorResult` must print the same bytes
 CORRELATOR_DIGESTS = {
-    "multi-particle": ("3d27cdc6d73388622f00e0dadb62197b969daed4a2abba53794f8d10c08691fd",
+    "multi-particle": ("8aa0c90bc3a1633aa28e62f00532d202f8f3cc813d388f0b4c1aaf8cc692d9de",
                        ["--m", "9", "--n", "3", "--j", "5,3,1", "--l", "6,3,0",
                         "--t", "0.7"]),
     "persistence": ("c84ee48a59edcd4aa7bec479cf1d50b308b537580a4ea608c972177cbf4dc86a",
@@ -221,25 +221,23 @@ def test_one_walker_kinds_refuse_j_and_l(kind):
 
 
 def test_one_particle_is_the_one_walker_determinant(capsys):
-    # the 1 x 1 determinant may move the last bit of the matrix entry
+    # the 1 x 1 determinant may move the last bit of the entry G[0, 2]
     assert main(ONE_PARTICLE) == 0
     doc = json.loads(capsys.readouterr().out)
-    want = correlators.one_particle_matrix(ChainGeometry(5, 1), 0.7)[0, 2]
+    want = correlators.one_particle_diagonals(ChainGeometry(5, 1), 0.7)[0 - 2 + 5]
     value = complex(doc["value"]["re"], doc["value"]["im"])
     assert value == pytest.approx(complex(want), rel=1e-15, abs=0)
     assert doc["route_residuals"]["det_vs_spectral"] < 1e-9
 
 
 def test_one_particle_catches_a_dropped_wrap_bond(monkeypatch, capsys):
-    # without the bond between sites M and 0 the ring is an open chain: the
-    # determinant route changes (0.06443 to 0.06315), the momentum sum does not
-    def open_chain(m):
-        delta = hopping_matrix(m)
-        delta[0, m] -= 1
-        delta[m, 0] -= 1
-        return delta
+    # without the bond between sites M and 0 the Taylor steps walk an open
+    # chain: the position route changes (0.06443 to 0.00064), the momentum
+    # sums do not
+    def open_chain(v, sigma):
+        return [a + b for a, b in zip([0] + v[:-1], v[1:] + [0])]
 
-    monkeypatch.setattr(correlators, "hopping_matrix", open_chain)
+    monkeypatch.setattr(correlators, "_twisted_hops", open_chain)
     assert main(ONE_PARTICLE) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -611,9 +609,7 @@ def test_walker_verbs_over_the_cap_exit_3(verb):
 
 
 @pytest.mark.parametrize("kind", [
-    ["one-particle", "--j-site", "0", "--l-site", "2", "--t", "0.7"],
     ["laplace", "--j-site", "0", "--l-site", "2", "--z", "0.2"],
-    ["multi-particle", "--n", "1", "--j", "0", "--l", "2", "--t", "0.7"],
 ], ids=lambda kind: kind[0])
 def test_dense_one_walker_matrix_over_the_cap_exit_3(kind):
     # the (M+1)^2 complex one-walker matrix at M = 20000 takes 6.4 GB: under
@@ -625,6 +621,26 @@ def test_dense_one_walker_matrix_over_the_cap_exit_3(kind):
     assert out.returncode == 3, out.stderr
     assert out.stdout == ""
     assert json.loads(out.stderr)["error"] == "cap-exceeded"
+
+
+@pytest.mark.parametrize("m, kind", [
+    ("8191", ["one-particle", "--j-site", "0", "--l-site", "2"]),
+    ("20000", ["one-particle", "--j-site", "0", "--l-site", "2"]),
+    ("20000", ["multi-particle", "--n", "1", "--j", "0", "--l", "2"]),
+], ids=lambda arg: arg if isinstance(arg, str) else arg[0])
+def test_one_walker_propagator_needs_no_dense_matrix(m, kind):
+    # --m 8191 was priced at exactly 2^30 bytes of a dense matrix and never
+    # finished its eigh; --m 20000 was refused.  The propagator's column
+    # takes O(M) memory and, at t = 0.7, a few hundred thousand steps
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "correlator",
+                          "--kind", kind[0], "--m", m, *kind[1:], "--t", "0.7"],
+                         capture_output=True, text=True, timeout=10,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    # the line's I_2(0.7) = 0.063790: walks around so long a ring add nothing
+    assert doc["value"]["re"] == pytest.approx(0.063790, abs=1e-6)
+    assert doc["route_residuals"]["det_vs_spectral"] < 1e-12
 
 
 @pytest.mark.parametrize("m,n,digest", [

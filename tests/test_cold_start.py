@@ -160,7 +160,7 @@ def test_propagator_without_walkers_is_bounded_before_numpy(m, t, line):
     body = ("from spinpaths.chain import ChainGeometry\n"
             "from spinpaths import correlators\n"
             "try:\n"
-            f"    correlators.one_particle_matrix(ChainGeometry({m}, 1), {t!r}, 0)\n"
+            f"    correlators.one_particle_diagonals(ChainGeometry({m}, 1), {t!r}, 0)\n"
             "except correlators.FloatOverflowError as exc:\n"
             "    code = str(exc)")
     assert probe(body) == {

@@ -27,8 +27,8 @@ from spinpaths.correlators import (
     laplace_generating_f,
     multi_particle_g,
     multi_particle_g_detailed,
+    one_particle_diagonals,
     one_particle_g,
-    one_particle_matrix,
     persistence_detailed,
     persistence_exact,
     persistence_spectral,
@@ -48,11 +48,19 @@ from spinpaths.schur import (
     schur_evaluate,
     schur_values,
 )
+from det_product_spectral import det_product_spectral
 
 RNG = np.random.default_rng(515)
 
 
 # ---------------------------------------------------------------- one walker
+
+def one_particle_matrix(geom, t, nvar=1):
+    """exp((t/2) Delta_tw) from its diagonals, G[x, y] = d[x - y + M]."""
+    diag = one_particle_diagonals(geom, t, nvar)
+    return np.array([[diag[x - y + geom.m] for y in range(geom.sites)]
+                     for x in range(geom.sites)])
+
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6])
 def test_one_particle_matches_series_oracle(m):
@@ -113,6 +121,16 @@ def test_one_particle_g_real_time_matches_expm():
     want = expm(30j * hopping_matrix(4))[0, 0]
     got = one_particle_g(ChainGeometry(4, 1), 0, 0, 60j)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [1e-20, 1e-100, 1e-300, 1e-320, 5e-324])
+def test_one_particle_keeps_tiny_real_times(tau):
+    # one step of the Bessel recurrence grows by 2n / tau: past the float
+    # range unless it rescales first.  G[1, 0] = i J_1(tau) + images = i tau / 2
+    # and G[2, 0] = -J_2(tau) = -tau^2 / 8 to every float digit
+    geom = ChainGeometry(5, 1)
+    assert one_particle_g(geom, 1, 0, 1j * tau) == pytest.approx(0.5j * tau, rel=1e-15)
+    assert one_particle_g(geom, 2, 0, 1j * tau) == pytest.approx(-tau * tau / 8, rel=1e-15)
 
 
 def test_one_particle_raises_float_overflow():
@@ -198,6 +216,26 @@ def test_multi_particle_real_time_routes_agree(tau):
     assert res.value == pytest.approx(want, abs=1e-9)
 
 
+# at large real t the minors cancel: a route that rounds the entries of G
+# first keeps no digits (0.0 at (2,2), 3.2 relative at (9,3)), while the
+# momentum QR, like the subset sum, keeps each row at its own scale
+@pytest.mark.parametrize("m, j, l, t", [
+    (2, (2, 0), (2, 0), -30.0),
+    (9, (5, 3, 1), (6, 3, 0), 90.0),
+    (9, (5, 3, 1), (6, 3, 0), 200.0),
+])
+def test_momentum_route_keeps_its_digits_at_large_real_t(m, j, l, t):
+    got = correlators._momentum_minor(ChainGeometry(m, len(j)), j, l, t)
+    assert relative_residual(got, det_product_spectral(m, j, l, t)) <= 1e-12 * abs(got)
+
+
+def test_multi_particle_raises_where_the_position_route_cancels():
+    # the true value is 2.18e6; the position route rounds it to 0.0, and a
+    # momentum route that formed G agreed, so the check passed a wrong value
+    with pytest.raises(RouteMismatchError):
+        multi_particle_g_detailed(ChainGeometry(2, 2), (2, 0), (2, 0), -30.0)
+
+
 def test_multi_particle_large_t_raises_float_overflow():
     # the true value is about 1.6e339 = exp(780.8); the minors are bounded
     # by exp(3 * 300), past the float maximum exp(709.78)
@@ -258,10 +296,13 @@ def test_residual_of_an_overflowing_modulus_fails_the_check():
 
 
 def test_multi_particle_nan_route_raises(monkeypatch):
-    monkeypatch.setattr(correlators, "_det_product_spectral",
-                        lambda *args: complex("nan"))
-    with pytest.raises(RouteMismatchError):
-        multi_particle_g_detailed(ChainGeometry(4, 2), (3, 1), (2, 0), 0.5)
+    # a NaN from either propagator fails the check, whichever side it is on
+    for route, nan in [("_momentum_minor", complex("nan")),
+                       ("one_particle_diagonals", [complex("nan")] * 9)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(correlators, route, lambda *args: nan)
+            with pytest.raises(RouteMismatchError):
+                multi_particle_g_detailed(ChainGeometry(4, 2), (3, 1), (2, 0), 0.5)
 
 
 def test_multi_particle_coincident_endpoints_vanish():

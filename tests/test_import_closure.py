@@ -105,6 +105,20 @@ def test_sweep_persistence_loads_no_numpy():
     assert not modules & {"numpy", "spinpaths.kernels", "spinpaths.schur"}
 
 
+@pytest.mark.parametrize("argv", [
+    MULTI_PARTICLE,
+    ["correlator", "--kind", "one-particle", "--m", "5", "--j-site", "0",
+     "--l-site", "2", "--t", "0.7"],
+], ids=["multi-particle", "one-particle"])
+def test_walker_correlators_load_no_numpy(argv):
+    # both propagators run in plain floats: no numpy, no subset kernels, no
+    # Schur values and no translation orbits
+    modules = loaded_modules(argv)
+    assert "spinpaths.correlators" in modules
+    assert not modules & {"numpy", "spinpaths.kernels", "spinpaths.schur",
+                          "spinpaths.sector"}
+
+
 def test_persistence_oracle_loads_sector():
     modules = loaded_modules(PERSISTENCE)
     assert {"spinpaths.sector", "spinpaths.schur"} <= modules

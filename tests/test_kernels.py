@@ -10,6 +10,7 @@ from spinpaths.core import ChainGeometry
 from spinpaths.kernels import SUBSET_BLOCK, stacked_dets, subset_rows
 from spinpaths.partitions import lambda_to_mu, shifted_boxed_partitions
 from spinpaths.schur import jacobi_trudi_rows, schur_values, vandermonde
+from det_product_spectral import det_product_spectral
 
 RNG = np.random.default_rng(7)
 
@@ -66,7 +67,7 @@ def test_alternant_stacks_are_bitwise_per_subset(m, n):
 
     cos_sums = np.array([np.sum(np.cos(subset_thetas(geom, s))) for s in subsets(geom)])
     want = complex(np.exp(0.3 * cos_sums) / geom.sites ** n @ (alternants(j) * alternants(-l)))
-    got = correlators._det_product_spectral(m, tuple(j), tuple(l), 0.3)
+    got = det_product_spectral(m, tuple(j), tuple(l), 0.3)
     assert got == want
 
 

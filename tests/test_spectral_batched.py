@@ -26,6 +26,7 @@ from spinpaths.correlators import (
 )
 from spinpaths.schur import vandermonde
 from cauchy_binet_float import cauchy_binet_enum
+from det_product_spectral import det_product_spectral
 
 RNG = np.random.default_rng(2024)
 # the batched sums accumulate in another order than the loops
@@ -135,6 +136,8 @@ def test_persistence_cached_equals_cold():
 
 @pytest.mark.parametrize("m,n", DET_GEOMETRIES)
 def test_multi_particle_spectral_matches_loop(m, n):
+    # the momentum route's one N x N determinant against the subset sum it
+    # collapses, batched and one subset at a time
     geom = ChainGeometry(m, n)
     for t in TIMES:
         j, l = random_subset(m, n), random_subset(m, n)
@@ -142,9 +145,10 @@ def test_multi_particle_spectral_matches_loop(m, n):
         def weight(c):
             return np.exp(t * c)
 
-        got = correlators._det_product_spectral(m, j, l, t)
+        got = correlators._momentum_minor(geom, j, l, t)
+        assert close(got, det_product_spectral(m, j, l, t))
         assert close(got, ref_det_product_sum(geom, j, l, weight))
-        assert got == correlators._det_product_spectral(m, j, l, t)
+        assert got == correlators._momentum_minor(geom, j, l, t)
 
 
 @pytest.mark.parametrize("m,n", DET_GEOMETRIES)
