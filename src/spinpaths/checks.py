@@ -1,9 +1,10 @@
 """The identities `spinpaths verify` machine-checks, in one registry.
 
 Every float check passes by `core.within_bound`, as the route checks do,
-and every integer one only on equality; `cauchy-binet` is one of these,
-taken at random integer points.  Each check imports what it uses when it
-runs, numpy and `correlators` included.
+and every integer one only on equality; `cauchy-binet` and `schur-dual`
+are two of these, taken at random integer points.  Each check imports what
+it uses when it runs, numpy and `correlators` included, and prices its
+trials before the first one runs.
 """
 
 import math
@@ -11,7 +12,6 @@ import sys
 
 from . import core
 
-SCHUR_DUAL_TOL = 1e-10
 EXACT_TOL = 0.0  # an exact identity has residual 0 when it holds, else 1
 
 
@@ -38,6 +38,8 @@ def _cauchy_binet(args) -> list[dict]:
     # the minor recursion expands each minor on k rows along its last row
     core.admit(sum(k * math.comb(width, k) for k in range(nvar + 1)) * args.trials,
                core.DEFAULT_ENUM_CAP, "minor products")
+    # one output row per trial, priced as the points of a sweep are
+    core.admit(args.trials, core.FLOAT_GRID_CAP, "trials")
     import random
     rng, points, out = random.Random(args.seed), range(-512, 513), []
     for trial in range(args.trials):
@@ -107,25 +109,33 @@ def _macmahon(args) -> list[dict]:
 
 
 def _schur_dual(args) -> list[dict]:
+    # det(x_j^mu_k) = V(x) s_lam(x) in integers at integer points: exact, and
+    # a wrong expansion passes a trial as rarely as in `_cauchy_binet`
     from . import partitions, schur
-    core.admit(math.comb(args.n + args.length, args.n), core.DEFAULT_ENUM_CAP, "boxed shapes")
+    nvar, shapes = args.n, math.comb(args.n + args.length, args.n)
+    core.admit(shapes, core.DEFAULT_ENUM_CAP, "boxed shapes")
     tableaux = 0
-    for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
-        tableaux += schur.schur_count_at_one(lam, args.n)
+    for lam in partitions.shifted_boxed_partitions(nvar, args.length, 0):
+        tableaux += schur.schur_count_at_one(lam, nvar)
         core.admit(tableaux, core.DEFAULT_ENUM_CAP, "tableaux")
-    import numpy as np
-    rng = np.random.default_rng(args.seed)
-    resids = {}  # per shape, one residual per trial
-    for lam in partitions.shifted_boxed_partitions(args.n, args.length, 0):
-        monomials = schur.schur_monomials(lam, args.n)
-        for _ in range(args.trials):
-            x = rng.normal(size=args.n) + 1j * rng.normal(size=args.n)
-            resids.setdefault(lam, []).append(core.relative_residual(
-                schur.schur_determinant(lam, x),
-                schur.schur_from_monomials(monomials, x)))
-    # np.max keeps a NaN, so one NaN trial fails its shape
-    return [_check(np.max(r), SCHUR_DUAL_TOL, shape=list(lam))
-            for lam, r in resids.items()]
+    # per trial, N 2^(N-1) minor products per shape and one per tableau
+    core.admit((shapes * nvar * 2 ** (nvar - 1) + tableaux) * args.trials,
+               core.DEFAULT_ENUM_CAP, "products of the trials")
+    if args.trials < 1:
+        return []
+    import random
+    rng, points, out = random.Random(args.seed), range(-512, 513), []
+    for lam in partitions.shifted_boxed_partitions(nvar, args.length, 0):
+        monomials, mu = schur.schur_monomials(lam, nvar), partitions.lambda_to_mu(lam, nvar)
+        equal = True
+        for x in (rng.sample(points, nvar) for _ in range(args.trials)):
+            # the minor on the columns mu ascending, as V(x) is on 0..N-1
+            rows = [[v ** m for m in reversed(mu)] for v in x]
+            vand = math.prod(b - a for i, b in enumerate(x) for a in x[:i])
+            equal &= partitions.column_minors(rows, rows)[tuple(range(nvar))][0] == vand * sum(
+                mult * math.prod(map(pow, x, expo)) for expo, mult in monomials.items())
+        out.append(_check(float(not equal), EXACT_TOL, shape=list(lam)))
+    return out
 
 
 def _q_size(n: int, k: int) -> int:

@@ -9,9 +9,9 @@ from math import comb, inf
 
 DEFAULT_ENUM_CAP = 10_000_000  # terms of one enumeration or walker route
 DEFAULT_SECTOR_CAP = 50_000  # states of one sector, or its momentum subsets
-DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector or one-walker matrix
+DENSE_BYTES_CAP = 2 ** 30  # bytes of one dense sector matrix
 Q_CHAIN_CAP = 10 ** 9  # coefficient products of one `verify q-chain` or `macmahon`
-FLOAT_GRID_CAP = 10 ** 6  # points of one a..b range or start:step:stop grid
+FLOAT_GRID_CAP = 10 ** 6  # points of one a..b or start:step:stop grid, or verify trials
 MACMAHON_WORD_CAP = 2 * 10 ** 9  # about 3 s of `sweep macmahon` products
 
 

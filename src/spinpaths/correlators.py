@@ -11,15 +11,13 @@ for persistence and the transition amplitude, exact diagonalization in
 the spin-configuration basis.  The diagonalization oracles never form the
 sector matrix: they take one real `eigh` per pair of translation momenta
 k, -k, each block real symmetric in the basis fixed by RK (reflection
-times complex conjugation).  Both amplitude sums share one overflow
-guard, `_exp_sum`.
+times complex conjugation).  No route sums over momentum subsets: each
+such sum is one N x N determinant by Cauchy-Binet (`_cauchy_binet_qr`).
 
-The module body loads no numpy.  `trig_path_count` and
-`equality_of_sums_report` are exact sums in Z/P (`_trig_sum`), and
-`multi_particle_g` and `persistence_spectral` determinants in Python
-floats: none loads numpy, `schur`, `kernels` or `sector`.  Every other
-public function works in floats and loads numpy when it runs, after its
-argument checks, size caps and a-priori float bound.
+The module body loads no numpy.  Only the two oracles load it, when they
+run, after their argument checks and size caps; every other route is an
+exact sum in Z/P (`_trig_sum`) or plain Python floats, and loads neither
+`kernels` nor `sector`.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ from .chain import (
     bethe_ground_state,
     bethe_vector,
     check_sector_cap,
-    hopping_matrix,
     momentum_exponents,
-    momentum_table,
     sector_sites,
 )
 from .core import (
@@ -47,7 +43,6 @@ from .core import (
     FloatOverflowError,
     FrozenRecord,
     RouteMismatchError,
-    SectorCapError,
     route_check,
 )
 from .partitions import StrictPartition, column_minors
@@ -158,19 +153,15 @@ def one_particle_g(geom: ChainGeometry, j: int, m: int, t: complex) -> complex:
 
 
 def laplace_generating_f(geom: ChainGeometry, j: int, m: int, z: complex) -> complex:
-    """Ordinary generating function sum_K z^K (Delta^K)_{jm}, via a linear solve."""
+    """Ordinary generating function sum_K z^K (Delta^K)_{jm}: the line's r^|x|
+    / s, s = sqrt(1 - 4z^2), r = 2z / (1 + s), summed over the ring's images
+    x = (j - m) mod (M+1) + w(M+1), which at M = 1 double the bond."""
     _check_endpoints(geom, (j,), (m,))
     if abs(z) >= 0.5:
         raise ValueError("need |z| < 1/2 (spectral radius of the hop matrix is 2)")
-    core.admit(geom.sites ** 2 * 16, core.DENSE_BYTES_CAP,
-               "bytes of a dense one-walker matrix", SectorCapError)
-    import numpy as np
-    size = geom.sites
-    delta = hopping_matrix(geom.m).astype(float)
-    rhs = np.zeros(size, dtype=complex)
-    rhs[m] = 1.0
-    sol = np.linalg.solve(np.identity(size) - z * delta, rhs)
-    return complex(sol[j])
+    sites, s = geom.sites, cmath.sqrt(1 - 4 * z * z)
+    r, d = 2 * z / (1 + s), (j - m) % sites
+    return (r ** d + r ** (sites - d)) / ((1 - r ** sites) * s)
 
 
 def _check_endpoints(geom: ChainGeometry, j, l) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,21 +199,28 @@ def multi_particle_g_detailed(geom: ChainGeometry, j: StrictPartition,
 
 
 def _momentum_minor(geom: ChainGeometry, j, l, t: complex) -> complex:
-    """det G[j, l] in momentum space, no entry of G formed: G[j, l] = Z^H
-    Y / (M+1), Z[k, a] = exp(h_k - i theta_k j_a) and Y[k, b] = exp(h_k + i
-    Im(t cos theta_k) - i theta_k l_b), h_k = Re(t cos theta_k) / 2, over
-    the N-walker `momentum_exponents`.  With Z = QR by `_householder`, rows
-    by descending h, det G = conj(det R) det((Q^H Y)[:N]) / (M+1)^N: the
-    momentum-subset sum of Cauchy-Binet, each row at its own scale, so the
-    rounding of the heaviest rows cannot swamp the lighter ones."""
-    sites, order, nvar = geom.sites, 2 * geom.sites, len(j)
+    """det G[j, l] in momentum space, no entry of G formed: G[j, l] = Z^H D
+    Y / (M+1), Z[k, a] = exp(-i theta_k j_a), Y[k, b] = exp(-i theta_k l_b)
+    and D_k = exp(t cos theta_k) over the N-walker `momentum_exponents`."""
+    sites, order, exps = geom.sites, 2 * geom.sites, momentum_exponents(geom)
     roots = [cmath.rect(1.0, math.pi * r / sites) for r in range(order)]
-    logs = sorted(((t * roots[e % order].real, e) for e in momentum_exponents(geom)),
-                  key=lambda r: -r[0].real)
-    cols = [[roots[-e * x % order] for _, e in logs] for x in j]
-    cols += [[cmath.exp(1j * log.imag) * roots[-e * y % order] for log, e in logs] for y in l]
-    half = [log.real / 2 for log, _ in logs]
-    det = _householder(cols, half, nvar).conjugate() / sites ** nvar
+    return _cauchy_binet_qr([[roots[-e * x % order] for e in exps] for x in j],
+                            [[roots[-e * y % order] for e in exps] for y in l],
+                            [t * roots[e % order].real for e in exps], sites ** len(j))
+
+
+def _cauchy_binet_qr(left: list[list[complex]], right: list[list[complex]],
+                     logs: list[complex], scale: float) -> complex:
+    """det(A^H diag(exp(logs)) B) / scale, A and B given by their N columns
+    over the K rows of `logs`: the sum over N-sets of rows of Cauchy-Binet.
+    Rows by descending Re(log), exp(Re(log) / 2) A = QR (`_householder`),
+    it is conj(det R) det((Q^H B')[:N]), B' = exp(log - Re(log) / 2) B:
+    each row at its own scale, so the heaviest cannot swamp the lighter."""
+    nvar, perm = len(left), sorted(range(len(logs)), key=lambda k: -logs[k].real)
+    cols = [[col[k] for k in perm] for col in left]
+    cols += [[cmath.exp(1j * logs[k].imag) * col[k] for k in perm] for col in right]
+    half = [logs[k].real / 2 for k in perm]
+    det = _householder(cols, half, nvar).conjugate() / scale
     corner = _householder([col[:nvar] for col in cols[nvar:]], [0.0] * nvar, nvar)
     return (-1) ** nvar * det * corner * math.exp(math.fsum(half[:nvar]) * 2)
 
@@ -312,13 +310,9 @@ def _trig_ring(order: int, bound: int) -> tuple[int, int]:
 
 def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
                                   n: int, t: complex) -> CorrelatorResult:
-    """Projected evolution amplitude between two Schur-parametrized states.
-
-    `u_sq` and `v_inv_sq` are the spectral-parameter vectors the two
-    states' Schur amplitudes are evaluated at.  The value is the
-    momentum-subset spectral sum with two boxed Cauchy-Binet kernels,
-    checked against the block-diagonalization oracle.
-    """
+    """Projected evolution amplitude between two Schur-parametrized states,
+    their Schur amplitudes taken at `u_sq` and `v_inv_sq`: the spectral
+    sum, checked against the block-diagonalization oracle."""
     nvar = geom.n
     u_sq = tuple(complex(v) for v in u_sq)
     v_inv_sq = tuple(complex(v) for v in v_inv_sq)
@@ -334,48 +328,34 @@ def transition_amplitude_detailed(geom: ChainGeometry, u_sq, v_inv_sq,
 def _transition_spectral(geom: ChainGeometry, u_sq, v_inv_sq, n: int,
                          t: complex) -> complex:
     """Momentum-subset sum of exp(t sum cos) |V|^2 CB(v, p) CB(conj p, u).
-
-    V(p) CB(v, p) is the boxed sum of s_lam(v) det(p^mu): one Jacobi-Trudi
-    determinant per subset, at coincident parameters too.
-    """
-    table = momentum_table(geom)
-    import numpy as np
-    weights = (_boxed_dets(geom, v_inv_sq, table.grid_phases, n) *
-               _boxed_dets(geom, u_sq, np.conj(table.grid_phases), n)) / geom.sites ** geom.n
-    return _exp_sum(t * table.cos_sums, weights,
-                    "amplitude sum", t)
-
-
-def _exp_sum(exponent: np.ndarray, weights: np.ndarray, what: str,
-             t: complex) -> complex:
-    """exp(exponent) @ weights.  Each term is at most exp(max Re(exponent))
-    times its |weight|, so `FloatOverflowError` is raised, before `exp`
-    runs, when max Re(exponent) + log max(1, sum |weights|) leaves the
-    float range."""
-    import numpy as np
-    _check_float_range(exponent.real.max() + np.log(max(1.0, np.abs(weights).sum())),
-                       f"the {what} at t={t}")
-    return complex(np.exp(exponent) @ weights)
-
-
-def _boxed_dets(geom: ChainGeometry, x, grid: np.ndarray, n: int) -> np.ndarray:
-    """sum_lam s_lam(x) det(p_s^mu) over the boxed shapes, per momentum
-    subset s, p_s the points of the (M+1,) `grid` at its indices: by
-    Cauchy-Binet, (prod x prod p_s)^n det(JT(x) P_s), P_s[m, c] = p_{s,c}^m
-    for m < K-n+N.  JT(x) P_s is the minor on the columns s of one (N, M+1)
-    table, the Jacobi-Trudi rows evaluated by Horner at every grid point.
-    Rows over m = n..K+N-1 instead would lose digits.
-    """
-    import numpy as np
-    from .kernels import stacked_dets
+    V(p) CB(v, p), the boxed sum of s_lam(v) det(p^mu), is (prod v prod
+    p)^n det(T_v P), T_x the flagged Jacobi-Trudi rows (exact at coincident
+    parameters too) and P[m, c] = p_c^m; by Cauchy-Binet the sum is (prod u
+    prod v)^n det(T_v D T_u^T) / (M+1)^N, T_x by Horner at each grid point
+    (conjugated for u) and D_k = exp(t cos theta_k).  By Cauchy-Schwarz its
+    modulus is at most exp(the N largest Re(t cos theta_k)) times that
+    prefactor and |det R| of each side's unweighted QR: the float bound."""
+    check_sector_cap(geom)
+    nvar, sites, width = geom.n, geom.sites, geom.k_cap - n + geom.n
+    core.admit(2 * sites * nvar * (width + 2 * nvar), core.DEFAULT_ENUM_CAP,
+               "multiply-adds of the amplitude's Jacobi-Trudi rows and QRs")
     from .schur import jacobi_trudi_rows
-    rows_jt = jacobi_trudi_rows(x, geom.k_cap - n + geom.n)
-    table = np.zeros((geom.n, geom.sites), dtype=complex)
-    for coeff in rows_jt.T[::-1]:
-        table = table * grid + coeff[:, None]
-    indices = momentum_table(geom).indices
-    dets = stacked_dets(indices, lambda rows: table[:, rows].transpose(1, 0, 2))
-    return (np.prod(x) * np.prod(grid[indices], axis=1)) ** n * dets
+    points = [cmath.rect(1.0, -math.pi * e / sites) for e in momentum_exponents(geom)]
+    left, right = [], []
+    # conj(T_v(p)) is T_conj(v)(conj p)
+    for side, x in ((left, [a.conjugate() for a in v_inv_sq]), (right, u_sq)):
+        for row in jacobi_trudi_rows(x, width):
+            vals = [0j] * sites
+            for c in reversed(row):
+                vals = [a * p + c for a, p in zip(vals, points)]
+            side.append(vals)
+    logs, prefactor = [t * p.real for p in points], (math.prod(u_sq) * math.prod(v_inv_sq)) ** n
+    size = abs(prefactor) / sites ** nvar * math.prod(
+        abs(_householder([c[:] for c in side], [0.0] * sites, nvar)) for side in (left, right))
+    heaviest = math.fsum(sorted((log.real for log in logs), reverse=True)[:nvar])
+    _check_float_range(heaviest + (math.log(size) if size else -math.inf),
+                       f"the amplitude sum at t={t}")
+    return complex(prefactor * _cauchy_binet_qr(left, right, logs, sites ** nvar))
 
 
 def transition_amplitude(geom: ChainGeometry, u_sq, v_inv_sq,
@@ -400,7 +380,11 @@ def transition_amplitude_exact(geom: ChainGeometry, u_sq, v_inv_sq,
     left[proj] = np.conj(schur_values(v_inv_sq, sites[proj]))
     right[proj] = schur_values(u_sq, sites[proj])
     w, (lhs, rhs) = _adjacency_spectrum(orbits, np.array([left, right]))
-    return _exp_sum(t / 2.0 * w, np.conj(lhs) * rhs, "amplitude oracle", t)
+    exponent, weights = t / 2.0 * w, np.conj(lhs) * rhs
+    # each term is at most exp(max Re(exponent)) times its |weight|
+    _check_float_range(exponent.real.max() + np.log(max(1.0, np.abs(weights).sum())),
+                       f"the amplitude oracle at t={t}")
+    return complex(np.exp(exponent) @ weights)
 
 
 def _adjacency_spectrum(orbits, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

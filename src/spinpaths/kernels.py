@@ -1,12 +1,8 @@
-"""Hot numeric kernel for the momentum-subset spectral sums.
-
-Every spectral correlator reduces to a weighted sum of determinants over
-the C(M+1, N) momentum subsets of a geometry.  Each determinant is a minor
-of one small table, N rows by one column per grid point or distinct
-exponent, that its caller builds once: each subset's matrix is gathered
-from the N columns the subset names.  Batched `np.linalg.det` calls take
-the determinants on (B, N, N) stacks of at most SUBSET_BLOCK subsets, so
-peak memory does not grow with the subset count.
+"""The two numpy kernels: `subset_rows`, the N-subsets of 0..top as one
+array (the sector basis, the walker DP's configurations), and
+`stacked_dets`, the alternants of `schur.schur_values` by `np.linalg.det`
+on stacks of at most SUBSET_BLOCK minors of one table, so peak memory
+does not grow with their count.  No correlator sums over momentum subsets.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 The determinant (ratio-of-alternants) route needs pairwise distinct
 arguments; the monomials, by the branching rule, are exact everywhere.
 Both are kept and cross-checked; `schur_values` picks the valid one per point.
-The Jacobi-Trudi rows hold every s_lam(x) as a minor at any x, so the
-spectral routes take each boxed sum as one determinant (Cauchy-Binet).
-Hook-content gives s_lam(1, q, .., q^{n-1}) with no tableaux.  Every
-entry point drops a shape's zero parts.  Only the numeric functions import
-numpy, and only the q-functions `qpoly`, so `schur --at-ones` starts
-without either.
+The Jacobi-Trudi rows, plain lists, hold every s_lam(x) as a minor at
+any x, so the amplitude takes its boxed sums as one determinant
+(Cauchy-Binet).  Hook-content gives s_lam(1, q, .., q^{n-1}) with no
+tableaux.  Every entry point drops a shape's zero parts.  Only the
+alternants (`schur_values`) import numpy, and only the q-functions
+`qpoly`, so `schur --at-ones` starts without either.
 """
 
 from __future__ import annotations
@@ -146,21 +146,20 @@ def schur_evaluate(lam: Partition, x: Sequence[complex]) -> complex:
     return complex(schur_values(x, [lambda_to_mu(lam, len(x))])[0])
 
 
-def jacobi_trudi_rows(x: Sequence[complex], width: int) -> np.ndarray:
+def jacobi_trudi_rows(x: Sequence[complex], width: int) -> list[list[complex]]:
     """Flagged Jacobi-Trudi rows: entry (a, m) is h_{m-N+1+a}(x_1..x_{N-a}).
 
     Unit-triangular row operations take the plain rows h_{m-N+1+a}(x) to
     these, so the minor on the columns mu = lam + staircase, in that order,
     is s_lam(x) at any x.  They cancel far less: at x = 1^N, C(m, N-1-a).
     """
-    import numpy as np
-    out = np.zeros((len(x), width), dtype=complex)
-    h = np.eye(1, width, dtype=complex)[0]
+    out = [[0j] * width for _ in x]
+    h = [1 + 0j] + [0j] * (width - 1)
     for j, xj in enumerate(x):
         # h_k(x_1..x_j) = h_k(x_1..x_{j-1}) + x_j h_{k-1}(x_1..x_j)
         for k in range(1, width):
             h[k] += xj * h[k - 1]
-        out[-1 - j, j:] = h[:max(width - j, 0)]
+        out[-1 - j][j:] = h[:max(width - j, 0)]
     return out
 
 

@@ -11,8 +11,8 @@ import spinpaths
 from spinpaths import checks, cli, core
 from spinpaths.chain import ChainGeometry, build_sector_hamiltonian
 from spinpaths.core import EnumerationCapError, SectorCapError
-from spinpaths.correlators import (laplace_generating_f, multi_particle_g_detailed,
-                                   persistence_spectral, trig_path_count)
+from spinpaths.correlators import (multi_particle_g_detailed, persistence_spectral,
+                                   transition_amplitude_detailed, trig_path_count)
 from spinpaths.paths import enumerate_nests
 from spinpaths.schur import schur_monomials
 
@@ -30,11 +30,14 @@ BOUNDARIES = {
     # C(6, 3) sector states
     "sector": ("DEFAULT_SECTOR_CAP", 20, SectorCapError,
                lambda: trig_path_count(ChainGeometry(5, 3), (4, 2, 0), (4, 2, 0), 2)),
-    # a 4 x 4 real sector matrix, and a 4 x 4 complex one-walker matrix
+    # a 4 x 4 real sector matrix
     "dense-sector": ("DENSE_BYTES_CAP", 128, SectorCapError,
                      lambda: build_sector_hamiltonian(ChainGeometry(3, 1))),
-    "dense-one-walker": ("DENSE_BYTES_CAP", 256, SectorCapError,
-                         lambda: laplace_generating_f(ChainGeometry(3, 1), 0, 1, 0.1)),
+    # 2 sides * 5 sites * 2 rows * (4 Jacobi-Trudi coefficients + 2 * 2 for
+    # the QRs) multiply-adds of the amplitude's spectral route
+    "amplitude": ("DEFAULT_ENUM_CAP", 160, EnumerationCapError,
+                  lambda: transition_amplitude_detailed(ChainGeometry(4, 2), (0.5, 1.2),
+                                                        (0.8, 0.3), 1, 0.7)),
     # (M+1) N^2 = 5 * 2^2 multiply-adds of the persistence Gram determinant
     "persistence-gram": ("DEFAULT_ENUM_CAP", 20, EnumerationCapError,
                          lambda: persistence_spectral(ChainGeometry(4, 2), 1, 0.5)),
@@ -51,6 +54,11 @@ BOUNDARIES = {
     "macmahon": ("Q_CHAIN_CAP", 1125, EnumerationCapError,
                  lambda: checks.run("macmahon", Namespace(n=2, k=2))),
     # n = 4, k = 8: B = 16 log2(16) = 64 bits, (16 + 1) 64 / 64 = 17.0 word steps
+    # 3 shapes * 2 * 2^1 products of their alternants and 1 + 2 + 1 tableaux,
+    # for each of 2 trials
+    "schur-dual-trials": ("DEFAULT_ENUM_CAP", 32, EnumerationCapError,
+                          lambda: checks.run("schur-dual", Namespace(n=2, length=1, trials=2,
+                                                                     seed=0))),
     "macmahon-words": ("MACMAHON_WORD_CAP", 17, EnumerationCapError,
                        lambda: cli.cmd_sweep(Namespace(subject="macmahon", box_n="4",
                                                        box_k="8"))),

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spinpaths import core, correlators, paths, schur
+from spinpaths import core, correlators, partitions, paths
 from spinpaths.chain import ChainGeometry
 from spinpaths.core import FLOAT_GRID_CAP, EnumerationCapError
 from spinpaths.cli import VERBS, _parse_float_range, _parse_range, build_parser, main
@@ -253,7 +253,8 @@ VERIFY_DIGESTS = {
     "cauchy-binet": "1eb6db806084567446dfb42a485ef595cc739e48ecf828d39169dea750242270",
     "persistence": "0f7404c4be6f8ba2ebcea908fa41b1bdcb4ecb9efa2ac9d6c4df07ba2d82804f",
     "macmahon": "1fb9ff9aeae3e0eeb072bf82106bac49fe2dc8d894b593d42fcb42fd99bfddd6",
-    "schur-dual": "eceae4a0841159c6f367dd94325c68f1ca20e1da34ad7e0bbe5d22a91ae36e15",
+    # exact since the alternants became integer minors: residuals 0.0
+    "schur-dual": "da1220a20bb0286c164744e30fc18702d4ce645cce7d78a5a7716dec2b42b081",
     "q-chain": "9ef9d4c8bb748f1fa392a583853bb730494be0c5ddab5d5c9a8954c50d3502d4",
 }
 
@@ -376,13 +377,37 @@ def strict_json(text):
 
 
 def test_verify_schur_dual_nan_fails(monkeypatch, capsys):
-    monkeypatch.setattr(schur, "schur_determinant", lambda *args: complex("nan"))
+    # the check is exact now: an alternant off by one fails every shape
+    real = partitions.column_minors
+    monkeypatch.setattr(partitions, "column_minors", lambda *args: {
+        cols: (a + 1, b) for cols, (a, b) in real(*args).items()})
     assert main(["verify", "schur-dual", "--n", "2", "--length", "1",
                  "--trials", "2"]) == 1
     doc = strict_json(capsys.readouterr().out)
     assert doc["pass"] is False
     assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
-    assert {c["residual"] for c in doc["checks"]} == {"NaN"}
+    assert {c["residual"] for c in doc["checks"]} == {1.0}
+
+
+# each was admitted: the first three were still running after 5 s, holding
+# one output row per trial (--n 0 priced no minor products, and no trial
+# priced its row), and schur-dual --n 8 answered in 15 s
+@pytest.mark.parametrize("argv, detail", [
+    (["schur-dual", "--n", "1", "--length", "0", "--trials", "100000000"],
+     "200000000 products of the trials exceed cap 10000000"),
+    (["cauchy-binet", "--n", "0", "--length", "3", "--trials", "100000000"],
+     "100000000 trials exceed cap 1000000"),
+    (["cauchy-binet", "--n", "1", "--length", "0", "--trials", "9000000"],
+     "9000000 trials exceed cap 1000000"),
+    # 1,244,672 tableaux and 165 alternants of 1,024 products, ten times
+    (["schur-dual", "--n", "8"], "14136320 products of the trials exceed cap 10000000"),
+], ids=" ".join)
+def test_verify_trials_are_priced(argv, detail):
+    out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "verify", *argv],
+                         capture_output=True, text=True, timeout=2)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert json.loads(out.stderr) == {"error": "cap-exceeded", "detail": detail}
 
 
 def test_sweep_csv():
@@ -608,19 +633,20 @@ def test_walker_verbs_over_the_cap_exit_3(verb):
     assert json.loads(out.stderr)["error"] == "cap-exceeded"
 
 
-@pytest.mark.parametrize("kind", [
-    ["laplace", "--j-site", "0", "--l-site", "2", "--z", "0.2"],
-], ids=lambda kind: kind[0])
-def test_dense_one_walker_matrix_over_the_cap_exit_3(kind):
-    # the (M+1)^2 complex one-walker matrix at M = 20000 takes 6.4 GB: under
-    # the address-space limit numpy's MemoryError escaped with a traceback
+def test_laplace_needs_no_dense_matrix():
+    # the (M+1)^2 complex one-walker matrix at M = 20000 took 6.4 GB and was
+    # refused (exit 3); the image sum takes a few powers of one number
     out = subprocess.run([sys.executable, "-m", "spinpaths.cli", "correlator",
-                          "--kind", kind[0], "--m", "20000", *kind[1:]],
+                          "--kind", "laplace", "--m", "20000", "--j-site", "0",
+                          "--l-site", "2", "--z", "0.2"],
                          capture_output=True, text=True, timeout=60,
                          preexec_fn=_limit_memory)
-    assert out.returncode == 3, out.stderr
-    assert out.stdout == ""
-    assert json.loads(out.stderr)["error"] == "cap-exceeded"
+    assert out.returncode == 0, out.stderr
+    # the line's r^2 / s, r = 2z / (1 + s), s = sqrt(1 - 4z^2): the other
+    # images are r^19999 and smaller
+    s = (1 - 4 * 0.2 ** 2) ** 0.5
+    assert json.loads(out.stdout)["value"]["re"] == pytest.approx(
+        (0.4 / (1 + s)) ** 2 / s, rel=1e-15)
 
 
 @pytest.mark.parametrize("m, kind", [

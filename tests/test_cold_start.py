@@ -66,6 +66,11 @@ NUMPY_FREE_VERBS = [
     # benchmark's job
     ["verify", "cauchy-binet", "--n", "4", "--length", "6", "--string-n", "1",
      "--trials", "10", "--seed", "3"],
+    # alternants as integer minors against the tableau monomials
+    ["verify", "schur-dual", "--n", "3", "--length", "3", "--trials", "5"],
+    # the ring resolvent as an image sum
+    ["correlator", "--kind", "laplace", "--m", "5", "--j-site", "0", "--l-site", "2",
+     "--z", "0.2"],
 ]
 
 
@@ -116,6 +121,16 @@ def test_exact_trig_count_loads_no_numpy():
             "code = correlators.trig_path_count(ChainGeometry(11, 3), (8, 4, 1),"
             " (9, 5, 1), 24)")
     assert probe(body) == {"code": 14736344506834944, "numpy": False}
+
+
+def test_amplitude_spectral_route_loads_no_numpy():
+    # the Jacobi-Trudi rows and the QR of `_cauchy_binet_qr` in plain floats
+    body = ("from spinpaths.chain import ChainGeometry\n"
+            "from spinpaths import correlators\n"
+            "value = correlators._transition_spectral(ChainGeometry(10, 4),"
+            " (0.7, 1.1, 0.4, 1.6), (1.2, 0.5, 0.9, 0.3), 2, 0.6)\n"
+            "code = value == value and sys.modules.get('spinpaths.kernels') is None")
+    assert probe(body) == {"code": True, "numpy": False}
 
 
 # refusals that the arguments alone decide, with the exit code and the

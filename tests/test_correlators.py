@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import sys
@@ -162,17 +163,21 @@ def test_transition_amplitude_keeps_its_digits_at_large_complex_t():
 
 
 def test_laplace_generating_function_matches_power_series():
-    geom = ChainGeometry(4, 1)
     from spinpaths.paths import ring_power_rows
 
-    z = 0.21
-    for j, l in [(0, 0), (2, 4), (3, 1)]:
-        series = sum(z ** k * row[l]
-                     for k, row in zip(range(80), ring_power_rows(j, geom.m)))
-        assert laplace_generating_f(geom, j, l, z) == pytest.approx(series,
-                                                                    rel=1e-10)
+    # at |z| = 0.49 the terms fall as 0.98^K, so 2000 of them, each row of
+    # Delta^K scaled by 2^-K, leave under 1e-17; the 2-site ring's bond is
+    # doubled
+    for m, pairs in [(4, [(0, 0), (2, 4), (3, 1)]), (1, [(0, 0), (0, 1), (1, 0)])]:
+        geom = ChainGeometry(m, 1)
+        for z in (0.21, 0.3 - 0.2j, -0.49, 0.49j, 0.49 * cmath.exp(0.7j)):
+            for j, l in pairs:
+                series = sum((2 * z) ** k * (row[l] / 2 ** k)
+                             for k, row in zip(range(2000), ring_power_rows(j, m)))
+                assert laplace_generating_f(geom, j, l, z) == pytest.approx(series,
+                                                                            rel=1e-10)
     with pytest.raises(ValueError):
-        laplace_generating_f(geom, 0, 0, 0.6)
+        laplace_generating_f(ChainGeometry(4, 1), 0, 0, 0.6)
 
 
 # --------------------------------------------------------------- many walkers

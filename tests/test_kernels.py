@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from spinpaths import correlators
-from spinpaths.chain import bethe_ground_state, momentum_table
 from spinpaths.core import ChainGeometry
 from spinpaths.kernels import SUBSET_BLOCK, stacked_dets, subset_rows
 from spinpaths.partitions import lambda_to_mu, shifted_boxed_partitions
-from spinpaths.schur import jacobi_trudi_rows, schur_values, vandermonde
+from spinpaths.schur import schur_values, vandermonde
 from det_product_spectral import det_product_spectral
 
 RNG = np.random.default_rng(7)
@@ -71,44 +70,15 @@ def test_alternant_stacks_are_bitwise_per_subset(m, n):
     assert got == want
 
 
-@pytest.mark.parametrize("m,n", STACK_GEOMETRIES)
-def test_boxed_stacks_are_bitwise_per_subset(m, n):
-    geom = ChainGeometry(m, n)
-    for x in (distinct_params(n), np.exp(1j * subset_thetas(geom, range(n - 1, -1, -1)))):
-        for shift in sorted({0, geom.k_cap}):
-            width = geom.k_cap - shift + n
-            rows_jt = jacobi_trudi_rows(x, width)
-            for conj in (False, True):
-                prods, dets = [], []
-                for s in subsets(geom):
-                    p = np.exp(1j * subset_thetas(geom, s))
-                    p = np.conj(p) if conj else p
-                    prods.append(np.prod(p))
-                    # the Jacobi-Trudi rows at the points p, by Horner; the
-                    # points are tiled, as numpy can round a complex product
-                    # apart in a loop that broadcasts one operand
-                    points, vals = np.tile(p, (n, 1)), np.zeros((n, n), dtype=complex)
-                    for coeff in rows_jt.T[::-1]:
-                        vals = vals * points + coeff[:, None]
-                    dets.append(np.linalg.det(vals))
-                # numpy's scalar arithmetic can round apart from its array
-                # loops, so the prefactor is taken over arrays, as the route does
-                want = (np.prod(x) * np.array(prods)) ** shift * np.array(dets)
-                grid = momentum_table(geom).grid_phases
-                got = correlators._boxed_dets(geom, x, np.conj(grid) if conj else grid, shift)
-                assert np.array_equal(got, want)
-
-
 def test_boxed_sums_stay_linear_in_the_ring():
-    """One (N, M+1) table, not a (B, K-n+N, N) power stack per block: at
-    (1999, 1), where one block of such stacks takes 4 MB, a call peaks under
-    1 MiB once the subset table is cached."""
-    geom = ChainGeometry(1999, 1)
-    args = (geom, bethe_ground_state(geom).phases, np.conj(momentum_table(geom).grid_phases), 1)
-    correlators._boxed_dets(*args)
+    """The amplitude's boxed sums hold a few columns of M+1 grid values, not
+    an (M+1) x (K-n+N) table of powers: at (499, 1), where such a table
+    takes 4 MB, a call peaks under 1 MiB."""
+    args = (ChainGeometry(499, 1), (0.7,), (1.1,), 1, 0.3)
+    correlators._transition_spectral(*args)
     tracemalloc.start()
     try:
-        correlators._boxed_dets(*args)
+        correlators._transition_spectral(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

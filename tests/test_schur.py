@@ -138,7 +138,7 @@ def test_schur_evaluate_at_ones():
 ])
 def test_jacobi_trudi_minors_match_tableaux(x, box):
     nvar = len(x)
-    rows = jacobi_trudi_rows(x, nvar + box)
+    rows = np.array(jacobi_trudi_rows(x, nvar + box))
     assert rows.shape == (nvar, nvar + box)
     for lam in boxed_partitions(nvar, box):
         want = schur_from_monomials(schur_monomials(lam, nvar), x)
